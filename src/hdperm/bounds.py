@@ -12,10 +12,12 @@ The float path accumulates its dynamic-programming table in extended
 precision (numpy longdouble) and returns doubles: the running sums to
 r = 10^5 would otherwise eat most of the 1e-12 agreement budget the exact
 path and the d=1 reference are held to. The table is computed once, grown on
-demand, and shared read-only.
+demand, and shared read-only; growth builds a new table under a lock and
+swaps it in, so concurrent callers always read a complete one.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -26,23 +28,27 @@ from hdperm.core import Shape, SupportArray
 
 EXACT_R_LIMIT = 200  # rational coefficients blow up as lcm(1..r); 200 is ample
 
-_rows: list = []  # _rows[d][r-1] = f(d, r) as longdouble
-_rmax: int = 0
+_rows: list = []  # _rows[d][r-1] = f(d, r) as longdouble; never mutated once published
+_rmax: int = 0  # length of every row in _rows
+_rows_lock = threading.Lock()
 
 
 def _f_row(d: int, rmax: int):
     global _rows, _rmax
-    if rmax > _rmax:
-        _rmax = max(rmax, 2 * _rmax, 512)
-        ks = np.arange(1, _rmax + 1, dtype=np.longdouble)
-        fresh = [np.log(ks)]
-        for _ in range(1, len(_rows)):
-            fresh.append(np.cumsum(fresh[-1]) / ks)
-        _rows = fresh
-    while d >= len(_rows):
-        ks = np.arange(1, _rmax + 1, dtype=np.longdouble)
-        _rows.append(np.cumsum(_rows[-1]) / ks)
-    return _rows[d]
+    rows = _rows
+    if d < len(rows) and rmax <= len(rows[d]):
+        return rows[d]
+    # grow a private copy and publish it whole: readers holding the old list
+    # keep a consistent table, and two growers cannot append the same row
+    with _rows_lock:
+        size = _rmax if rmax <= _rmax else max(rmax, 2 * _rmax, 512)
+        ks = np.arange(1, size + 1, dtype=np.longdouble)
+        depth = max(d + 1, len(_rows))
+        rows = list(_rows) if size == _rmax else [np.log(ks)]
+        while len(rows) < depth:
+            rows.append(np.cumsum(rows[-1]) / ks)
+        _rows, _rmax = rows, size
+        return rows[d]
 
 
 def _check_dr(d, r):

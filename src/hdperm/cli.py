@@ -104,11 +104,12 @@ def _threads(args) -> int:
 def _cmd_count(args) -> int:
     a = _load_support(args)
     threads = _threads(args)
-    c = per_d(a, threads=threads)
+    stats = {}
+    c = per_d(a, threads=threads, stats=stats)
     params = {"d": a.shape.d, "n": a.shape.n, "threads": threads}
     if args.support:
         params["support"] = args.support
-    return _result("count", params, {"count": str(c)})
+    return _result("count", params, {"count": str(c), **stats})
 
 
 def _cmd_enumerate(args) -> int:
@@ -485,7 +486,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("count", help="exact number of supported permutations")
     shape_flags(p)
     p.add_argument("--support", metavar="FILE", help="support JSON file")
-    p.add_argument("--threads", type=int, help="split the search root")
+    p.add_argument("--threads", type=int,
+                   help="accepted and echoed; the count does not use threads")
 
     p = add("enumerate", help="stream supported permutations as text")
     shape_flags(p)

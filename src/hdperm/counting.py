@@ -1,12 +1,19 @@
 """Exact d-permanent computation: the number of d-dimensional permutations
 supported by a 0-1 array.
 
-The count is obtained by depth-first backtracking over cells in row-major
-order with per-line used-value bitmasks (see kernels). Counts are exact
-Python ints. The traversal order is statically fixed, so node visits and
-results are reproducible; with threads > 1 the search is split on the first
-cell's candidate values and the partial counts summed, which leaves the total
-independent of scheduling.
+per_d counts slab by slab. A slab is the hyperplane with the first
+coordinate fixed; every axis-0 line crosses each slab once, and no other line
+crosses two slabs. A forward dynamic program carries, for every set of values
+already used on each axis-0 line, the number of ways the slabs so far reach
+it. Each slab but the last takes one (d-1)-dimensional permutation its own
+support admits; the last slab is forced, since every line misses exactly one
+value. The work grows with the number of distinct states, not with the count.
+Counts are exact Python ints, and the result and the per-slab state counts
+are deterministic.
+
+per_d(a, backend=...) instead runs the depth-first backtracking kernel over
+cells in row-major order with per-line used-value bitmasks (see kernels). It
+is the reference the tests and benchmarks cross-check the slab DP against.
 """
 
 from functools import lru_cache
@@ -20,7 +27,7 @@ from hdperm.core import PermTensor, Shape, SupportArray, all_ones_support
 
 @lru_cache(maxsize=None)
 def _line_table(shape: Shape):
-    """Per-cell line ids (ncells x d int32) plus the allowed dtype template.
+    """Per-cell line ids as a read-only ncells x d int32 table.
 
     Line id for direction k (0-based) = k * n^{d-1} + row-major rank of the
     d-1 fixed coordinates.
@@ -43,34 +50,72 @@ def _allowed_array(a: SupportArray):
     return np.array(a.masks, dtype=np.uint64)
 
 
-def per_d(a: SupportArray, threads: int = 1, backend: Optional[str] = None) -> int:
+def _count_slabs(a: SupportArray):
+    """Slab-transfer count of a's permutations, and the number of distinct
+    states after each of the first n-1 slabs.
+
+    A state packs the values used so far on every axis-0 line into one int,
+    n bits per line, lines in the row-major order of the slab's cells. A
+    filling is a slab's permutation in the same one-hot layout, so it fits a
+    state when they share no bit.
+    """
+    d, n = a.shape.d, a.shape.n
+    m = n ** (d - 1)  # cells per slab, one per axis-0 line
+    dp = {0: 1}
+    states = []
+    for s in range(n - 1):
+        cells = a.masks[s * m : (s + 1) * m]
+        if d == 1:
+            fills = [1 << v for v in range(n) if cells[0] >> v & 1]
+        else:
+            sub = SupportArray(Shape(d - 1, n), cells)
+            fills = [
+                sum(1 << (p * n + v) for p, v in enumerate(perm.values))
+                for perm in enumerate_perms(sub)
+            ]
+        nxt = {}
+        for state, c in dp.items():
+            for f in fills:
+                if not state & f:
+                    key = state | f
+                    nxt[key] = nxt.get(key, 0) + c
+        dp = nxt
+        states.append(len(dp))
+    # last slab: each line takes the value it still misses, i.e. the
+    # complement of the state; along the other axes that is always a
+    # permutation, so only the support can reject it
+    full = (1 << (n * m)) - 1
+    allowed = sum(mask << (p * n) for p, mask in enumerate(a.masks[(n - 1) * m :]))
+    forbidden = full ^ allowed
+    count = sum(c for state, c in dp.items() if not (full ^ state) & forbidden)
+    return count, states
+
+
+def per_d(
+    a: SupportArray,
+    threads: int = 1,
+    backend: Optional[str] = None,
+    stats: Optional[dict] = None,
+) -> int:
     """Exact count of supported d-dimensional permutations.
 
-    threads > 1 splits on the first cell's candidates; the result does not
-    depend on it. backend forces a kernel ("cython"/"python") for tests and
-    benchmarks.
+    By default the count comes from the slab-transfer DP (_count_slabs), and
+    stats, when given, receives its work record: "algorithm" ("slab") and
+    "states", the distinct states after each of the first n-1 slabs.
+    backend ("cython"/"python") runs the depth-first kernel of that name
+    instead; it is the reference path for tests and benchmarks. threads is
+    accepted for compatibility and ignored: a thread split only slowed the
+    pure-Python count under the interpreter lock, and it never changed the
+    result.
     """
+    if backend is None:
+        count, states = _count_slabs(a)
+        if stats is not None:
+            stats.update(algorithm="slab", states=states)
+        return count
     kern = kernels.get(backend)
-    allowed = _allowed_array(a)
-    lines = _line_table(a.shape)
-    full = a.shape.full_mask
-    if threads <= 1:
-        return int(kern.count_supported(allowed, lines, full))
-    first = a.masks[0]
-    bits = []
-    while first:
-        low = first & -first
-        bits.append(low)
-        first ^= low
-    if len(bits) <= 1:
-        return int(kern.count_supported(allowed, lines, full))
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=min(threads, len(bits))) as pool:
-        parts = pool.map(
-            lambda b: int(kern.count_supported(allowed, lines, b)), bits
-        )
-        return sum(parts)
+    allowed, lines = _allowed_array(a), _line_table(a.shape)
+    return int(kern.count_supported(allowed, lines, a.shape.full_mask))
 
 
 def count_all(shape: Shape, threads: int = 1, backend: Optional[str] = None) -> int:

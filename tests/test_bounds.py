@@ -1,10 +1,13 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hdperm import bounds
 from hdperm.bounds import (
     EXACT_R_LIMIT,
     bregman_d1_reference,
@@ -74,6 +77,43 @@ def test_f_table_regrowth_is_consistent():
     small = f_float(2, 5)
     f_float(2, 100000)  # force a table rebuild
     assert f_float(2, 5) == small
+
+
+def test_f_table_is_thread_safe(monkeypatch):
+    # 8 threads grow a cold table at once, each in its own order; a lost or
+    # doubled row, or a row read before its table was rebuilt, shows as a
+    # wrong value or an IndexError
+    rng = random.Random(17)
+    queries = [(rng.randint(0, 6), rng.randint(1, 5000)) for _ in range(200)]
+    want = {q: f_float(*q) for q in queries}
+    nthreads = 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            monkeypatch.setattr(bounds, "_rows", [])
+            monkeypatch.setattr(bounds, "_rmax", 0)
+            barrier = threading.Barrier(nthreads)
+            results = [None] * nthreads
+
+            def worker(i):
+                order = sorted(queries, key=lambda q: (q[1] * (i + 1)) % 5003)
+                barrier.wait()
+                try:
+                    results[i] = {q: f_float(*q) for q in order}
+                except Exception as exc:  # reported below, with the thread index
+                    results[i] = exc
+
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(nthreads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            for i, got in enumerate(results):
+                assert got == want, (i, got if isinstance(got, Exception) else None)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_f_values_matches_scalar():

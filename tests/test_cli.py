@@ -26,6 +26,21 @@ def test_count_full(capsys):
     assert obj["subcommand"] == "count"
     assert obj["count"] == "576"  # decimal string, never a float
     assert obj["params"] == {"d": 2, "n": 4, "threads": 1}
+    assert obj["algorithm"] == "slab"
+    assert obj["states"] == [24, 90, 24]
+
+
+def test_count_output_does_not_depend_on_threads(capsys, tmp_path):
+    path = tmp_path / "sup.json"
+    ones = [[i, j, (i + j + k) % 4] for i in range(4) for j in range(4) for k in range(3)]
+    path.write_text(json.dumps({"d": 2, "n": 4, "ones": ones}))
+    outs = []
+    for threads in ("1", "2"):
+        code, out = run_text(capsys, ["count", "--support", str(path), "--threads", threads])
+        assert code == 0
+        outs.append(out)
+    assert outs[1] == outs[0].replace('"threads": 1', '"threads": 2')
+    assert outs[1] != outs[0]
 
 
 def test_count_support_file(capsys, tmp_path):

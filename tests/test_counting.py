@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -62,6 +63,67 @@ def test_d2_row_oracle_agrees():
         assert per_d(a) == count_rows_d2(a)
     full = all_ones_support(Shape(2, 5))
     assert per_d(full) == count_rows_d2(full) == 161280
+
+
+def test_slab_dp_matches_dfs_and_set_oracle():
+    rng = random.Random(2024)
+    for i in range(240):
+        d = rng.choice([1, 2, 3])
+        n = rng.randint(1, 4 if d < 3 else 3)
+        a = random_support(rng, d, n, density=rng.uniform(0.3, 1.0))
+        if i % 8 == 0:
+            masks = list(a.masks)
+            masks[rng.randrange(len(masks))] = 0
+            a = SupportArray(a.shape, tuple(masks))
+        assert per_d(a) == per_d(a, backend="python") == count_sets(a), a
+
+
+def planted_d2_support(rng, n, r):
+    """Two relabelled cyclic Latin squares (so the count is at least 1) plus
+    random other values, up to r values per cell on average."""
+    squares = []
+    for _ in range(2):
+        rows, cols, vals = (rng.sample(range(n), n) for _ in range(3))
+        squares.append([vals[(rows[i] + cols[j]) % n] for i in range(n) for j in range(n)])
+    masks = []
+    for planted in zip(*squares):
+        m = 0
+        for v in planted:
+            m |= 1 << v
+        want = int(r) + (rng.random() < r - int(r))
+        others = [v for v in range(n) if not m >> v & 1]
+        for v in rng.sample(others, max(0, want - m.bit_count())):
+            m |= 1 << v
+        masks.append(m)
+    return SupportArray(Shape(2, n), tuple(masks))
+
+
+def test_slab_dp_matches_row_oracle_planted_n6():
+    rng = random.Random(6)
+    for _ in range(20):
+        a = planted_d2_support(rng, 6, 3.6)
+        assert per_d(a) == count_rows_d2(a) >= 1
+
+
+def test_slab_dp_reaches_larger_full_supports():
+    t0 = time.perf_counter()
+    assert count_all(Shape(1, 12)) == math.factorial(12)
+    assert count_all(Shape(3, 4)) == 55296
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_slab_dp_reports_states():
+    stats = {}
+    assert per_d(all_ones_support(Shape(2, 5)), stats=stats) == 161280
+    # on a full support the states after k slabs are the complements of those
+    # after n-k slabs, so the list reads the same backwards
+    assert stats == {"algorithm": "slab", "states": [120, 2040, 2040, 120]}
+    stats = {}
+    per_d(all_ones_support(Shape(1, 4)), stats=stats)
+    assert stats["states"] == [4, 6, 4]
+    stats = {}
+    per_d(all_ones_support(Shape(3, 1)), stats=stats)
+    assert stats["states"] == []
 
 
 def test_d1_matches_permanent_minors():
