@@ -543,7 +543,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shape_flags(p)
     p.add_argument("--rmax", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, help="unused; accepted for symmetry")
 
     return top
 

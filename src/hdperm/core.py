@@ -52,7 +52,6 @@ class Shape:
     def __post_init__(self):
         if not isinstance(self.d, int) or self.d < 1:
             raise ShapeError(f"d must be a positive integer, got {self.d!r}")
-        # n <= 64 keeps every value-set inside one machine word for the kernels
         if not isinstance(self.n, int) or not 1 <= self.n <= 64:
             raise ShapeError(f"n must be an integer in 1..64, got {self.n!r}")
 

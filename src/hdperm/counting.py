@@ -11,15 +11,14 @@ value. The work grows with the number of distinct states, not with the count.
 Counts are exact Python ints, and the result and the per-slab state counts
 are deterministic.
 
-per_d(a, backend=...) instead runs the depth-first backtracking kernel over
-cells in row-major order with per-line used-value bitmasks (see kernels). It
-is the reference the tests and benchmarks cross-check the slab DP against.
+enumerate_perms is the package's one depth-first search: it fills cells in
+row-major order with per-line used-value bitmasks. per_d(a, backend="python")
+counts its leaves; that is the reference the tests and benchmarks
+cross-check the slab DP against.
 """
 
 from functools import lru_cache
 from typing import Iterator, Optional
-
-import numpy as np
 
 from hdperm import kernels
 from hdperm.core import PermTensor, Shape, SupportArray, all_ones_support
@@ -27,27 +26,25 @@ from hdperm.core import PermTensor, Shape, SupportArray, all_ones_support
 
 @lru_cache(maxsize=None)
 def _line_table(shape: Shape):
-    """Per-cell line ids as a read-only ncells x d int32 table.
+    """Per-cell line ids: for each cell in row-major order, a tuple of its d
+    line ids.
 
     Line id for direction k (0-based) = k * n^{d-1} + row-major rank of the
     d-1 fixed coordinates.
     """
     d, n = shape.d, shape.n
     per_dir = n ** (d - 1)
-    table = np.empty((shape.ncells, d), dtype=np.int32)
-    for rank, coords in enumerate(shape.cells()):
+    table = []
+    for coords in shape.cells():
+        row = []
         for k in range(d):
             sub = coords[:k] + coords[k + 1 :]
             r = 0
             for c in sub:
                 r = r * n + c
-            table[rank, k] = k * per_dir + r
-    table.setflags(write=False)
-    return table
-
-
-def _allowed_array(a: SupportArray):
-    return np.array(a.masks, dtype=np.uint64)
+            row.append(k * per_dir + r)
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def _count_slabs(a: SupportArray):
@@ -102,20 +99,19 @@ def per_d(
     By default the count comes from the slab-transfer DP (_count_slabs), and
     stats, when given, receives its work record: "algorithm" ("slab") and
     "states", the distinct states after each of the first n-1 slabs.
-    backend ("cython"/"python") runs the depth-first kernel of that name
-    instead; it is the reference path for tests and benchmarks. threads is
-    accepted for compatibility and ignored: a thread split only slowed the
-    pure-Python count under the interpreter lock, and it never changed the
-    result.
+    backend="python" instead counts the leaves of enumerate_perms'
+    depth-first search, the reference path for tests and benchmarks; any
+    other backend raises RuntimeError. threads is accepted for compatibility
+    and ignored: a thread split only slowed the pure-Python count under the
+    interpreter lock, and it never changed the result.
     """
     if backend is None:
         count, states = _count_slabs(a)
         if stats is not None:
             stats.update(algorithm="slab", states=states)
         return count
-    kern = kernels.get(backend)
-    allowed, lines = _allowed_array(a), _line_table(a.shape)
-    return int(kern.count_supported(allowed, lines, a.shape.full_mask))
+    kernels.get(backend)
+    return sum(1 for _ in enumerate_perms(a))
 
 
 def count_all(shape: Shape, threads: int = 1, backend: Optional[str] = None) -> int:
@@ -142,7 +138,7 @@ def enumerate_perms(a: SupportArray, limit: Optional[int] = None) -> Iterator[Pe
         raise ValueError("limit must be positive")
     shape = a.shape
     allowed = a.masks
-    lines = _line_table(shape).tolist()
+    lines = _line_table(shape)
     ncells = shape.ncells
     nlines = shape.d * shape.n ** (shape.d - 1)
     used = [0] * nlines

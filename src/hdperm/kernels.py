@@ -1,36 +1,14 @@
-"""Kernel selection: the compiled extension when built, pure Python otherwise.
+"""The name of the one counting backend, the depth-first search in
+counting.enumerate_perms. The module exists for the benchmark, which reads
+BACKEND and probes get(name) for each backend it knows."""
 
-Both backends implement the same count_supported contract and are kept
-behaviorally identical; benchmarks/bench_kernels.py compares them and the test
-suite asserts equal counts.
-"""
+import sys
 
-try:
-    from hdperm import _ckernel as _active
-
-    BACKEND = "cython"
-except ImportError:  # extension not built; the fallback is always available
-    from hdperm import _kernel_py as _active
-
-    BACKEND = "python"
-
-count_supported = _active.count_supported
+BACKEND = "python"
 
 
 def get(name=None):
-    """Resolve a backend module by name ("cython" or "python"); None picks
-    the active one. Raises if the compiled backend was requested but absent."""
-    if name is None or name == BACKEND:
-        return _active
-    if name == "python":
-        from hdperm import _kernel_py
-
-        return _kernel_py
-    if name == "cython":
-        try:
-            from hdperm import _ckernel
-
-            return _ckernel
-        except ImportError:
-            raise RuntimeError("compiled kernel is not built") from None
-    raise ValueError(f"unknown kernel backend {name!r}")
+    """This module for None or "python"; RuntimeError for any other name."""
+    if name not in (None, BACKEND):
+        raise RuntimeError(f"no kernel backend {name!r}")
+    return sys.modules[__name__]

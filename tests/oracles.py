@@ -2,11 +2,12 @@
 
 Everything here is written from the definitions, deliberately using different
 algorithms and traversal orders than the package: for d=2 a counter that
-goes row-by-row, over the permutations each row admits, memoised on the
-values used per column; for any d a set-based depth-first search that walks
-cells in reversed order; and expansion by minors for the d=1 permanent.
-Nothing here imports from hdperm.counting, hdperm.kernels or
-hdperm._kernel_py; only hdperm.core supplies the support type.
+goes row-by-row, over the permutations each row admits (a prefix tree per
+row), memoised on the values used per column; for any d a set-based
+depth-first search that walks cells in reversed order; and expansion by
+minors for the d=1 permanent.
+Nothing here imports from hdperm.counting, whose depth-first search is the
+package's own reference; only hdperm.core supplies the support type.
 """
 
 from itertools import permutations
@@ -21,37 +22,45 @@ def count_rows_d2(a: SupportArray) -> int:
 
     Works row by row, over the permutations each row admits, memoised on the
     values used per column. Each row's admitted permutations (column j takes
-    value perm[j], which the support must allow) are listed once up front.
-    The state is a tuple of frozensets, one per column, of the values the
-    rows placed so far have used there; every row adds one value to every
-    column, so the next row's index is the size of any of those sets.
+    value perm[j], which the support must allow) are listed once up front, as
+    a prefix tree: nested dicts keyed by the value of column 0, then column
+    1, and so on. A row is placed by walking its tree column by column,
+    skipping values its column has already used. The state is a tuple of
+    frozensets, one per column, of the values the rows placed so far have
+    used there; every row adds one value to every column, so the next row's
+    index is the size of any of those sets.
     """
     assert a.shape.d == 2
     n = a.shape.n
-    admitted = [
-        [
-            perm
-            for perm in permutations(range(n))
-            if all(perm[j] in a.allowed_at((i, j)) for j in range(n))
-        ]
-        for i in range(n)
-    ]
+    trees = []
+    for i in range(n):
+        root = {}
+        for perm in permutations(range(n)):
+            if all(perm[j] in a.allowed_at((i, j)) for j in range(n)):
+                node = root
+                for v in perm:
+                    node = node.setdefault(v, {})
+        trees.append(root)
     memo = {}
 
     def rows_from(used: tuple) -> int:
         i = len(used[0])
         if i == n:
             return 1
-        if used in memo:
-            return memo[used]
-        total = 0
-        for perm in admitted[i]:
-            if all(perm[j] not in used[j] for j in range(n)):
-                total += rows_from(
-                    tuple(used[j] | {perm[j]} for j in range(n))
-                )
-        memo[used] = total
-        return total
+        if used not in memo:
+            memo[used] = walk(used, trees[i], ())
+        return memo[used]
+
+    def walk(used: tuple, node: dict, placed: tuple) -> int:
+        # placed: the next state's sets for the columns walked so far
+        j = len(placed)
+        if j == n:
+            return rows_from(placed)
+        return sum(
+            walk(used, child, placed + (used[j] | {v},))
+            for v, child in node.items()
+            if v not in used[j]
+        )
 
     return rows_from(tuple(frozenset() for _ in range(n)))
 

@@ -256,6 +256,9 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.run(["f", "--d", "not-a-number", "--r", "1"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["verify", "--samples", "5"])
+    assert exc.value.code == 2
 
 
 def test_json_is_key_sorted_and_repeatable(capsys):

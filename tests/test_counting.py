@@ -39,6 +39,7 @@ def random_support(rng, d, n, density=None):
 def test_known_counts():
     for (d, n), want in KNOWN_COUNTS.items():
         assert count_all(Shape(d, n)) == want, (d, n)
+    assert per_d(all_ones_support(Shape(2, 5)), backend="python") == 161280
 
 
 def test_full_count_equals_set_oracle_small():
@@ -208,19 +209,8 @@ def test_thread_split_deterministic():
         assert count_all(s, threads=threads) == want
 
 
-def test_backends_agree():
-    try:
-        get("cython")
-    except RuntimeError:
-        pytest.skip("compiled extension not built")
-    rng = random.Random(21)
-    for _ in range(20):
-        a = random_support(rng, rng.choice([1, 2, 3]), rng.randint(2, 3))
-        assert per_d(a, backend="python") == per_d(a, backend="cython")
-    assert per_d(all_ones_support(Shape(2, 5)), backend="python") == 161280
-
-
 def test_backend_name_is_exposed():
-    assert BACKEND in ("python", "cython")
-    with pytest.raises(ValueError):
-        get("fortran")
+    assert BACKEND == "python"
+    for name in ("cython", "fortran"):
+        with pytest.raises(RuntimeError):
+            get(name)
