@@ -13,7 +13,10 @@ precision (numpy longdouble) and returns doubles: the running sums to
 r = 10^5 would otherwise eat most of the 1e-12 agreement budget the exact
 path and the d=1 reference are held to. The table is computed once, grown on
 demand, and shared read-only; growth builds a new table under a lock and
-swaps it in, so concurrent callers always read a complete one.
+swaps it in, so concurrent callers always read a complete one. numpy is
+imported inside the functions that build or sweep these tables, not at module
+level, so that the counting subcommands, which never evaluate f, start
+without loading it.
 """
 
 import math
@@ -21,8 +24,6 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from hdperm.core import Shape, SupportArray
 
@@ -41,6 +42,8 @@ def _f_row(d: int, rmax: int):
     # grow a private copy and publish it whole: readers holding the old list
     # keep a consistent table, and two growers cannot append the same row
     with _rows_lock:
+        import numpy as np
+
         size = _rmax if rmax <= _rmax else max(rmax, 2 * _rmax, 512)
         ks = np.arange(1, size + 1, dtype=np.longdouble)
         depth = max(d + 1, len(_rows))
@@ -64,10 +67,11 @@ def f_float(d: int, r: int) -> float:
     return float(_f_row(d, r)[r - 1])
 
 
-def f_values(d: int, r_max: int) -> np.ndarray:
-    """The vector (f(d,1), ..., f(d,r_max)) as float64, for sweeps."""
+def f_values(d: int, r_max: int):
+    """The vector (f(d,1), ..., f(d,r_max)) as a float64 numpy array, for
+    sweeps."""
     _check_dr(d, r_max)
-    return _f_row(d, r_max)[:r_max].astype(np.float64)
+    return _f_row(d, r_max)[:r_max].astype(float)
 
 
 @dataclass(frozen=True)
@@ -206,6 +210,24 @@ class SweepReport:
         return max(0.0, -worst)
 
 
+def _weak_sweep(d: int, r_max: int):
+    """r, log r, f(d,r) and the weak margin log r − f(d,r) over 1 ≤ r ≤ r_max,
+    as float64 arrays."""
+    import numpy as np
+
+    f = f_values(d, r_max)
+    r = np.arange(1, r_max + 1, dtype=np.float64)
+    logs = np.log(r)
+    return r, logs, f, logs - f
+
+
+def weak_min_margin(d: int, r_max: int) -> float:
+    """min of log r − f(d,r) over 1 ≤ r ≤ r_max, negative where the weak bound
+    f(d,r) ≤ log r fails; unlike theorem5_check, any r_max ≥ 1 is accepted."""
+    *_, weak = _weak_sweep(d, r_max)
+    return float(weak.min())
+
+
 def theorem5_check(d: int, r_max: int) -> SweepReport:
     """Sweep f(d,r) ≤ log r − d + c_d log^d(r)/r over integer r in
     [⌈e^d⌉, r_max], with c_d from the recursion, plus the weaker f(d,r) ≤
@@ -216,10 +238,7 @@ def theorem5_check(d: int, r_max: int) -> SweepReport:
     if r_max < r_start:
         raise ValueError(f"r_max must be >= {r_start} for d={d}")
     c = c_constant(d).c_d
-    f = f_values(d, r_max)
-    r = np.arange(1, r_max + 1, dtype=np.float64)
-    logs = np.log(r)
-    weak = logs - f
+    r, logs, f, weak = _weak_sweep(d, r_max)
     strong = (logs - d + c * logs**d / r - f)[r_start - 1 :]
     return SweepReport(
         d=d,
@@ -253,6 +272,8 @@ def stirling_lemma_check(r_max: int) -> StirlingReport:
     log-factorials accumulated exactly (extended-precision running sum)."""
     if not isinstance(r_max, int) or r_max < 3:
         raise ValueError(f"r_max must be an integer >= 3, got {r_max!r}")
+    import numpy as np
+
     ks = np.arange(1, r_max + 1, dtype=np.longdouble)
     logfact = np.cumsum(np.log(ks))
     r = np.arange(3, r_max + 1, dtype=np.float64)

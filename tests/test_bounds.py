@@ -23,6 +23,7 @@ from hdperm.bounds import (
     stirling_lemma_check,
     theorem5_check,
     theorem5_table_rows,
+    weak_min_margin,
 )
 from hdperm.core import Shape, SupportArray, all_ones_support
 
@@ -71,6 +72,12 @@ def test_f_weak_upper_bound():
     for d in range(7):
         vals = f_values(d, 2000)
         assert (vals <= np.log(np.arange(1, 2001))).all()
+        # the margin log r - f(d,r) is 0 at r = 1 and positive beyond
+        assert weak_min_margin(d, 2000) == 0.0
+    # unlike theorem5_check, the weak sweep takes r_max below e^d
+    assert weak_min_margin(6, 5) == 0.0
+    with pytest.raises(ValueError):
+        weak_min_margin(6, 0)
 
 
 def test_f_table_regrowth_is_consistent():

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -57,10 +62,48 @@ def test_count_threads_env(capsys, monkeypatch):
     assert code == 0
     assert obj["params"]["threads"] == 3
     assert obj["count"] == "576"
-    monkeypatch.setenv("HDPERM_THREADS", "junk")
-    code, obj = run_json(capsys, ["count", "--d", "2", "--n", "3"])
-    assert code == 1
-    assert obj["status"] == "error"
+    for bad in ("junk", "0"):
+        monkeypatch.setenv("HDPERM_THREADS", bad)
+        code, obj = run_json(capsys, ["count", "--d", "2", "--n", "3"])
+        assert code == 1
+        assert obj["status"] == "error"
+        assert obj["error"]["kind"] == "domain"
+    # the flag obeys the same rule as the variable, and takes precedence
+    for bad in ("0", "-3"):
+        code, obj = run_json(capsys, ["count", "--d", "2", "--n", "3", "--threads", bad])
+        assert code == 1
+        assert obj["error"]["kind"] == "domain"
+    code, obj = run_json(capsys, ["count", "--d", "2", "--n", "3", "--threads", "2"])
+    assert code == 0
+    assert obj["params"]["threads"] == 2
+
+
+def test_counting_subcommands_do_not_import_numpy():
+    # numpy serves only the f table and the bound sweeps; a fresh process
+    # that counts, enumerates or constructs must not pay for importing it
+    script = textwrap.dedent(
+        """
+        import sys
+        import hdperm.cli
+        for argv in (
+            ["count", "--d", "2", "--n", "3"],
+            ["enumerate", "--d", "2", "--n", "3", "--limit", "2"],
+            ["construct", "modular", "--d", "2", "--n", "3"],
+            ["cd", "--d", "3"],
+        ):
+            assert hdperm.cli.run(argv) == 0, argv
+        assert "numpy" not in sys.modules, "numpy imported"
+        assert hdperm.cli.run(["f", "--d", "2", "--r", "5"]) == 0
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    f_line = json.loads(proc.stdout.splitlines()[-1])
+    assert f_line["f"] == pytest.approx(f_float(2, 5), abs=1e-12)
 
 
 def test_enumerate_text(capsys):

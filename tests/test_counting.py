@@ -1,8 +1,11 @@
 import math
 import random
 import time
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdperm.core import Shape, SupportArray, all_ones_support, transpose_support, validate_perm
 from hdperm.counting import count_all, enumerate_perms, per_d, supports
@@ -168,6 +171,34 @@ def test_transposition_invariance():
         for axis_a in range(d + 1):
             for axis_b in range(axis_a + 1, d + 1):
                 assert per_d(transpose_support(a, axis_a, axis_b)) == c
+
+
+MAX_N = {1: 6, 2: 4, 3: 3}
+
+
+@st.composite
+def drawn_supports(draw):
+    """A support with arbitrary cell masks; when planted, every cell also
+    allows the value of the modular permutation sum(coords) mod n, so the
+    count is at least 1."""
+    d = draw(st.sampled_from(sorted(MAX_N)))
+    n = draw(st.integers(1, MAX_N[d]))
+    masks = draw(st.lists(st.integers(0, 2**n - 1), min_size=n**d, max_size=n**d))
+    if draw(st.booleans()):
+        cells = product(range(n), repeat=d)
+        masks = [m | 1 << (sum(cell) % n) for m, cell in zip(masks, cells)]
+    return SupportArray(Shape(d, n), tuple(masks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=drawn_supports(), data=st.data())
+def test_slab_dp_matches_dfs_property(a, data):
+    c = per_d(a)
+    assert c == per_d(a, backend="python")
+    axes = range(a.shape.d + 1)
+    pairs = [(i, j) for i in axes for j in axes if i < j]
+    axis_a, axis_b = data.draw(st.sampled_from(pairs), label="axes")
+    assert per_d(transpose_support(a, axis_a, axis_b)) == c
 
 
 def test_enumerate_matches_count_and_validates():
