@@ -30,6 +30,7 @@ from hdperm.core import (
     parse_support,
     serialize_perm,
     validate_perm,
+    write_perms,
 )
 from hdperm.counting import count_all, enumerate_perms, per_d
 
@@ -117,12 +118,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     a = _load_support(args)
-    first = True
-    for p in enumerate_perms(a, limit=args.limit):
-        if not first:
-            sys.stdout.write("\n")
-        sys.stdout.write(serialize_perm(p))
-        first = False
+    write_perms(enumerate_perms(a, limit=args.limit), sys.stdout)
     return 0
 
 
@@ -141,9 +137,8 @@ def _cmd_f(args) -> int:
     if args.r is None and args.rmax is None:
         raise ValueError("need --r for a single value or --rmax for a table")
     if args.rmax is not None:
-        rows = bounds.f_table_rows(args.d, args.rmax)
         if args.csv:
-            _write_csv(rows)
+            _write_csv(bounds.f_table_rows(args.d, args.rmax))
             return 0
         table = [[r, _real(bounds.f_float(args.d, r))] for r in range(1, args.rmax + 1)]
         return _result(

@@ -12,12 +12,15 @@ Counts are exact Python ints, and the result and the per-slab state counts
 are deterministic.
 
 enumerate_perms is the package's one depth-first search: it fills cells in
-row-major order with per-line used-value bitmasks. per_d(a, backend="python")
-counts its leaves; that is the reference the tests and benchmarks
-cross-check the slab DP against.
+row-major order with per-line used-value bitmasks. It searches only the first
+n-1 slabs; the last slab is forced here too, so each leaf is checked against
+the support and yielded, or dropped, without searching its cells.
+per_d(a, backend="python") counts its leaves; that is the reference the
+tests and benchmarks cross-check the slab DP against.
 """
 
 from functools import lru_cache
+from operator import and_
 from typing import Iterator, Optional
 
 from hdperm import kernels
@@ -133,24 +136,37 @@ def enumerate_perms(a: SupportArray, limit: Optional[int] = None) -> Iterator[Pe
     Cells are filled row-major, candidate values tried in ascending order, so
     the stream sorts by the value tuple. Without a limit it yields exactly
     per_d(a) tensors.
+
+    The search stops at the last slab (first coordinate n-1), which is
+    forced, as in the slab DP: its cell p lies on axis-0 line p and takes the
+    one value that line still misses. Along every other axis those values
+    always form a permutation, so only the support can reject the slab.
     """
     if limit is not None and limit <= 0:
         raise ValueError("limit must be positive")
     shape = a.shape
     allowed = a.masks
+    n = shape.n
+    if n == 1:
+        if allowed[0]:
+            yield PermTensor(shape, (0,))
+        return
     lines = _line_table(shape)
-    ncells = shape.ncells
-    nlines = shape.d * shape.n ** (shape.d - 1)
-    used = [0] * nlines
-    avail = [0] * ncells
-    value = [0] * ncells
-    chosen = [0] * ncells
+    m = n ** (shape.d - 1)  # cells per slab, one per axis-0 line
+    base = shape.ncells - m  # first cell of the forced last slab
+    last = base - 1  # the last cell the search fills
+    full = shape.full_mask
+    tail = allowed[base:]
+    value_of = {1 << v: v for v in range(n)}.__getitem__
+    used = [0] * (shape.d * m)
+    avail = [0] * base
+    chosen = [0] * base
     yielded = 0
     depth = 0
     avail[0] = allowed[0]
     while True:
-        m = avail[depth]
-        if m == 0:
+        mask = avail[depth]
+        if mask == 0:
             depth -= 1
             if depth < 0:
                 return
@@ -158,16 +174,21 @@ def enumerate_perms(a: SupportArray, limit: Optional[int] = None) -> Iterator[Pe
             for line in lines[depth]:
                 used[line] ^= b
             continue
-        b = m & -m
-        avail[depth] = m ^ b
-        value[depth] = b.bit_length() - 1
-        if depth == ncells - 1:
-            yield PermTensor(shape, tuple(value))
-            yielded += 1
-            if limit is not None and yielded >= limit:
-                return
-            continue
+        b = mask & -mask
+        avail[depth] = mask ^ b
         chosen[depth] = b
+        if depth == last:
+            # cell base-1 sits on axis-0 line m-1; every axis-0 line now
+            # misses exactly one value, which the last slab must take
+            forced = [full ^ u for u in used[: m - 1]]
+            forced.append(full ^ used[m - 1] ^ b)
+            if all(map(and_, tail, forced)):
+                values = (*map(value_of, chosen), *map(value_of, forced))
+                yield PermTensor(shape, values)
+                yielded += 1
+                if limit is not None and yielded >= limit:
+                    return
+            continue
         for line in lines[depth]:
             used[line] |= b
         depth += 1

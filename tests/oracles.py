@@ -4,8 +4,8 @@ Everything here is written from the definitions, deliberately using different
 algorithms and traversal orders than the package: for d=2 a counter that
 goes row-by-row, over the permutations each row admits (a prefix tree per
 row), memoised on the values used per column; for any d a set-based
-depth-first search that walks cells in reversed order; and expansion by
-minors for the d=1 permanent.
+depth-first search that walks cells in reversed order and yields every
+tensor it finds; and expansion by minors for the d=1 permanent.
 Nothing here imports from hdperm.counting, whose depth-first search is the
 package's own reference; only hdperm.core supplies the support type.
 """
@@ -66,33 +66,43 @@ def count_rows_d2(a: SupportArray) -> int:
 
 
 def count_sets(a: SupportArray) -> int:
-    """Any-d count by recursion over cells in reverse row-major order,
-    tracking used values per line with plain sets."""
+    """Any-d count: the number of tensors enumerate_sets finds."""
+    return sum(1 for _ in enumerate_sets(a))
+
+
+def enumerate_sets(a: SupportArray):
+    """Yield the value tuple (row-major) of every supported permutation.
+
+    Recurses over cells in reverse row-major order, tracking used values per
+    line with plain sets, so the tuples come out in no sorted order.
+    """
     shape = a.shape
-    cells = list(shape.cells())[::-1]
+    cells = list(shape.cells())
+    order = cells[::-1]
     used = {}  # (direction, fixed coords) -> set of values
+    placed = {}  # coords -> value
 
     def key(direction: int, coords: tuple) -> tuple:
         k = direction - 1
         return (direction, coords[:k] + coords[k + 1:])
 
-    def place(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        coords = cells[idx]
+    def place(idx: int):
+        if idx == len(order):
+            yield tuple(placed[c] for c in cells)
+            return
+        coords = order[idx]
         keys = [key(t, coords) for t in range(1, shape.d + 1)]
-        total = 0
         for v in a.allowed_at(coords):
             if any(v in used.setdefault(k, set()) for k in keys):
                 continue
             for k in keys:
                 used[k].add(v)
-            total += place(idx + 1)
+            placed[coords] = v
+            yield from place(idx + 1)
             for k in keys:
                 used[k].discard(v)
-        return total
 
-    return place(0)
+    yield from place(0)
 
 
 def permanent_minors(matrix) -> int:

@@ -116,6 +116,25 @@ def test_enumerate_text(capsys):
         assert validate_perm(p.values, Shape(2, 3)).valid
 
 
+def test_enumerate_limit_stays_lazy():
+    # the first tensors come after a few search nodes, so a small --limit
+    # returns at start-up speed even where the full stream would never end;
+    # a design that lists a slab's fillings first times out instead
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for d, n, limit in ((2, 12, 3), (3, 5, 1)):
+        argv = ["enumerate", "--d", str(d), "--n", str(n), "--limit", str(limit)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "hdperm.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        blocks = proc.stdout.split("\n\n")
+        assert len(blocks) == limit
+        for block in blocks:
+            assert parse_perm(block).shape == Shape(d, n)
+
+
 def test_bound(capsys):
     code, obj = run_json(capsys, ["bound", "--d", "2", "--n", "4"])
     assert code == 0

@@ -1,8 +1,10 @@
+import io
 import random
 from itertools import permutations, product
 
 import pytest
 
+from hdperm import core
 from hdperm.core import (
     EntryCountError,
     FormatError,
@@ -23,6 +25,7 @@ from hdperm.core import (
     serialize_perm,
     transpose_support,
     validate_perm,
+    write_perms,
 )
 from hdperm.constructions import modular_perm
 
@@ -221,6 +224,24 @@ def test_parse_serialize_roundtrip():
         lines = text.strip().split("\n")
         assert lines[0] == f"{d} {n}"
         assert all(len(line.split()) == n for line in lines[1:])
+
+
+def test_write_perms_matches_serialize_perm(monkeypatch):
+    # blocks of any size, and a row cache emptied at every block, give the
+    # serialize_perm texts with one blank line between two tensors
+    perms = [modular_perm(Shape(d, n)) for d, n in [(2, 3), (1, 4), (3, 2), (2, 1)]]
+    perms += [PermTensor(Shape(2, 3), (1, 2, 0, 2, 0, 1, 0, 1, 2))] * 3
+    want = "\n".join(serialize_perm(p) for p in perms)
+    for cache_max in (1 << 16, 0):
+        monkeypatch.setattr(core, "_ROW_CACHE_MAX", cache_max)
+        for block in (1, 2, 3, len(perms), 2048):
+            monkeypatch.setattr(core, "_WRITE_BLOCK", block)
+            out = io.StringIO()
+            write_perms(iter(perms), out)
+            assert out.getvalue() == want
+    out = io.StringIO()
+    write_perms([], out)
+    assert out.getvalue() == ""
 
 
 def test_parse_perm_error_kinds():

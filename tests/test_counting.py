@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -7,11 +8,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdperm.core import Shape, SupportArray, all_ones_support, transpose_support, validate_perm
+from hdperm.core import (
+    Shape,
+    SupportArray,
+    all_ones_support,
+    parse_perm,
+    parse_support,
+    serialize_perm,
+    transpose_support,
+    validate_perm,
+)
 from hdperm.counting import count_all, enumerate_perms, per_d, supports
 from hdperm.kernels import BACKEND, get
 
-from oracles import count_rows_d2, count_sets, permanent_minors, support_from_matrix
+from oracles import (
+    count_rows_d2,
+    count_sets,
+    enumerate_sets,
+    permanent_minors,
+    support_from_matrix,
+)
 
 # exact values frozen from independent computations
 KNOWN_COUNTS = {
@@ -177,12 +193,12 @@ MAX_N = {1: 6, 2: 4, 3: 3}
 
 
 @st.composite
-def drawn_supports(draw):
-    """A support with arbitrary cell masks; when planted, every cell also
-    allows the value of the modular permutation sum(coords) mod n, so the
-    count is at least 1."""
-    d = draw(st.sampled_from(sorted(MAX_N)))
-    n = draw(st.integers(1, MAX_N[d]))
+def drawn_supports(draw, max_n=MAX_N):
+    """A support with arbitrary cell masks and n <= max_n[d]; when planted,
+    every cell also allows the value of the modular permutation
+    sum(coords) mod n, so the count is at least 1."""
+    d = draw(st.sampled_from(sorted(max_n)))
+    n = draw(st.integers(1, max_n[d]))
     masks = draw(st.lists(st.integers(0, 2**n - 1), min_size=n**d, max_size=n**d))
     if draw(st.booleans()):
         cells = product(range(n), repeat=d)
@@ -201,13 +217,57 @@ def test_slab_dp_matches_dfs_property(a, data):
     assert per_d(transpose_support(a, axis_a, axis_b)) == c
 
 
+@settings(max_examples=100, deadline=None)
+@given(a=drawn_supports(max_n={1: 4, 2: 4, 3: 3}), data=st.data())
+def test_monotone_in_support_property(a, data):
+    # clearing one allowed value in one cell never raises the count
+    ranks = [r for r, m in enumerate(a.masks) if m]
+    if not ranks:
+        return
+    rank = data.draw(st.sampled_from(ranks), label="cell")
+    mask = a.masks[rank]
+    v = data.draw(st.sampled_from([v for v in range(a.shape.n) if mask >> v & 1]), label="value")
+    assert per_d(with_cell(a, rank, mask ^ 1 << v)) <= per_d(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=drawn_supports(max_n={1: 4, 2: 4, 3: 3}))
+def test_text_and_json_round_trips(a):
+    d, n = a.shape.d, a.shape.n
+    ones = [list(entry) for entry in a.ones()]
+    assert parse_support(json.dumps({"d": d, "n": n, "ones": ones})) == a
+    for p in enumerate_perms(a, limit=5):
+        assert parse_perm(serialize_perm(p)) == p
+
+
+def with_cell(a, rank, mask):
+    masks = list(a.masks)
+    masks[rank] = mask
+    return SupportArray(a.shape, tuple(masks))
+
+
 def test_enumerate_matches_count_and_validates():
+    # the stream is exactly the oracle's tensors, in sorted order
     rng = random.Random(13)
-    for _ in range(25):
-        d = rng.choice([1, 2])
-        n = rng.randint(2, 4)
+    cases = []
+    for i in range(40):
+        d = rng.choice([1, 2, 3])
+        n = rng.randint(2, 4 if d < 3 else 3)
         a = random_support(rng, d, n, density=0.7)
+        if i % 8 == 0:
+            a = with_cell(a, rng.randrange(len(a.masks)), 0)
+        cases.append(a)
+    cases += [all_ones_support(Shape(d, 1)) for d in (1, 2, 3)]
+    cases += [SupportArray(Shape(d, 1), (0,)) for d in (1, 3)]
+    cases += [all_ones_support(Shape(3, 3)), all_ones_support(Shape(2, 4))]
+    # the forced last slab: an empty cell there, and a cell that rejects
+    # three of the four values the slab can be forced to take
+    cases += [with_cell(all_ones_support(Shape(2, 4)), 15, 0),
+              with_cell(all_ones_support(Shape(3, 3)), 22, 0),
+              with_cell(all_ones_support(Shape(2, 4)), 14, 0b0100)]
+    for a in cases:
         perms = list(enumerate_perms(a))
+        assert [p.values for p in perms] == sorted(enumerate_sets(a)), a
         assert len(perms) == per_d(a)
         assert len(set(p.values for p in perms)) == len(perms)
         for p in perms:
