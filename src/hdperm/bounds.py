@@ -21,13 +21,12 @@ without loading it.
 
 import math
 import threading
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from hdperm.core import Shape, SupportArray
 
 EXACT_R_LIMIT = 200  # rational coefficients blow up as lcm(1..r); 200 is ample
+TOL_EXACT = 1e-12  # identities on f (the d=1 reference, E[log N]) hold to rounding error
 
 _rows: list = []  # _rows[d][r-1] = f(d, r) as longdouble; never mutated once published
 _rmax: int = 0  # length of every row in _rows
@@ -74,8 +73,7 @@ def f_values(d: int, r_max: int):
     return _f_row(d, r_max)[:r_max].astype(float)
 
 
-@dataclass(frozen=True)
-class LogCombination:
+class LogCombination(NamedTuple):
     """f(d,r) written exactly as Σ q_k log k with rational q_k, k ≥ 2."""
 
     coefficients: dict
@@ -92,6 +90,8 @@ def _exact_row(d: int, rmax: int) -> list:
     if have is not None and len(have) >= rmax:
         return have
     if d == 0:
+        from fractions import Fraction
+
         row = [{} if k == 1 else {k: Fraction(1)} for k in range(1, rmax + 1)]
     else:
         prev = _exact_row(d - 1, rmax)
@@ -140,8 +140,7 @@ def bregman_d1_reference(row_sums) -> float:
     return math.fsum(math.lgamma(r + 1) / r for r in sums)
 
 
-@dataclass(frozen=True)
-class BoundConstants:
+class BoundConstants(NamedTuple):
     """Constants of the asymptotic bound at dimension d.
 
     c_d follows the recursion c_0 = 0,
@@ -184,8 +183,7 @@ def c_cap(d: int) -> float:
     return d**3 * 1.1**d / math.factorial(d)
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Result of a numeric inequality sweep; margin = bound - f, so negative
     minima are violations (there should be none)."""
 
@@ -254,8 +252,7 @@ def theorem5_check(d: int, r_max: int) -> SweepReport:
     )
 
 
-@dataclass(frozen=True)
-class StirlingReport:
+class StirlingReport(NamedTuple):
     r_start: int
     r_max: int
     checked: int
@@ -288,8 +285,7 @@ def stirling_lemma_check(r_max: int) -> StirlingReport:
     )
 
 
-@dataclass(frozen=True)
-class SdnBound:
+class SdnBound(NamedTuple):
     """Log upper bound on the number of order-n d-dimensional permutations:
     n^d f(d,n). ratio compares it to the crude n^d (log n − d) when the
     latter is positive; it decreases toward 1 as n grows."""

@@ -6,20 +6,21 @@ Exit codes: 0 success, 1 domain error (with a JSON error object), 2 usage
 error. Counts are decimal strings, never floats; reals carry at most 15
 significant digits. Identical invocations with identical seeds produce
 byte-identical output.
+
+This module holds the parser, one handler per subcommand and the dispatch.
+Importing it loads only what count and enumerate run (argparse, json, math,
+os, sys, hdperm.core and hdperm.counting). Every other handler imports its
+own modules when it runs: hdperm.bounds (and with it numpy, where f is
+evaluated), hdperm.constructions, hdperm.shade, hdperm.suites for verify,
+and csv for --csv output.
 """
 
 import argparse
-import csv
 import json
 import math
 import os
-import random
 import sys
-from dataclasses import dataclass
-from itertools import product
-from typing import Optional
 
-from hdperm import bounds, constructions, shade
 from hdperm.core import (
     FormatError,
     Shape,
@@ -29,13 +30,9 @@ from hdperm.core import (
     parse_perm,
     parse_support,
     serialize_perm,
-    validate_perm,
     write_perms,
 )
-from hdperm.counting import count_all, enumerate_perms, per_d
-
-TOL_LOG = 1e-9  # bound-vs-exact-count comparisons
-TOL_EXACT = 1e-12  # identities that hold to rounding error
+from hdperm.counting import enumerate_perms, per_d
 
 
 def _real(x: float):
@@ -82,6 +79,8 @@ def _load_support(args) -> SupportArray:
 
 
 def _write_csv(rows) -> None:
+    import csv
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerows(rows)
 
@@ -123,6 +122,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from hdperm import bounds
+
     a = _load_support(args)
     b = bounds.bregman_log_bound(a)
     params = {"d": a.shape.d, "n": a.shape.n}
@@ -134,6 +135,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_f(args) -> int:
+    from hdperm import bounds
+
     if args.r is None and args.rmax is None:
         raise ValueError("need --r for a single value or --rmax for a table")
     if args.rmax is not None:
@@ -152,6 +155,8 @@ def _cmd_f(args) -> int:
 
 
 def _cmd_cd(args) -> int:
+    from hdperm import bounds
+
     if args.csv:
         _write_csv(bounds.cd_table_rows(args.d))
         return 0
@@ -170,6 +175,8 @@ def _cmd_cd(args) -> int:
 
 
 def _cmd_theorem5(args) -> int:
+    from hdperm import bounds
+
     rep = bounds.theorem5_check(args.d, args.rmax)
     if args.csv:
         _write_csv(bounds.theorem5_table_rows([rep]))
@@ -191,6 +198,8 @@ def _cmd_theorem5(args) -> int:
 
 
 def _cmd_sdn_bound(args) -> int:
+    from hdperm import bounds
+
     rep = bounds.sdn_log_upper_bound(Shape(args.d, args.n))
     payload = {"log_bound": _real(rep.log_bound)}
     payload["ratio"] = None if rep.ratio is None else _real(rep.ratio)
@@ -198,6 +207,8 @@ def _cmd_sdn_bound(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from hdperm import constructions
+
     shape = Shape(args.d, args.n)
     if args.kind == "modular":
         p = constructions.modular_perm(shape)
@@ -215,6 +226,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_shade(args) -> int:
+    from hdperm import bounds, shade
+
     perm = None
     if args.perm:
         perm = parse_perm(_read_file(args.perm))
@@ -254,7 +267,7 @@ def _cmd_shade(args) -> int:
             "stderr": 0.0,
             "exact": True,
             "f_reference": _real(f_ref),
-            "pass": abs(mean - f_ref) <= TOL_EXACT,
+            "pass": abs(mean - f_ref) <= bounds.TOL_EXACT,
         }
         return _result("shade", params, payload)
     dist = shade.shade_histogram(q)
@@ -269,178 +282,32 @@ def _cmd_shade(args) -> int:
         "stderr": 0.0,
         "exact": True,
         "f_reference": _real(f_ref),
-        "pass": abs(mean - f_ref) <= TOL_EXACT,
+        "pass": abs(mean - f_ref) <= bounds.TOL_EXACT,
     }
     return _result("shade", params, payload)
 
 
-# -- verification suites -------------------------------------------------------
-
-@dataclass
-class SuiteResult:
-    name: str
-    passed: bool
-    worst: Optional[float]  # the tightest margin or largest deviation seen
-    detail: str
-
-
-def _random_support(rng: random.Random, d: int, n: int) -> SupportArray:
-    density = rng.uniform(0.3, 0.9)
-    masks = []
-    for _ in range(n**d):
-        m = 0
-        for v in range(n):
-            if rng.random() < density:
-                m |= 1 << v
-        masks.append(m)
-    return SupportArray(Shape(d, n), tuple(masks))
-
-
-def suite_bounds(seed: int = 0, arrays: int = 100) -> SuiteResult:
-    """Exact counts never exceed their factorial-type bound, and the d=1
-    bound matches the classical reference identically."""
-    rng = random.Random(seed)
-    min_margin = float("inf")
-    violations = 0
-    for _ in range(arrays):
-        a = _random_support(rng, 2, rng.choice([2, 3, 4]))
-        c = per_d(a)
-        if c == 0:
-            continue  # log 0 = -inf is below any bound
-        margin = bounds.bregman_log_bound(a) - math.log(c)
-        min_margin = min(min_margin, margin)
-        if margin < -TOL_LOG:
-            violations += 1
-    max_delta = 0.0
-    for _ in range(arrays):
-        n = rng.randint(1, 7)
-        a = _random_support(rng, 1, n)
-        if 0 in a.r_values():  # the d=1 reference needs nonempty rows
-            masks = [m if m else 1 << rng.randrange(n) for m in a.masks]
-            a = SupportArray(a.shape, tuple(masks))
-        ref = bounds.bregman_d1_reference(a.r_values())
-        max_delta = max(max_delta, abs(bounds.bregman_log_bound(a) - ref))
-        c = per_d(a)
-        if c > 0:
-            margin = ref - math.log(c)
-            min_margin = min(min_margin, margin)
-            if margin < -TOL_LOG:
-                violations += 1
-    passed = violations == 0 and max_delta <= TOL_EXACT
-    return SuiteResult(
-        "bounds",
-        passed,
-        min_margin,
-        f"{2 * arrays} random supports, min bound margin {min_margin:.6g}, "
-        f"max d=1 identity delta {max_delta:.3g}",
-    )
-
-
-def suite_theorem5(rmax: int = 100000, ds=None) -> SuiteResult:
-    """Asymptotic-bound sweep for d = 1..5 plus the weak bound f ≤ log r
-    through d = 6."""
-    ds = list(ds) if ds else [1, 2, 3, 4, 5]
-    reports = [bounds.theorem5_check(d, rmax) for d in ds]
-    weak6 = bounds.weak_min_margin(6, rmax)
-    violations = sum(r.violations + r.weak_violations for r in reports)
-    if weak6 < 0:
-        violations += 1
-    worst = min(min(r.min_margin for r in reports), weak6)
-    return SuiteResult(
-        "theorem5",
-        violations == 0,
-        worst,
-        f"d={ds} to r={rmax}: {violations} violations, "
-        f"min margin {worst:.6g} (weak d=6 margin {weak6:.3g})",
-    )
-
-
-def suite_claim1(seed: int = 0, cases=None, queries: int = 10) -> SuiteResult:
-    """Exact expectation of log N equals f(d, |W|) for every query."""
-    if cases is None:
-        cases = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 3)]
-    max_delta = 0.0
-    checked = 0
-    for d, n in cases:
-        shape = Shape(d, n)
-        for r in range(1, n + 1):
-            for idx in range(queries):
-                q = shade.random_query(
-                    shape, r=r, seed=seed * 1000003 + checked + idx
-                )
-                delta = abs(shade.exact_expectation_logN(q) - bounds.f_float(d, r))
-                max_delta = max(max_delta, delta)
-            checked += queries
-    return SuiteResult(
-        "claim1",
-        max_delta <= TOL_EXACT,
-        max_delta,
-        f"{checked} queries over {cases}: max |E[log N] - f| = {max_delta:.3g}",
-    )
-
-
-def suite_constructions(seed: int = 0) -> SuiteResult:
-    """Block lifts are valid and injective; the per-block two-arrangement
-    fact holds exhaustively."""
-    problems = []
-    shape24 = Shape(2, 4)
-    seen = {}
-    for bits in product((0, 1), repeat=4):
-        p = constructions.block_lift(shape24, constructions.BlockChoice(shape24, bits))
-        if not validate_perm(p.values, shape24).valid:
-            problems.append(f"invalid lift d=2 n=4 bits={bits}")
-        if p.values in seen:
-            problems.append(f"collision {bits} vs {seen[p.values]}")
-        seen[p.values] = bits
-    if constructions.block_count(shape24) != 16:
-        problems.append("block_count(2,4) != 16")
-    rng = random.Random(seed)
-    shape34 = Shape(3, 4)
-    for _ in range(100):
-        choice = constructions.BlockChoice.random(shape34, seed=rng.random())
-        p = constructions.block_lift(shape34, choice)
-        if not validate_perm(p.values, shape34).valid:
-            problems.append(f"invalid lift d=3 n=4 bits={choice.bits}")
-            break
-    # a [2]^2 block holding two values admits exactly 2 line-valid fillings
-    valid_fillings = sum(
-        validate_perm(list(vals), Shape(2, 2)).valid
-        for vals in product((0, 1), repeat=4)
-    )
-    if valid_fillings != 2:
-        problems.append(f"[2]^2 block has {valid_fillings} valid fillings, not 2")
-    for d in range(1, 5):
-        for n in range(1, 9):
-            p = constructions.modular_perm(Shape(d, n))
-            if not validate_perm(p.values, p.shape).valid:
-                problems.append(f"modular invalid at d={d} n={n}")
-    return SuiteResult(
-        "constructions",
-        not problems,
-        None,
-        "; ".join(problems) if problems else
-        "16/16 lifts valid+distinct, 100 random d=3 lifts valid, "
-        "2 fillings per block, modular valid d<=4 n<=8",
-    )
-
-
 def verify_suite(args) -> int:
+    from hdperm import suites
+
     names = ["bounds", "theorem5", "claim1", "constructions"]
     if args.suite != "all":
         names = [args.suite]
+    if "claim1" in names and (args.d is None) != (args.n is None):
+        raise ValueError("claim1 needs both --d and --n, or neither")
     seed = args.seed if args.seed is not None else 0
     results = []
     for name in names:
         if name == "bounds":
-            results.append(suite_bounds(seed=seed))
+            results.append(suites.suite_bounds(seed=seed))
         elif name == "theorem5":
-            ds = [args.d] if args.d else None
-            results.append(suite_theorem5(rmax=args.rmax, ds=ds))
+            ds = None if args.d is None else [args.d]
+            results.append(suites.suite_theorem5(rmax=args.rmax, ds=ds))
         elif name == "claim1":
-            cases = [(args.d, args.n)] if args.d and args.n else None
-            results.append(suite_claim1(seed=seed, cases=cases))
+            cases = None if args.d is None else [(args.d, args.n)]
+            results.append(suites.suite_claim1(seed=seed, cases=cases))
         elif name == "constructions":
-            results.append(suite_constructions(seed=seed))
+            results.append(suites.suite_constructions(seed=seed))
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         worst = "" if res.worst is None else f" worst={res.worst:.6g}"

@@ -9,11 +9,10 @@ lower bound on the total count.
 """
 
 import random
-from dataclasses import dataclass
 from itertools import product
 from typing import Sequence, Union
 
-from hdperm.core import PermTensor, Shape
+from hdperm.core import PermTensor, Record, Shape
 
 
 def modular_perm(shape: Shape) -> PermTensor:
@@ -24,22 +23,22 @@ def modular_perm(shape: Shape) -> PermTensor:
     return PermTensor(shape, values)
 
 
-@dataclass(frozen=True)
-class BlockChoice:
+class BlockChoice(Record):
     """One bit per base cell (row-major over [n/2]^d), selecting the parity
     of that cell's block arrangement."""
 
-    shape: Shape
-    bits: tuple
+    __slots__ = ("shape", "bits")
 
-    def __post_init__(self):
-        if self.shape.n % 2:
-            raise ValueError(f"block construction needs even n, got {self.shape.n}")
-        nblocks = (self.shape.n // 2) ** self.shape.d
-        if len(self.bits) != nblocks:
-            raise ValueError(f"need {nblocks} bits, got {len(self.bits)}")
-        if any(b not in (0, 1) for b in self.bits):
+    def __init__(self, shape: Shape, bits: tuple):
+        if shape.n % 2:
+            raise ValueError(f"block construction needs even n, got {shape.n}")
+        nblocks = (shape.n // 2) ** shape.d
+        if len(bits) != nblocks:
+            raise ValueError(f"need {nblocks} bits, got {len(bits)}")
+        if any(b not in (0, 1) for b in bits):
             raise ValueError("bits must be 0 or 1")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def from_string(cls, shape: Shape, text: str) -> "BlockChoice":

@@ -10,10 +10,16 @@ for each cell i of the value form, the set R_i of values allowed along the
 Everything is 0-based. The canonical linearization of cells is row-major
 lexicographic order of the multi-index; file formats, iteration and counting
 all use it.
+
+The records here (Shape, SupportArray, PermTensor, Violation,
+ValidationReport) and those of constructions and shade derive from Record:
+fields in __slots__, set once in __init__, compared and hashed by type and
+field values. Record stands in for frozen dataclasses because importing
+dataclasses pulls inspect, ast and dis into every process that imports the
+package.
 """
 
 import json
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -42,18 +48,63 @@ class ShapeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Shape:
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass lists its fields in __slots__ and sets each one once, in
+    __init__, with object.__setattr__; assigning or deleting a field
+    afterwards raises AttributeError. Two records are equal when they have
+    the same type and equal fields, and hash to match. The repr reads
+    Type(field=value, ...), and __init__ takes the fields in __slots__ order,
+    which is what pickling relies on.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__qualname__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__qualname__} is immutable: cannot delete {name!r}")
+
+    def _field_values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._field_values() == other._field_values()
+
+    def __hash__(self):
+        return hash((type(self), self._field_values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._field_values()
+
+
+_set = object.__setattr__  # how a Record's __init__ sets its fields
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+class Shape(Record):
     """Dimension d and order n of a value-form array."""
 
-    d: int
-    n: int
+    __slots__ = ("d", "n")
 
-    def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ShapeError(f"d must be a positive integer, got {self.d!r}")
-        if not isinstance(self.n, int) or not 1 <= self.n <= 64:
-            raise ShapeError(f"n must be an integer in 1..64, got {self.n!r}")
+    def __init__(self, d: int, n: int):
+        if not _is_int(d) or d < 1:
+            raise ShapeError(f"d must be a positive integer, got {d!r}")
+        if not _is_int(n) or not 1 <= n <= 64:
+            raise ShapeError(f"n must be an integer in 1..64, got {n!r}")
+        _set(self, "d", d)
+        _set(self, "n", n)
 
     @property
     def ncells(self) -> int:
@@ -90,26 +141,24 @@ class Shape:
         return coords
 
 
-@dataclass(frozen=True)
-class SupportArray:
+class SupportArray(Record):
     """Dense per-cell allowed-value sets, each stored as an n-bit mask.
 
     masks[rank] has bit j set iff value j is allowed at the cell with that
     row-major rank. Empty cells are permitted (they force a zero count).
     """
 
-    shape: Shape
-    masks: tuple
+    __slots__ = ("shape", "masks")
 
-    def __post_init__(self):
-        if len(self.masks) != self.shape.ncells:
-            raise ShapeError(
-                f"need {self.shape.ncells} cell masks, got {len(self.masks)}"
-            )
-        full = self.shape.full_mask
-        for m in self.masks:
+    def __init__(self, shape: Shape, masks: tuple):
+        if len(masks) != shape.ncells:
+            raise ShapeError(f"need {shape.ncells} cell masks, got {len(masks)}")
+        full = shape.full_mask
+        for m in masks:
             if not 0 <= m <= full:
-                raise ShapeError(f"cell mask {m:#x} out of range for n={self.shape.n}")
+                raise ShapeError(f"cell mask {m:#x} out of range for n={shape.n}")
+        _set(self, "shape", shape)
+        _set(self, "masks", masks)
 
     @classmethod
     def from_sets(cls, shape: Shape, sets: Iterable[Iterable[int]]) -> "SupportArray":
@@ -159,26 +208,23 @@ class SupportArray:
                 yield coords + (j,)
 
 
-@dataclass(frozen=True)
-class PermTensor:
+class PermTensor(Record):
     """Value-form array, row-major. The constructor trusts its input; use
     validate_perm or parse_perm for untrusted data."""
 
-    shape: Shape
-    values: tuple
+    __slots__ = ("shape", "values")
 
-    def __post_init__(self):
-        if len(self.values) != self.shape.ncells:
-            raise ShapeError(
-                f"need {self.shape.ncells} values, got {len(self.values)}"
-            )
+    def __init__(self, shape: Shape, values: tuple):
+        if len(values) != shape.n**shape.d:  # ncells, without the property call
+            raise ShapeError(f"need {shape.ncells} values, got {len(values)}")
+        _set(self, "shape", shape)
+        _set(self, "values", values)
 
     def value_at(self, coords: Sequence[int]) -> int:
         return self.values[self.shape.rank(self.shape.check_coords(coords))]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One offending (line, value) pair found by validate_perm.
 
     kind is "repeat" or "missing" for line defects (direction is the 1-based
@@ -186,16 +232,21 @@ class Violation:
     entry (direction None, fixed = the full cell coordinates).
     """
 
-    kind: str
-    direction: Optional[int]
-    fixed: tuple
-    value: int
+    __slots__ = ("kind", "direction", "fixed", "value")
+
+    def __init__(self, kind: str, direction: Optional[int], fixed: tuple, value: int):
+        _set(self, "kind", kind)
+        _set(self, "direction", direction)
+        _set(self, "fixed", fixed)
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    valid: bool
-    violations: tuple = field(default_factory=tuple)
+class ValidationReport(Record):
+    __slots__ = ("valid", "violations")
+
+    def __init__(self, valid: bool, violations: tuple = ()):
+        _set(self, "valid", valid)
+        _set(self, "violations", violations)
 
 
 def all_ones_support(shape: Shape) -> SupportArray:
@@ -403,7 +454,7 @@ def parse_support(json_text: str) -> SupportArray:
     for key in ("d", "n"):
         if key not in obj:
             raise FormatError(f"missing field {key!r}")
-        if not isinstance(obj[key], int) or isinstance(obj[key], bool):
+        if not _is_int(obj[key]):
             raise FormatError(f"field {key!r} must be an integer")
     try:
         shape = Shape(obj["d"], obj["n"])
@@ -417,9 +468,7 @@ def parse_support(json_text: str) -> SupportArray:
     if not isinstance(ones, list):
         raise FormatError('"ones" must be an array of integer arrays')
     for entry in ones:
-        if not isinstance(entry, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in entry
-        ):
+        if not isinstance(entry, list) or not all(map(_is_int, entry)):
             raise FormatError(f"one-entry must be an integer array, got {entry!r}")
     try:
         return SupportArray.from_ones(shape, ones)

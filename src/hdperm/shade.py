@@ -21,46 +21,46 @@ consuming d shuffles per sample; means are reproducible for a fixed seed.
 
 import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations, product
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
-from hdperm.core import PermTensor, Shape, SupportArray
+from hdperm.core import PermTensor, Record, Shape, SupportArray
 from hdperm.constructions import modular_perm
 
 ENUM_BUDGET = 10**7  # max (n!)^d ordering tuples for the exact path
 
 
-@dataclass(frozen=True)
-class OrderingSpec:
+class OrderingSpec(Record):
     """d rank permutations: sigmas[k][t] is the rank of coordinate value t
     along axis k."""
 
-    sigmas: Tuple[tuple, ...]
+    __slots__ = ("sigmas",)
 
-    def __post_init__(self):
-        for sig in self.sigmas:
+    def __init__(self, sigmas: Tuple[tuple, ...]):
+        for sig in sigmas:
             if sorted(sig) != list(range(len(sig))):
                 raise ValueError(f"not a permutation of 0..{len(sig) - 1}: {sig!r}")
+        object.__setattr__(self, "sigmas", sigmas)
 
 
-@dataclass(frozen=True)
-class ShadeQuery:
-    x: PermTensor
-    target: tuple
-    w: frozenset
+class ShadeQuery(Record):
+    """A tensor x, a target cell and a value set W that holds x's value at
+    the target; target is stored as a checked tuple and W as a frozenset."""
 
-    def __post_init__(self):
-        shape = self.x.shape
-        object.__setattr__(self, "target", shape.check_coords(self.target))
-        w = frozenset(self.w)
-        object.__setattr__(self, "w", w)
+    __slots__ = ("x", "target", "w")
+
+    def __init__(self, x: PermTensor, target: tuple, w: frozenset):
+        shape = x.shape
+        target = shape.check_coords(target)
+        w = frozenset(w)
         for v in w:
             if not 0 <= v < shape.n:
                 raise ValueError(f"W value {v} out of range 0..{shape.n - 1}")
-        if self.x.value_at(self.target) not in w:
+        if x.value_at(target) not in w:
             raise ValueError("W must contain the tensor's value at the target cell")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "w", w)
 
 
 def query_from_support(
@@ -162,14 +162,15 @@ def exact_expectation_logN(q: ShadeQuery) -> float:
     return math.fsum(c * math.log(n) for n, c in counts.items()) / total
 
 
-@dataclass(frozen=True)
-class ShadeDistribution:
+class ShadeDistribution(NamedTuple):
     """Exact PMF of N: integer counts over all (n!)^d orderings."""
 
     counts: dict
     total: int
 
     def pmf(self) -> dict:
+        from fractions import Fraction
+
         return {n: Fraction(c, self.total) for n, c in sorted(self.counts.items())}
 
     def log_mean(self) -> float:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hdperm import cli
+from hdperm import cli, suites
 from hdperm.bounds import f_float
 from hdperm.core import Shape, parse_perm, validate_perm
 
@@ -79,20 +79,33 @@ def test_count_threads_env(capsys, monkeypatch):
 
 
 def test_counting_subcommands_do_not_import_numpy():
-    # numpy serves only the f table and the bound sweeps; a fresh process
-    # that counts, enumerates or constructs must not pay for importing it
+    # count and enumerate start with the parser, core and counting alone;
+    # construct and cd load their own modules but not numpy, which serves
+    # only the f table and the bound sweeps
     script = textwrap.dedent(
         """
         import sys
         import hdperm.cli
+
+        def loaded(names):
+            return sorted(name for name in names if name in sys.modules)
+
         for argv in (
             ["count", "--d", "2", "--n", "3"],
             ["enumerate", "--d", "2", "--n", "3", "--limit", "2"],
+        ):
+            assert hdperm.cli.run(argv) == 0, argv
+        unused = ["dataclasses", "inspect", "fractions", "decimal", "csv",
+                  "hdperm.bounds", "hdperm.shade", "hdperm.constructions",
+                  "hdperm.suites"]
+        assert loaded(unused) == [], loaded(unused)
+        for argv in (
             ["construct", "modular", "--d", "2", "--n", "3"],
             ["cd", "--d", "3"],
         ):
             assert hdperm.cli.run(argv) == 0, argv
-        assert "numpy" not in sys.modules, "numpy imported"
+        heavy = ["dataclasses", "inspect", "numpy"]
+        assert loaded(heavy) == [], loaded(heavy)
         assert hdperm.cli.run(["f", "--d", "2", "--r", "5"]) == 0
         """
     )
@@ -351,9 +364,25 @@ def test_verify_all_suites(capsys):
     assert all(s["passed"] for s in summary["suites"].values())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "theorem5", "--d", "0", "--rmax", "200"],
+        ["verify", "--suite", "claim1", "--d", "2"],
+        ["verify", "--suite", "claim1", "--n", "3"],
+        ["verify", "--d", "2"],
+    ],
+)
+def test_verify_rejects_bad_or_half_shape(capsys, argv):
+    code, obj = run_json(capsys, argv)
+    assert code == 1
+    assert obj["status"] == "error"
+    assert obj["error"]["kind"] == "domain"
+
+
 def test_verify_reports_failure(capsys, monkeypatch):
-    broken = cli.SuiteResult("constructions", False, None, "forced failure")
-    monkeypatch.setattr(cli, "suite_constructions", lambda **kw: broken)
+    broken = suites.SuiteResult("constructions", False, None, "forced failure")
+    monkeypatch.setattr(suites, "suite_constructions", lambda **kw: broken)
     code = cli.run(["verify", "--suite", "constructions"])
     out = capsys.readouterr().out
     assert code == 1

@@ -1,4 +1,5 @@
 import io
+import pickle
 import random
 from itertools import permutations, product
 
@@ -14,7 +15,9 @@ from hdperm.core import (
     Shape,
     ShapeError,
     SupportArray,
+    ValidationReport,
     ValueRangeError,
+    Violation,
     all_ones_support,
     enumerate_lines,
     indicator_to_perm,
@@ -27,7 +30,9 @@ from hdperm.core import (
     validate_perm,
     write_perms,
 )
-from hdperm.constructions import modular_perm
+from hdperm.constructions import BlockChoice, modular_perm
+from hdperm.counting import _line_table
+from hdperm.shade import ShadeQuery
 
 
 def test_shape_basics():
@@ -54,7 +59,58 @@ def test_shape_rejects_bad_dims():
     with pytest.raises(ShapeError):
         Shape(2, 65)  # cell masks live in one 64-bit word
     with pytest.raises(ShapeError):
+        Shape(True, 3)  # bools are ints to isinstance, but not shapes
+    with pytest.raises(ShapeError):
+        Shape(2, False)
+    with pytest.raises(ShapeError):
         Shape(1, 64).check_coords((64,))
+
+
+# per record type, a builder that returns a new, equal instance on each call,
+# and the record's fields in constructor order
+_S13 = Shape(1, 3)
+_RECORDS = [
+    (lambda: Shape(2, 3), ("d", "n")),
+    (lambda: SupportArray(_S13, (1, 6, 7)), ("shape", "masks")),
+    (lambda: PermTensor(_S13, (2, 0, 1)), ("shape", "values")),
+    (lambda: Violation("repeat", 1, (0,), 2), ("kind", "direction", "fixed", "value")),
+    (lambda: ValidationReport(False, (Violation("range", None, (1,), 5),)),
+     ("valid", "violations")),
+    (lambda: BlockChoice(Shape(2, 4), (0, 1, 1, 0)), ("shape", "bits")),
+    (lambda: ShadeQuery(modular_perm(Shape(2, 3)), (1, 2), {0, 2}), ("x", "target", "w")),
+]
+
+
+@pytest.mark.parametrize(
+    "make, fields", _RECORDS, ids=[type(make()).__name__ for make, _ in _RECORDS]
+)
+def test_record_semantics(make, fields):
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert {a: "value"}[b] == "value"
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+    assert a == b
+    shown = ", ".join(f"{name}={getattr(a, name)!r}" for name in fields)
+    assert repr(a) == f"{type(a).__name__}({shown})"
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_records_of_different_types_are_unequal():
+    assert SupportArray(_S13, (0, 1, 2)) != PermTensor(_S13, (0, 1, 2))
+    assert not SupportArray(_S13, (0, 1, 2)) == PermTensor(_S13, (0, 1, 2))
+    assert Shape(2, 3) != (2, 3)
+    assert PermTensor(_S13, (0, 1, 2)) != PermTensor(_S13, (0, 2, 1))
+
+
+def test_shape_is_a_line_table_cache_key():
+    first = _line_table(Shape(2, 3))
+    hits = _line_table.cache_info().hits
+    assert _line_table(Shape(2, 3)) is first  # an equal, distinct Shape
+    assert _line_table.cache_info().hits == hits + 1
 
 
 def test_support_from_sets_and_ones_agree():
