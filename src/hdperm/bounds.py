@@ -8,29 +8,51 @@ Asymptotically f(d,r) ≤ log r − d + c_d log^d(r)/r for r ≥ e^d, with c_d f
 a closed recursion; this module evaluates the function, the bounds, and the
 constants, and sweeps the inequalities numerically.
 
-The float path accumulates its dynamic-programming table in extended
-precision (numpy longdouble) and returns doubles: the running sums to
-r = 10^5 would otherwise eat most of the 1e-12 agreement budget the exact
-path and the d=1 reference are held to. The table is computed once, grown on
-demand, and shared read-only; growth builds a new table under a lock and
-swaps it in, so concurrent callers always read a complete one. numpy is
-imported inside the functions that build or sweep these tables, not at module
-level, so that the counting subcommands, which never evaluate f, start
-without loading it.
+The float path runs the dynamic program on fixed-point integers with
+FRAC_BITS fraction bits: row 0 holds the doubles log k exactly, every later
+row is its predecessor's exact prefix sums floor-divided by r, and each entry
+becomes the correctly rounded double of its integer over 2^FRAC_BITS. Each
+floor loses less than one unit of 2^-FRAC_BITS, so f(d,r) carries under d
+such units on top of the rounding of log k: far inside the 1e-12 agreement
+budget the exact path and the d=1 reference are held to, within an ulp of f
+through d = 4, and a few ulps only where f is tiny (d ≥ 5, small r). A value
+never depends on how long its row is. The table is computed once, grown on
+demand, and shared read-only, one compact array('d') per d except row 0, the
+log k every sweep reads, which is a list; growth builds a new table under a
+lock and swaps it in, so concurrent callers always read a complete one. The
+sweeps stream their margins straight from those rows.
 """
 
 import math
 import threading
+from array import array
+from itertools import accumulate, islice, repeat
+from operator import add, floordiv, mul, sub, truediv
 from typing import NamedTuple, Optional
 
 from hdperm.core import Shape, SupportArray
 
 EXACT_R_LIMIT = 200  # rational coefficients blow up as lcm(1..r); 200 is ample
 TOL_EXACT = 1e-12  # identities on f (the d=1 reference, E[log N]) hold to rounding error
+FRAC_BITS = 56  # each log k ≥ log 2 is a multiple of 2^-53, so it converts exactly
+_UNIT = float(1 << FRAC_BITS)
 
-_rows: list = []  # _rows[d][r-1] = f(d, r) as longdouble; never mutated once published
+_rows: list = []  # _rows[d][r-1] = f(d, r); never mutated once published
 _rmax: int = 0  # length of every row in _rows
 _rows_lock = threading.Lock()
+
+
+def _fixed(floats):
+    """The doubles as exact integers in units of 2^-FRAC_BITS (each a
+    multiple of that unit, as every log k is)."""
+    return map(int, map(mul, floats, repeat(_UNIT)))
+
+
+def _floats(ints):
+    """Correctly rounded doubles of the fixed-point integers: int / float
+    rounds the integer to the nearest double, and dividing that by
+    2^FRAC_BITS is exact."""
+    return map(truediv, ints, repeat(_UNIT))
 
 
 def _f_row(d: int, rmax: int):
@@ -41,14 +63,23 @@ def _f_row(d: int, rmax: int):
     # grow a private copy and publish it whole: readers holding the old list
     # keep a consistent table, and two growers cannot append the same row
     with _rows_lock:
-        import numpy as np
-
         size = _rmax if rmax <= _rmax else max(rmax, 2 * _rmax, 512)
-        ks = np.arange(1, size + 1, dtype=np.longdouble)
         depth = max(d + 1, len(_rows))
-        rows = list(_rows) if size == _rmax else [np.log(ks)]
-        while len(rows) < depth:
-            rows.append(np.cumsum(rows[-1]) / ks)
+        if size == _rmax:
+            rows = list(_rows)
+        else:
+            # row 0 feeds every sweep; as a list it hands out its floats
+            # without boxing them again on each read
+            rows = [list(map(math.log, range(1, size + 1)))]
+        if len(rows) < depth:
+            # only the float rows are kept, so a deeper row starts again from
+            # row 0, whose doubles convert back to its integers exactly
+            rs = list(range(1, size + 1))  # one set of int objects for every row
+            ints = _fixed(rows[0])
+            for k in range(1, depth):
+                ints = list(map(floordiv, accumulate(ints), rs))
+                if k == len(rows):
+                    rows.append(array("d", _floats(ints)))
         _rows, _rmax = rows, size
         return rows[d]
 
@@ -63,14 +94,13 @@ def _check_dr(d, r):
 def f_float(d: int, r: int) -> float:
     """f(d,r) from the memoized table."""
     _check_dr(d, r)
-    return float(_f_row(d, r)[r - 1])
+    return _f_row(d, r)[r - 1]
 
 
-def f_values(d: int, r_max: int):
-    """The vector (f(d,1), ..., f(d,r_max)) as a float64 numpy array, for
-    sweeps."""
+def f_values(d: int, r_max: int) -> array:
+    """The vector (f(d,1), ..., f(d,r_max)) as a fresh array('d')."""
     _check_dr(d, r_max)
-    return _f_row(d, r_max)[:r_max].astype(float)
+    return array("d", _f_row(d, r_max)[:r_max])
 
 
 class LogCombination(NamedTuple):
@@ -208,22 +238,25 @@ class SweepReport(NamedTuple):
         return max(0.0, -worst)
 
 
-def _weak_sweep(d: int, r_max: int):
-    """r, log r, f(d,r) and the weak margin log r − f(d,r) over 1 ≤ r ≤ r_max,
-    as float64 arrays."""
-    import numpy as np
+def _min_and_violations(margins) -> tuple:
+    """The least margin and the number of negative ones. margins() streams
+    the margins afresh on each call: the count takes a second pass only when
+    the least margin is negative, that is, when the inequality fails."""
+    low = min(margins())
+    return low, (sum(m < 0 for m in margins()) if low < 0 else 0)
 
-    f = f_values(d, r_max)
-    r = np.arange(1, r_max + 1, dtype=np.float64)
-    logs = np.log(r)
-    return r, logs, f, logs - f
+
+def _weak_margins(d: int, r_max: int):
+    """log r − f(d,r) over 1 ≤ r ≤ r_max, streamed; row 0 of the table is log r."""
+    f = islice(_f_row(d, r_max), r_max)
+    return map(sub, _f_row(0, r_max), f)
 
 
 def weak_min_margin(d: int, r_max: int) -> float:
     """min of log r − f(d,r) over 1 ≤ r ≤ r_max, negative where the weak bound
     f(d,r) ≤ log r fails; unlike theorem5_check, any r_max ≥ 1 is accepted."""
-    *_, weak = _weak_sweep(d, r_max)
-    return float(weak.min())
+    _check_dr(d, r_max)
+    return min(_weak_margins(d, r_max))
 
 
 def theorem5_check(d: int, r_max: int) -> SweepReport:
@@ -235,19 +268,31 @@ def theorem5_check(d: int, r_max: int) -> SweepReport:
     r_start = math.ceil(math.e**d)
     if r_max < r_start:
         raise ValueError(f"r_max must be >= {r_start} for d={d}")
+    _check_dr(d, r_max)
     c = c_constant(d).c_d
-    r, logs, f, weak = _weak_sweep(d, r_max)
-    strong = (logs - d + c * logs**d / r - f)[r_start - 1 :]
+    fd = float(d)
+
+    def strong():
+        # ((log r − d) + (c · log^d r) / r) − f(d,r), evaluated in this order
+        f = islice(_f_row(d, r_max), r_start - 1, r_max)
+        logs = _f_row(0, r_max)[r_start - 1 : r_max]
+        head = map(sub, logs, repeat(fd))
+        scaled = map(mul, repeat(c), map(pow, logs, repeat(fd)))
+        tail = map(truediv, scaled, range(r_start, r_max + 1))
+        return map(sub, map(add, head, tail), f)
+
+    min_margin, violations = _min_and_violations(strong)
+    weak_min, weak_violations = _min_and_violations(lambda: _weak_margins(d, r_max))
     return SweepReport(
         d=d,
         r_start=r_start,
         r_max=r_max,
-        checked=int(strong.size),
-        violations=int((strong < 0).sum()),
-        min_margin=float(strong.min()),
-        weak_checked=int(weak.size),
-        weak_violations=int((weak < 0).sum()),
-        weak_min_margin=float(weak.min()),
+        checked=r_max - r_start + 1,
+        violations=violations,
+        min_margin=min_margin,
+        weak_checked=r_max,
+        weak_violations=weak_violations,
+        weak_min_margin=weak_min,
         c_d=c,
     )
 
@@ -266,22 +311,26 @@ class StirlingReport(NamedTuple):
 
 def stirling_lemma_check(r_max: int) -> StirlingReport:
     """Sweep log(r!) ≤ r log r − r + 2 log r for 3 ≤ r ≤ r_max, with the
-    log-factorials accumulated exactly (extended-precision running sum)."""
+    log-factorials summed exactly from the fixed-point row 0 of the f table."""
     if not isinstance(r_max, int) or r_max < 3:
         raise ValueError(f"r_max must be an integer >= 3, got {r_max!r}")
-    import numpy as np
+    logs = _f_row(0, r_max)[:r_max]
 
-    ks = np.arange(1, r_max + 1, dtype=np.longdouble)
-    logfact = np.cumsum(np.log(ks))
-    r = np.arange(3, r_max + 1, dtype=np.float64)
-    logs = np.log(r)
-    margin = r * logs - r + 2 * logs - logfact[2:].astype(np.float64)
+    def margins():
+        # ((r log r − r) + 2 log r) − log r!
+        logfact = islice(_floats(accumulate(_fixed(logs))), 2, None)
+        rs = range(3, r_max + 1)
+        head = map(sub, map(mul, rs, logs[2:]), rs)
+        twice = map(mul, repeat(2.0), logs[2:])
+        return map(sub, map(add, head, twice), logfact)
+
+    min_margin, violations = _min_and_violations(margins)
     return StirlingReport(
         r_start=3,
         r_max=r_max,
-        checked=int(margin.size),
-        violations=int((margin < 0).sum()),
-        min_margin=float(margin.min()),
+        checked=r_max - 2,
+        violations=violations,
+        min_margin=min_margin,
     )
 
 

@@ -10,9 +10,9 @@ byte-identical output.
 This module holds the parser, one handler per subcommand and the dispatch.
 Importing it loads only what count and enumerate run (argparse, json, math,
 os, sys, hdperm.core and hdperm.counting). Every other handler imports its
-own modules when it runs: hdperm.bounds (and with it numpy, where f is
-evaluated), hdperm.constructions, hdperm.shade, hdperm.suites for verify,
-and csv for --csv output.
+own modules when it runs: hdperm.bounds where f is evaluated,
+hdperm.constructions, hdperm.shade, hdperm.suites for verify, and csv for
+--csv output.
 """
 
 import argparse

@@ -286,33 +286,42 @@ def validate_perm(candidate, shape: Shape) -> ValidationReport:
     entries when out-of-range cells leave a line short (otherwise missing
     values are implied by the repeats). Out-of-range entries are reported
     per cell with kind "range".
+
+    A line along axis k is the slice values[start : start + n*stride : stride]
+    with stride n^(d-1-k); its starts, taken in the order of the fixed
+    coordinates, are the multiples of n*stride plus 0..stride-1.
     """
     values = _flatten_values(candidate, shape)
-    violations = []
-    bad_cells = set()
-    for rank, v in enumerate(values):
-        if not isinstance(v, int) or not 0 <= v < shape.n:
-            coords = shape.unrank(rank)
-            bad_cells.add(coords)
-            violations.append(Violation("range", None, coords, v))
-    for direction in range(1, shape.d + 1):
-        for fixed in enumerate_lines(shape, direction):
-            cells = line_cells(shape, direction, fixed)
+    d, n = shape.d, shape.n
+    violations = [
+        Violation("range", None, shape.unrank(rank), v)
+        for rank, v in enumerate(values)
+        if not (isinstance(v, int) and 0 <= v < n)
+    ]
+    clean = not violations  # then a line of n distinct values is a permutation
+    for k in range(d):
+        stride = n ** (d - 1 - k)
+        span = n * stride
+        starts = (
+            block + offset
+            for block in range(0, len(values), span)
+            for offset in range(stride)
+        )
+        for fixed, start in zip(product(range(n), repeat=d - 1), starts):
+            line = values[start : start + span : stride]
+            if clean and len(set(line)) == n:
+                continue
+            good = [v for v in line if isinstance(v, int) and 0 <= v < n]
             counts = {}
-            has_bad = False
-            for c in cells:
-                if c in bad_cells:
-                    has_bad = True
-                    continue
-                v = values[shape.rank(c)]
+            for v in good:
                 counts[v] = counts.get(v, 0) + 1
             for v, cnt in sorted(counts.items()):
                 if cnt > 1:
-                    violations.append(Violation("repeat", direction, fixed, v))
-            if has_bad:
-                for v in range(shape.n):
+                    violations.append(Violation("repeat", k + 1, fixed, v))
+            if len(good) < n:  # out-of-range cells left the line short
+                for v in range(n):
                     if v not in counts:
-                        violations.append(Violation("missing", direction, fixed, v))
+                        violations.append(Violation("missing", k + 1, fixed, v))
     return ValidationReport(not violations, tuple(violations))
 
 

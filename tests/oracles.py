@@ -6,15 +6,28 @@ goes row-by-row, over the permutations each row admits (a prefix tree per
 row), memoised on the values used per column; for any d a set-based
 depth-first search that walks cells in reversed order and yields every
 tensor it finds; and expansion by minors for the d=1 permanent.
+The f table and the theorem-5 sweep are the extended-precision numpy
+versions the package used before it moved to exact integer prefix sums, and
+the line validator is the cell-by-cell one it used before it sliced lines
+by stride.
 Nothing here imports from hdperm.counting, whose depth-first search is the
-package's own reference; only hdperm.core supplies the support type.
+package's own reference; hdperm.core supplies the support type and the
+validator's records and line helpers.
 """
 
+import math
 from itertools import permutations
 
 import numpy as np
 
-from hdperm.core import Shape, SupportArray
+from hdperm.core import (
+    Shape,
+    SupportArray,
+    ValidationReport,
+    Violation,
+    enumerate_lines,
+    line_cells,
+)
 
 
 def count_rows_d2(a: SupportArray) -> int:
@@ -124,3 +137,66 @@ def support_from_matrix(matrix) -> SupportArray:
     n = len(m)
     sets = [{j for j in range(n) if row[j]} for row in m]
     return SupportArray.from_sets(Shape(1, n), sets)
+
+
+def f_table_longdouble(d: int, rmax: int):
+    """(f(d,1), ..., f(d,rmax)) as float64: row 0 is log k in numpy
+    longdouble, every later row the running sum of the one before divided
+    by r, and only the result is rounded to double."""
+    ks = np.arange(1, rmax + 1, dtype=np.longdouble)
+    row = np.log(ks)
+    for _ in range(d):
+        row = np.cumsum(row) / ks
+    return row.astype(np.float64)
+
+
+def theorem5_sweep_numpy(d: int, r_max: int, c: float) -> tuple:
+    """The float64 sweep of f(d,r) ≤ log r − d + c log^d(r)/r over
+    ⌈e^d⌉ ≤ r ≤ r_max and of f(d,r) ≤ log r over 1 ≤ r ≤ r_max, on the
+    longdouble table: (checked, violations, min margin, weak checked, weak
+    violations, weak min margin)."""
+    f = f_table_longdouble(d, r_max)
+    r = np.arange(1, r_max + 1, dtype=np.float64)
+    logs = np.log(r)
+    weak = logs - f
+    strong = (logs - d + c * logs**d / r - f)[math.ceil(math.e**d) - 1 :]
+    return (
+        int(strong.size),
+        int((strong < 0).sum()),
+        float(strong.min()),
+        int(weak.size),
+        int((weak < 0).sum()),
+        float(weak.min()),
+    )
+
+
+def validate_perm_cells(values, shape: Shape) -> ValidationReport:
+    """The line check of core.validate_perm, cell by cell: every line's cells
+    are listed as coordinate tuples and looked up by rank. values is flat,
+    row-major, with n^d entries."""
+    assert len(values) == shape.ncells
+    violations = []
+    bad_cells = set()
+    for rank, v in enumerate(values):
+        if not isinstance(v, int) or not 0 <= v < shape.n:
+            coords = shape.unrank(rank)
+            bad_cells.add(coords)
+            violations.append(Violation("range", None, coords, v))
+    for direction in range(1, shape.d + 1):
+        for fixed in enumerate_lines(shape, direction):
+            counts = {}
+            has_bad = False
+            for c in line_cells(shape, direction, fixed):
+                if c in bad_cells:
+                    has_bad = True
+                    continue
+                v = values[shape.rank(c)]
+                counts[v] = counts.get(v, 0) + 1
+            for v, cnt in sorted(counts.items()):
+                if cnt > 1:
+                    violations.append(Violation("repeat", direction, fixed, v))
+            if has_bad:
+                for v in range(shape.n):
+                    if v not in counts:
+                        violations.append(Violation("missing", direction, fixed, v))
+    return ValidationReport(not violations, tuple(violations))

@@ -2,7 +2,9 @@ import math
 import random
 import sys
 import threading
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from hdperm import bounds
 from hdperm.bounds import (
     EXACT_R_LIMIT,
+    BoundConstants,
     bregman_d1_reference,
     bregman_log_bound,
     c_cap,
@@ -27,7 +30,7 @@ from hdperm.bounds import (
 )
 from hdperm.core import Shape, SupportArray, all_ones_support
 
-from oracles import support_from_matrix
+from oracles import f_table_longdouble, support_from_matrix, theorem5_sweep_numpy
 
 
 def test_f_base_row_is_log():
@@ -62,15 +65,15 @@ def test_f_d1_is_log_factorial_over_r():
 
 def test_f_monotone_in_r_and_d():
     for d in range(7):
-        vals = f_values(d, 2000)
+        vals = np.asarray(f_values(d, 2000))
         assert (np.diff(vals) > 0).all() or d == 0  # strictly increasing, r >= 1
         if d:
-            assert (vals <= f_values(d - 1, 2000) + 1e-15).all()
+            assert (vals <= np.asarray(f_values(d - 1, 2000)) + 1e-15).all()
 
 
 def test_f_weak_upper_bound():
     for d in range(7):
-        vals = f_values(d, 2000)
+        vals = np.asarray(f_values(d, 2000))
         assert (vals <= np.log(np.arange(1, 2001))).all()
         # the margin log r - f(d,r) is 0 at r = 1 and positive beyond
         assert weak_min_margin(d, 2000) == 0.0
@@ -127,6 +130,43 @@ def test_f_values_matches_scalar():
     vals = f_values(3, 50)
     for r in (1, 2, 17, 50):
         assert vals[r - 1] == f_float(3, r)
+
+
+def test_f_values_match_longdouble_table():
+    # the integer table against the extended-precision numpy one it replaced
+    for d in range(7):
+        got = np.asarray(f_values(d, 10**5))
+        assert np.abs(got - f_table_longdouble(d, 10**5)).max() <= 2e-15, d
+
+
+def _decimal_f_rows(d_max: int, r_max: int) -> list:
+    # f from its definition in 40-digit decimal arithmetic
+    with localcontext() as ctx:
+        ctx.prec = 40
+        rows = [[Decimal(k).ln() for k in range(1, r_max + 1)]]
+        for _ in range(d_max):
+            sums = accumulate(rows[-1])
+            rows.append([s / r for r, s in enumerate(sums, 1)])
+    return rows
+
+
+def test_f_within_an_ulp_of_decimal_reference():
+    # every r up to 5000, d = 0..6, against the correctly rounded double of a
+    # 40-digit reference. The longdouble table is within 1 ulp everywhere;
+    # the integer table is within 1 ulp through d = 4. Beyond that, where f
+    # is small (f(6,2) = log(2)/64), the floors of the fixed-point rows weigh
+    # more than an ulp, and the bound is their absolute d * 2^-56.
+    r_max = 5000
+    rows = _decimal_f_rows(6, r_max)
+    for d, ref in enumerate(rows):
+        ours = f_values(d, r_max)
+        old = f_table_longdouble(d, r_max)
+        for r in range(1, r_max + 1):
+            want = float(ref[r - 1])
+            ulp = math.ulp(want)
+            assert abs(old[r - 1] - want) <= ulp, (d, r)
+            slack = 0.0 if d <= 4 else d * 2.0**-bounds.FRAC_BITS
+            assert abs(ours[r - 1] - want) <= ulp + slack, (d, r)
 
 
 def test_f_exact_hand_case():
@@ -214,6 +254,36 @@ def test_theorem5_sweep_small_dims():
         assert rep.checked == 2000 - rep.r_start + 1
         assert rep.min_margin >= 0
         assert rep.max_violation == 0.0
+
+
+def test_theorem5_matches_numpy_sweep_over_longdouble_table():
+    r_max = 10**5
+    for d in range(1, 6):
+        rep = theorem5_check(d, r_max)
+        checked, bad, low, weak_checked, weak_bad, weak_low = theorem5_sweep_numpy(
+            d, r_max, rep.c_d
+        )
+        assert (rep.checked, rep.violations) == (checked, bad), d
+        assert (rep.weak_checked, rep.weak_violations) == (weak_checked, weak_bad), d
+        assert rep.min_margin == pytest.approx(low, abs=1e-12), d
+        assert rep.weak_min_margin == pytest.approx(weak_low, abs=1e-12), d
+
+
+def test_theorem5_counts_violations_like_numpy_sweep(monkeypatch):
+    # with c_d shrunk the strong bound fails for some or all r, which
+    # exercises the counting pass the true constants never reach
+    for c in (0.0, 1.0, 3.0):
+
+        def shrunk(d, c=c):
+            return BoundConstants(d, c, 0.0, 0.0, 0.0)
+
+        monkeypatch.setattr(bounds, "c_constant", shrunk)
+        for d in (1, 2, 3):
+            rep = theorem5_check(d, 5000)
+            checked, bad, low, *_ = theorem5_sweep_numpy(d, 5000, c)
+            assert (rep.checked, rep.violations) == (checked, bad), (c, d)
+            assert rep.min_margin == pytest.approx(low, abs=1e-12), (c, d)
+            assert rep.passed == (bad == 0)
 
 
 def test_theorem5_errors():

@@ -80,8 +80,7 @@ def test_count_threads_env(capsys, monkeypatch):
 
 def test_counting_subcommands_do_not_import_numpy():
     # count and enumerate start with the parser, core and counting alone;
-    # construct and cd load their own modules but not numpy, which serves
-    # only the f table and the bound sweeps
+    # construct and cd load their own modules, and no subcommand loads numpy
     script = textwrap.dedent(
         """
         import sys
@@ -117,6 +116,37 @@ def test_counting_subcommands_do_not_import_numpy():
     assert proc.returncode == 0, proc.stderr
     f_line = json.loads(proc.stdout.splitlines()[-1])
     assert f_line["f"] == pytest.approx(f_float(2, 5), abs=1e-12)
+
+
+def test_no_subcommand_imports_numpy():
+    # f, the bounds and the sweeps run on the package's own integer table;
+    # numpy is a test-only dependency
+    script = textwrap.dedent(
+        """
+        import sys
+        import hdperm.cli
+
+        for argv in (
+            ["f", "--d", "2", "--r", "5"],
+            ["f", "--d", "3", "--rmax", "50", "--csv"],
+            ["bound", "--d", "2", "--n", "4"],
+            ["sdn-bound", "--d", "3", "--n", "6"],
+            ["theorem5", "--d", "2", "--rmax", "500"],
+            ["cd", "--d", "3"],
+            ["shade", "exact", "--d", "2", "--n", "3", "--seed", "7"],
+            ["shade", "mc", "--d", "2", "--n", "3", "--samples", "200", "--seed", "1"],
+            ["verify", "--suite", "all", "--rmax", "2000"],
+        ):
+            assert hdperm.cli.run(argv) == 0, argv
+            assert "numpy" not in sys.modules, argv
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_enumerate_text(capsys):

@@ -4,6 +4,8 @@ import random
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdperm import core
 from hdperm.core import (
@@ -33,6 +35,8 @@ from hdperm.core import (
 from hdperm.constructions import BlockChoice, modular_perm
 from hdperm.counting import _line_table
 from hdperm.shade import ShadeQuery
+
+from oracles import validate_perm_cells
 
 
 def test_shape_basics():
@@ -198,6 +202,43 @@ def test_validate_range_and_missing():
     missing = [(v.direction, v.fixed, v.value) for v in rep.violations if v.kind == "missing"]
     assert (1, (1,), 0) in missing  # column j=1 never shows 0
     assert (2, (1,), 0) in missing  # row i=1 never shows 0
+
+
+@st.composite
+def candidate_tensors(draw):
+    """A scrambled modular permutation (d <= 3, n <= 4), left valid, with
+    some cells changed to other in-range values, or with some cells out of
+    range or not integers at all."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    shape = Shape(d, n)
+    relabel = draw(st.permutations(range(n)))
+    maps = [draw(st.permutations(range(n))) for _ in range(d)]
+    values = [
+        relabel[sum(maps[k][c] for k, c in enumerate(coords)) % n]
+        for coords in shape.cells()
+    ]
+    kind = draw(st.sampled_from(["valid", "corrupted", "out_of_range"]))
+    if kind != "valid":
+        junk = st.integers(0, n - 1)
+        if kind == "out_of_range":
+            junk = st.one_of(
+                junk, st.integers(-3, -1), st.integers(n, n + 3),
+                st.sampled_from([1.5, None, "1", True]),
+            )
+        for _ in range(draw(st.integers(1, 4))):
+            values[draw(st.integers(0, len(values) - 1))] = draw(junk)
+    return shape, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=candidate_tensors())
+def test_validate_matches_cell_by_cell_oracle(case):
+    shape, values = case
+    got = validate_perm(values, shape)
+    want = validate_perm_cells(values, shape)
+    assert got == want
+    assert repr(got) == repr(want)  # same violations, same order, same values
 
 
 def test_validate_wrong_entry_count_is_structural():
