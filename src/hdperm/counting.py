@@ -3,20 +3,28 @@ supported by a 0-1 array.
 
 per_d counts slab by slab. A slab is the hyperplane with the first
 coordinate fixed; every axis-0 line crosses each slab once, and no other line
-crosses two slabs. A forward dynamic program carries, for every set of values
-already used on each axis-0 line, the number of ways the slabs so far reach
-it. Each slab but the last takes one (d-1)-dimensional permutation its own
-support admits; the last slab is forced, since every line misses exactly one
-value. The work grows with the number of distinct states, not with the count.
-Counts are exact Python ints, and the result and the per-slab state counts
-are deterministic.
+crosses two slabs, so all that slabs 0..k-1 pass on to the rest is the set of
+values each axis-0 line has used: the state. Each slab takes one
+(d-1)-dimensional permutation its own support admits. The count meets in the
+middle: a forward DP counts the ways slabs 0..h-1 (h = n // 2) reach each
+state S, a backward DP the ways slabs n-1..h reach each state T, and every
+line takes each value once, so the count is the sum of F[S] * B[full ^ S].
+The work grows with the number of distinct states, not with the count. The
+states are most numerous half-way, and neither DP steps on from there.
+Counts are exact Python ints, and the result and the per-slab state
+counts are deterministic. Measured in process on a 2-core machine: L(6) =
+812,851,200 in 12 s (22-27 s with a forward DP alone), d=3 n=4 in 0.07 s.
 
 enumerate_perms is the package's one depth-first search: it fills cells in
 row-major order with per-line used-value bitmasks. It searches only the first
-n-1 slabs; the last slab is forced here too, so each leaf is checked against
-the support and yielded, or dropped, without searching its cells.
-per_d(a, backend="python") counts its leaves; that is the reference the
-tests and benchmarks cross-check the slab DP against.
+n-1 slabs; the last slab is forced, since every axis-0 line then misses
+exactly one value, so each leaf is checked against the support and yielded,
+or dropped, without searching its cells. The search keys a per-call memo on
+the state at slab n-2 and replays the last two slabs' recorded values for
+every later prefix that reaches the same state: on the full d=2 n=5 support
+66,240 prefixes reach 2,040 states, and the stream takes 0.37 s instead of
+1.2 s. per_d(a, backend="python") counts its leaves; that is the reference
+the tests and benchmarks cross-check the slab DP against.
 """
 
 from functools import lru_cache
@@ -25,6 +33,8 @@ from typing import Iterator, Optional
 
 from hdperm import kernels
 from hdperm.core import PermTensor, Shape, SupportArray, all_ones_support
+
+_MEMO_MAX = 1 << 16  # entries plus tails one enumerate_perms call keeps
 
 
 @lru_cache(maxsize=None)
@@ -50,45 +60,58 @@ def _line_table(shape: Shape):
     return tuple(table)
 
 
-def _count_slabs(a: SupportArray):
-    """Slab-transfer count of a's permutations, and the number of distinct
-    states after each of the first n-1 slabs.
-
-    A state packs the values used so far on every axis-0 line into one int,
-    n bits per line, lines in the row-major order of the slab's cells. A
-    filling is a slab's permutation in the same one-hot layout, so it fits a
-    state when they share no bit.
-    """
+def _slab_fills(a: SupportArray, s: int) -> list:
+    """Every permutation slab s of a admits, as a state: the value of slab
+    cell p sets bit p*n + value."""
     d, n = a.shape.d, a.shape.n
-    m = n ** (d - 1)  # cells per slab, one per axis-0 line
-    dp = {0: 1}
-    states = []
-    for s in range(n - 1):
-        cells = a.masks[s * m : (s + 1) * m]
-        if d == 1:
-            fills = [1 << v for v in range(n) if cells[0] >> v & 1]
-        else:
-            sub = SupportArray(Shape(d - 1, n), cells)
-            fills = [
-                sum(1 << (p * n + v) for p, v in enumerate(perm.values))
-                for perm in enumerate_perms(sub)
-            ]
-        nxt = {}
-        for state, c in dp.items():
-            for f in fills:
-                if not state & f:
-                    key = state | f
-                    nxt[key] = nxt.get(key, 0) + c
-        dp = nxt
-        states.append(len(dp))
-    # last slab: each line takes the value it still misses, i.e. the
-    # complement of the state; along the other axes that is always a
-    # permutation, so only the support can reject it
-    full = (1 << (n * m)) - 1
-    allowed = sum(mask << (p * n) for p, mask in enumerate(a.masks[(n - 1) * m :]))
-    forbidden = full ^ allowed
-    count = sum(c for state, c in dp.items() if not (full ^ state) & forbidden)
-    return count, states
+    m = n ** (d - 1)
+    cells = a.masks[s * m : (s + 1) * m]
+    if d == 1:
+        return [1 << v for v in range(n) if cells[0] >> v & 1]
+    sub = SupportArray(Shape(d - 1, n), cells)
+    return [
+        sum(1 << (p * n + v) for p, v in enumerate(perm.values))
+        for perm in enumerate_perms(sub)
+    ]
+
+
+def _step(dp: dict, fills: list) -> dict:
+    """One slab of the DP: every state extended by every filling it shares no
+    bit with, the ways to reach each new state summed."""
+    nxt = {}
+    get = nxt.get
+    for state, c in dp.items():
+        for f in fills:
+            if not state & f:
+                key = state | f
+                nxt[key] = get(key, 0) + c
+    return nxt
+
+
+def _count_slabs(a: SupportArray):
+    """Meet-in-the-middle slab count of a's permutations, and the number of
+    distinct states after each forward and each backward slab.
+
+    A state packs the values used on every axis-0 line into one int, n bits
+    per line, lines in the row-major order of the slab's cells. The forward
+    DP fills slabs 0..h-1 (h = n // 2), the backward DP slabs n-1..h. Every
+    line takes n distinct values from n slabs, so a forward state S joins
+    exactly the backward state full ^ S.
+    """
+    n = a.shape.n
+    h = n // 2
+    full = (1 << (n * n ** (a.shape.d - 1))) - 1
+    fwd, states = {0: 1}, []
+    for s in range(h):
+        fwd = _step(fwd, _slab_fills(a, s))
+        states.append(len(fwd))
+    back, states_back = {0: 1}, []
+    for s in range(n - 1, h - 1, -1):
+        back = _step(back, _slab_fills(a, s))
+        states_back.append(len(back))
+    get = back.get
+    count = sum(c * get(full ^ state, 0) for state, c in fwd.items())
+    return count, states, states_back
 
 
 def per_d(
@@ -99,9 +122,11 @@ def per_d(
 ) -> int:
     """Exact count of supported d-dimensional permutations.
 
-    By default the count comes from the slab-transfer DP (_count_slabs), and
-    stats, when given, receives its work record: "algorithm" ("slab") and
-    "states", the distinct states after each of the first n-1 slabs.
+    By default the count comes from the meet-in-the-middle slab DP
+    (_count_slabs), and stats, when given, receives its work record:
+    "algorithm" ("meet"), "states", the distinct states after each forward
+    slab 0..n//2-1, and "states_back", the same after each backward slab
+    n-1..n//2.
     backend="python" instead counts the leaves of enumerate_perms'
     depth-first search, the reference path for tests and benchmarks; any
     other backend raises RuntimeError. threads is accepted for compatibility
@@ -109,9 +134,9 @@ def per_d(
     interpreter lock, and it never changed the result.
     """
     if backend is None:
-        count, states = _count_slabs(a)
+        count, states, states_back = _count_slabs(a)
         if stats is not None:
-            stats.update(algorithm="slab", states=states)
+            stats.update(algorithm="meet", states=states, states_back=states_back)
         return count
     kernels.get(backend)
     return sum(1 for _ in enumerate_perms(a))
@@ -141,6 +166,14 @@ def enumerate_perms(a: SupportArray, limit: Optional[int] = None) -> Iterator[Pe
     forced, as in the slab DP: its cell p lies on axis-0 line p and takes the
     one value that line still misses. Along every other axis those values
     always form a permutation, so only the support can reject the slab.
+
+    What the last two slabs admit depends only on the axis-0 line masks when
+    the search enters slab n-2, so each call memoises, per mask tuple, the
+    values those slabs took at every leaf (in search order), and replays
+    them when a later prefix reaches the same masks. Most entries of a
+    sparse support record no tail at all, so the memo is emptied once its
+    entries and tails together number more than _MEMO_MAX; an endless
+    stream then runs in flat memory.
     """
     if limit is not None and limit <= 0:
         raise ValueError("limit must be positive")
@@ -154,19 +187,32 @@ def enumerate_perms(a: SupportArray, limit: Optional[int] = None) -> Iterator[Pe
     lines = _line_table(shape)
     m = n ** (shape.d - 1)  # cells per slab, one per axis-0 line
     base = shape.ncells - m  # first cell of the forced last slab
+    mid = base - m  # first cell of slab n-2, where the memo is keyed
     last = base - 1  # the last cell the search fills
     full = shape.full_mask
-    tail = allowed[base:]
+    last_masks = allowed[base:]
     value_of = {1 << v: v for v in range(n)}.__getitem__
     used = [0] * (shape.d * m)
     avail = [0] * base
     chosen = [0] * base
+    memo = {}
+    stored = 0  # entries plus tails held by memo
+    key = None
+    head = ()  # values of the cells before mid, once a tensor needs them
+    tails = []  # the current miss's record; for n = 2 the whole stream
+    stop = limit or 0  # yielded never equals 0 after a yield
     yielded = 0
     depth = 0
     avail[0] = allowed[0]
     while True:
         mask = avail[depth]
         if mask == 0:
+            if depth == mid:
+                stored += 1 + len(tails)
+                if stored > _MEMO_MAX:
+                    memo.clear()
+                    stored = 1 + len(tails)
+                memo[key] = tails
             depth -= 1
             if depth < 0:
                 return
@@ -182,16 +228,38 @@ def enumerate_perms(a: SupportArray, limit: Optional[int] = None) -> Iterator[Pe
             # misses exactly one value, which the last slab must take
             forced = [full ^ u for u in used[: m - 1]]
             forced.append(full ^ used[m - 1] ^ b)
-            if all(map(and_, tail, forced)):
-                values = (*map(value_of, chosen), *map(value_of, forced))
-                yield PermTensor(shape, values)
+            if all(map(and_, last_masks, forced)):
+                rest = (*map(value_of, chosen[mid:]), *map(value_of, forced))
+                tails.append(rest)
+                if head is None:
+                    head = tuple(map(value_of, chosen[:mid]))
+                yield PermTensor(shape, head + rest)
                 yielded += 1
-                if limit is not None and yielded >= limit:
+                if yielded == stop:
                     return
             continue
         for line in lines[depth]:
             used[line] |= b
         depth += 1
+        if depth == mid:
+            key = tuple(used[:m])
+            tails = memo.get(key)
+            if tails is None:
+                tails = []
+                head = None  # built at the first leaf; most misses have none
+            else:
+                # replay the recorded tails, then backtrack out of mid
+                if tails:
+                    head = tuple(map(value_of, chosen[:mid]))
+                for rest in tails:
+                    yield PermTensor(shape, head + rest)
+                    yielded += 1
+                    if yielded == stop:
+                        return
+                depth -= 1
+                for line in lines[depth]:
+                    used[line] ^= b
+                continue
         u = 0
         for line in lines[depth]:
             u |= used[line]

@@ -2,7 +2,9 @@
 
 Each suite checks one family of the paper's claims on seeded inputs and
 returns a SuiteResult; the CLI's verify handler imports this module when it
-runs, so no other subcommand loads it or the modules it needs.
+runs, so no other subcommand loads it or the modules it needs. The claim1
+and constructions suites import shade and constructions themselves, so the
+bound suites never load them.
 """
 
 import math
@@ -10,7 +12,7 @@ import random
 from itertools import product
 from typing import NamedTuple, Optional
 
-from hdperm import bounds, constructions, shade
+from hdperm import bounds
 from hdperm.bounds import TOL_EXACT
 from hdperm.core import Shape, SupportArray, validate_perm
 from hdperm.counting import per_d
@@ -99,6 +101,8 @@ def suite_theorem5(rmax: int = 100000, ds=None) -> SuiteResult:
 
 def suite_claim1(seed: int = 0, cases=None, queries: int = 10) -> SuiteResult:
     """Exact expectation of log N equals f(d, |W|) for every query."""
+    from hdperm import shade
+
     if cases is None:
         cases = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 3)]
     max_delta = 0.0
@@ -124,6 +128,8 @@ def suite_claim1(seed: int = 0, cases=None, queries: int = 10) -> SuiteResult:
 def suite_constructions(seed: int = 0) -> SuiteResult:
     """Block lifts are valid and injective; the per-block two-arrangement
     fact holds exhaustively."""
+    from hdperm import constructions
+
     problems = []
     shape24 = Shape(2, 4)
     seen = {}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -11,6 +12,25 @@ import pytest
 from hdperm import cli, suites
 from hdperm.bounds import f_float
 from hdperm.core import Shape, parse_perm, validate_perm
+
+# a planted d=2 n=6 support (two Latin squares plus random values, 3.6 per
+# cell): 258 tensors, and at slab 4 most prefixes reach a state seen before
+PLANTED_D2N6 = (
+    42, 54, 38, 21, 30, 46, 60, 43, 30, 14, 39, 53, 39, 58, 57, 38, 43, 57,
+    57, 45, 43, 27, 15, 52, 27, 27, 41, 54, 45, 15, 15, 26, 35, 54, 58, 30,
+)
+
+# sha256 of enumerate's stdout, taken from the search before it replayed the
+# last two slabs; a change to the stream, its order or --limit fails here
+ENUMERATE_SHA256 = {
+    "--d 2 --n 4": "15bedba6764abbc71ea8407c7a708bf7aff6b3b14353a0e6b2eb15dfed1b7f98",
+    "--d 3 --n 3": "4d7081e97bc0e5da6e6e7ca404879bc3af5e8d5073ea3592b04f3c32751a5d28",
+    "--d 1 --n 6": "964ba7775488e75ee0eedcec69b25d5d3aebd3a91dbd53ac113e9dccd7e1a3f4",
+    "--support PLANTED": "98fbe90b86579853cdd8fb448ab70db157eda3588648ca0b9bba5b4df6137826",
+    "--d 3 --n 4 --limit 17": "0fabf9b491b1a5eeb9b54b8215b93fbe3c140138ae358d8bc04e006a84ca6ac9",
+    "--d 2 --n 5 --limit 1001": "9d1e167f7a3ef4faf6870a136122359d72fd0db63fbb6d007a9602df25356cb2",
+    "--d 2 --n 5": "1b808d7933333d7a95a8239525f05e602abd6d1d92a8b718159de3106b081040",
+}
 
 
 def run_json(capsys, argv):
@@ -31,8 +51,9 @@ def test_count_full(capsys):
     assert obj["subcommand"] == "count"
     assert obj["count"] == "576"  # decimal string, never a float
     assert obj["params"] == {"d": 2, "n": 4, "threads": 1}
-    assert obj["algorithm"] == "slab"
-    assert obj["states"] == [24, 90, 24]
+    assert obj["algorithm"] == "meet"
+    assert obj["states"] == [24, 90]
+    assert obj["states_back"] == [24, 90]
 
 
 def test_count_output_does_not_depend_on_threads(capsys, tmp_path):
@@ -157,6 +178,40 @@ def test_enumerate_text(capsys):
     for block in blocks:
         p = parse_perm(block + "\n")
         assert validate_perm(p.values, Shape(2, 3)).valid
+
+
+def test_enumerate_stream_is_pinned(capsys, tmp_path):
+    path = tmp_path / "planted.json"
+    ones = [[i, j, v] for (i, j), mask in zip(Shape(2, 6).cells(), PLANTED_D2N6)
+            for v in range(6) if mask >> v & 1]
+    path.write_text(json.dumps({"d": 2, "n": 6, "ones": ones}))
+    for args, want in ENUMERATE_SHA256.items():
+        argv = ["enumerate", *args.replace("PLANTED", str(path)).split()]
+        code, out = run_text(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, args
+
+
+def test_bound_suites_do_not_import_shade_or_constructions():
+    script = textwrap.dedent(
+        """
+        import sys
+        import hdperm.cli
+
+        for suite in ("theorem5", "bounds"):
+            argv = ["verify", "--suite", suite, "--rmax", "500"]
+            assert hdperm.cli.run(argv) == 0, argv
+        unused = ["hdperm.shade", "hdperm.constructions"]
+        loaded = [name for name in unused if name in sys.modules]
+        assert loaded == [], loaded
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_enumerate_limit_stays_lazy():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdperm import counting
 from hdperm.core import (
     Shape,
     SupportArray,
@@ -96,6 +97,18 @@ def test_slab_dp_matches_dfs_and_set_oracle():
             masks[rng.randrange(len(masks))] = 0
             a = SupportArray(a.shape, tuple(masks))
         assert per_d(a) == per_d(a, backend="python") == count_sets(a), a
+    # n = 1 (no forward slab), n = 2, odd and even n, and an empty cell in
+    # the first slab, the last forward slab, the first backward slab and the
+    # last slab
+    for d, n_max in ((1, 7), (2, 4), (3, 3)):
+        for n in range(1, n_max + 1):
+            full = all_ones_support(Shape(d, n))
+            m = n ** (d - 1)
+            cases = [full, random_support(rng, d, n, density=0.8)]
+            for s in sorted({0, max(n // 2 - 1, 0), n // 2, n - 1}):
+                cases.append(with_cell(full, s * m + rng.randrange(m), 0))
+            for a in cases:
+                assert per_d(a) == per_d(a, backend="python") == count_sets(a), a
 
 
 def planted_d2_support(rng, n, r):
@@ -135,15 +148,18 @@ def test_slab_dp_reaches_larger_full_supports():
 def test_slab_dp_reports_states():
     stats = {}
     assert per_d(all_ones_support(Shape(2, 5)), stats=stats) == 161280
-    # on a full support the states after k slabs are the complements of those
-    # after n-k slabs, so the list reads the same backwards
-    assert stats == {"algorithm": "slab", "states": [120, 2040, 2040, 120]}
+    # on a full support the states after k slabs from either end are the
+    # complements of those after n-k, so 3 backward slabs reach as many
+    # states as 2
+    assert stats == {"algorithm": "meet", "states": [120, 2040],
+                     "states_back": [120, 2040, 2040]}
     stats = {}
     per_d(all_ones_support(Shape(1, 4)), stats=stats)
-    assert stats["states"] == [4, 6, 4]
+    assert stats["states"] == stats["states_back"] == [4, 6]
     stats = {}
     per_d(all_ones_support(Shape(3, 1)), stats=stats)
     assert stats["states"] == []
+    assert stats["states_back"] == [1]
 
 
 def test_d1_matches_permanent_minors():
@@ -265,6 +281,13 @@ def test_enumerate_matches_count_and_validates():
     cases += [with_cell(all_ones_support(Shape(2, 4)), 15, 0),
               with_cell(all_ones_support(Shape(3, 3)), 22, 0),
               with_cell(all_ones_support(Shape(2, 4)), 14, 0b0100)]
+    # the planted supports and d=1 n >= 4 reach the same axis-0 masks at
+    # slab n-2 from several prefixes, so the stream replays the tails
+    # recorded there
+    cases += [planted_d2_support(rng, 5, 3.6) for _ in range(3)]
+    cases += [planted_d2_support(rng, 6, 3.6) for _ in range(2)]
+    cases += [all_ones_support(Shape(1, n)) for n in range(4, 8)]
+    cases += [random_support(rng, 1, n, density=0.8) for n in range(4, 8)]
     for a in cases:
         perms = list(enumerate_perms(a))
         assert [p.values for p in perms] == sorted(enumerate_sets(a)), a
@@ -280,6 +303,35 @@ def test_enumerate_limit():
     assert len(list(enumerate_perms(a, limit=10))) == 10
     with pytest.raises(ValueError):
         list(enumerate_perms(a, limit=0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=drawn_supports(), data=st.data())
+def test_enumerate_matches_oracle_property(a, data):
+    stream = [p.values for p in enumerate_perms(a)]
+    assert stream == sorted(enumerate_sets(a))
+    if stream:
+        k = data.draw(st.integers(1, len(stream)), label="limit")
+        assert [p.values for p in enumerate_perms(a, limit=k)] == stream[:k]
+
+
+def test_enumerate_limit_is_a_prefix_inside_replays():
+    for a in (all_ones_support(Shape(2, 4)), all_ones_support(Shape(1, 6))):
+        stream = [p.values for p in enumerate_perms(a)]
+        for k in range(1, len(stream) + 1):
+            assert [p.values for p in enumerate_perms(a, limit=k)] == stream[:k]
+    # on d=2 n=5 all but 2,040 of the 66,240 prefixes of slab 3 replay
+    a = all_ones_support(Shape(2, 5))
+    stream = [p.values for p in enumerate_perms(a)]
+    for k in (1001, 1002, 1003, 50001, len(stream) - 1):
+        assert [p.values for p in enumerate_perms(a, limit=k)] == stream[:k]
+
+
+def test_memo_cap_keeps_the_stream(monkeypatch):
+    cases = [all_ones_support(Shape(2, 5)), planted_d2_support(random.Random(5), 6, 3.6)]
+    want = [[p.values for p in enumerate_perms(a)] for a in cases]
+    monkeypatch.setattr(counting, "_MEMO_MAX", 1)
+    assert [[p.values for p in enumerate_perms(a)] for a in cases] == want
 
 
 def test_supports_detects_forbidden_cell():
