@@ -2,29 +2,47 @@
 supported by a 0-1 array.
 
 per_d counts slab by slab. A slab is the hyperplane with the first
-coordinate fixed; every axis-0 line crosses each slab once, and no other line
-crosses two slabs, so all that slabs 0..k-1 pass on to the rest is the set of
-values each axis-0 line has used: the state. Each slab takes one
-(d-1)-dimensional permutation its own support admits. The count meets in the
-middle: a forward DP counts the ways slabs 0..h-1 (h = n // 2) reach each
-state S, a backward DP the ways slabs n-1..h reach each state T, and every
-line takes each value once, so the count is the sum of F[S] * B[full ^ S].
-The work grows with the number of distinct states, not with the count. The
-states are most numerous half-way, and neither DP steps on from there.
-Counts are exact Python ints, and the result and the per-slab state
-counts are deterministic. Measured in process on a 2-core machine: L(6) =
-812,851,200 in 12 s (22-27 s with a forward DP alone), d=3 n=4 in 0.07 s.
+coordinate fixed; every axis-0 line crosses each slab once, and no other
+line crosses two slabs, so all that slabs 0..k-1 pass on to the rest is the
+set of values each axis-0 line has used: the state. Each slab takes one
+(d-1)-dimensional permutation its own support admits; these fillings are
+listed once per distinct tuple of slab cell masks in a call. The count meets
+in the middle: a forward DP counts the ways slabs 0..h-1 (h = n // 2) reach
+each state S, a backward DP the ways slabs n-1..h reach each state T, and
+every line takes each value once, so the count is the sum of
+F[S] * B[full ^ S]. The work grows with the number of distinct states, not
+with the count. The states are most numerous half-way, and neither DP steps
+on from there.
+Counts are exact Python ints, and the result and the per-slab state counts
+are deterministic. Measured in process on a 2-core machine: L(6) =
+812,851,200 in 12 s (22-27 s with a forward DP alone), d=3 n=4 in
+0.05-0.07 s (0.06-0.085 s when each of its four slabs listed the 576 Latin
+squares anew).
 
 enumerate_perms is the package's one depth-first search: it fills cells in
-row-major order with per-line used-value bitmasks. It searches only the first
-n-1 slabs; the last slab is forced, since every axis-0 line then misses
-exactly one value, so each leaf is checked against the support and yielded,
-or dropped, without searching its cells. The search keys a per-call memo on
-the state at slab n-2 and replays the last two slabs' recorded values for
-every later prefix that reaches the same state: on the full d=2 n=5 support
-66,240 prefixes reach 2,040 states, and the stream takes 0.37 s instead of
-1.2 s. per_d(a, backend="python") counts its leaves; that is the reference
-the tests and benchmarks cross-check the slab DP against.
+row-major order with per-line used-value bitmasks. It searches only the
+first n-1 slabs; the last slab is forced, since every axis-0 line then
+misses exactly one value, so each leaf is checked against the support and
+yielded, or dropped, without searching its cells. For d >= 2 and n >= 3 it
+prunes with live sets (hdperm.live) built once per call from the count's
+slab fillings and a set-valued form of its transition: live[s] holds the
+states after s slabs that some filling of the remaining slabs completes, and
+the search backtracks at once from a slab boundary whose state is not in it.
+Where every state the search can reach is live (any full d = 2 support)
+there is no check, and the build gives up, with no check anywhere, rather
+than list or step more than _MEMO_MAX entries, so a short --limit never
+waits for it. The search also keys a per-call memo on the state at slab n-2
+and replays the last two slabs' recorded values for every later prefix that
+reaches the same state. Measured in process on a 2-core machine: on the full
+d=2 n=5 support (66,240 prefixes reach 2,040 states at slab 3) the stream
+takes 0.67 s with the memo and 1.9 s without; the 20 planted d=2 n=6
+supports of the first two passes of the enumerate benchmark (seed 4242),
+where almost every prefix that reaches slab 4 has no completion, take 0.22 s
+with the live sets and the memo and 1.4 s with neither.
+per_d(a, backend="python") counts its leaves; that is the reference the
+tests and benchmarks cross-check the slab DP against. As its live sets come
+from the same slab fillings, the tests also run the search with the tables
+off and compare both with the oracles in tests/oracles.py.
 """
 
 from functools import lru_cache
@@ -34,7 +52,9 @@ from typing import Iterator, Optional
 from hdperm import kernels
 from hdperm.core import PermTensor, Shape, SupportArray, all_ones_support
 
-_MEMO_MAX = 1 << 16  # entries plus tails one enumerate_perms call keeps
+# entries plus tails one enumerate_perms call keeps in its memo, and the
+# most value tuples or state-filling pairs its live sets may list or step
+_MEMO_MAX = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -60,12 +80,10 @@ def _line_table(shape: Shape):
     return tuple(table)
 
 
-def _slab_fills(a: SupportArray, s: int) -> list:
-    """Every permutation slab s of a admits, as a state: the value of slab
-    cell p sets bit p*n + value."""
-    d, n = a.shape.d, a.shape.n
-    m = n ** (d - 1)
-    cells = a.masks[s * m : (s + 1) * m]
+def _slab_fills(shape: Shape, cells: tuple) -> list:
+    """Every permutation a slab with cell masks cells admits, as a state:
+    the value of slab cell p sets bit p*n + value."""
+    d, n = shape.d, shape.n
     if d == 1:
         return [1 << v for v in range(n) if cells[0] >> v & 1]
     sub = SupportArray(Shape(d - 1, n), cells)
@@ -73,6 +91,23 @@ def _slab_fills(a: SupportArray, s: int) -> list:
         sum(1 << (p * n + v) for p, v in enumerate(perm.values))
         for perm in enumerate_perms(sub)
     ]
+
+
+def _fill_lister(a: SupportArray):
+    """fills(s): the fillings slab s of a admits, listed by _slab_fills once
+    per distinct tuple of cell masks, so the slabs of a full support (and
+    any slabs with equal masks) share one list."""
+    m = a.shape.n ** (a.shape.d - 1)
+    listed = {}
+
+    def fills(s: int) -> list:
+        cells = a.masks[s * m : (s + 1) * m]
+        found = listed.get(cells)
+        if found is None:
+            found = listed[cells] = _slab_fills(a.shape, cells)
+        return found
+
+    return fills
 
 
 def _step(dp: dict, fills: list) -> dict:
@@ -101,13 +136,14 @@ def _count_slabs(a: SupportArray):
     n = a.shape.n
     h = n // 2
     full = (1 << (n * n ** (a.shape.d - 1))) - 1
+    fills = _fill_lister(a)
     fwd, states = {0: 1}, []
     for s in range(h):
-        fwd = _step(fwd, _slab_fills(a, s))
+        fwd = _step(fwd, fills(s))
         states.append(len(fwd))
     back, states_back = {0: 1}, []
     for s in range(n - 1, h - 1, -1):
-        back = _step(back, _slab_fills(a, s))
+        back = _step(back, fills(s))
         states_back.append(len(back))
     get = back.get
     count = sum(c * get(full ^ state, 0) for state, c in fwd.items())
@@ -167,6 +203,17 @@ def enumerate_perms(a: SupportArray, limit: Optional[int] = None) -> Iterator[Pe
     one value that line still misses. Along every other axis those values
     always form a permutation, so only the support can reject the slab.
 
+    For d >= 2 the search looks the axis-0 line masks up in live[s] (see
+    hdperm.live) when it enters a slab s = 1..n-2 that has a live set, and
+    backtracks at once if they are not there: no filling of the remaining
+    slabs completes that prefix, so only leafless prefixes are skipped. A
+    slab has no live set where every state the search can reach is live,
+    and no slab has one when building them would pass _MEMO_MAX. None are
+    built for a full support of d = 2, where every state is live, since
+    every Latin rectangle completes to a Latin square (M. Hall, 1945), nor
+    for d = 1, where a slab is one cell and the tables cost more than the
+    search they would prune.
+
     What the last two slabs admit depends only on the axis-0 line masks when
     the search enters slab n-2, so each call memoises, per mask tuple, the
     values those slabs took at every leaf (in search order), and replays
@@ -192,6 +239,17 @@ def enumerate_perms(a: SupportArray, limit: Optional[int] = None) -> Iterator[Pe
     full = shape.full_mask
     last_masks = allowed[base:]
     value_of = {1 << v: v for v in range(n)}.__getitem__
+    live = [None] * (n - 1)  # live[s]: the states slab s may start from; None: any
+    if shape.d > 2 or shape.d == 2 and allowed.count(full) < len(allowed):
+        from hdperm.live import live_states
+
+        live = live_states(a, _fill_lister(a)) or live
+    # gate[depth]: the search looks up the axis-0 line masks on entering
+    # depth, the start of a slab with a live set or of slab n-2
+    gate = [False] * base
+    for s, states in enumerate(live):
+        gate[s * m] = states is not None
+    gate[mid] = True
     used = [0] * (shape.d * m)
     avail = [0] * base
     chosen = [0] * base
@@ -241,17 +299,23 @@ def enumerate_perms(a: SupportArray, limit: Optional[int] = None) -> Iterator[Pe
         for line in lines[depth]:
             used[line] |= b
         depth += 1
-        if depth == mid:
+        if gate[depth]:
             key = tuple(used[:m])
-            tails = memo.get(key)
-            if tails is None:
-                tails = []
-                head = None  # built at the first leaf; most misses have none
+            alive = live[depth // m]
+            if alive is not None and key not in alive:
+                replay = ()  # no leaf below: backtrack at once
+            elif depth != mid:
+                replay = None
             else:
-                # replay the recorded tails, then backtrack out of mid
-                if tails:
+                replay = tails = memo.get(key)
+                if tails is None:
+                    tails = []
+                    head = None  # built at the first leaf; most misses have none
+            if replay is not None:
+                # replay the recorded tails, then backtrack out of the slab
+                if replay:
                     head = tuple(map(value_of, chosen[:mid]))
-                for rest in tails:
+                for rest in replay:
                     yield PermTensor(shape, head + rest)
                     yielded += 1
                     if yielded == stop:

@@ -20,8 +20,16 @@ PLANTED_D2N6 = (
     57, 45, 43, 27, 15, 52, 27, 27, 41, 54, 45, 15, 15, 26, 35, 54, 58, 30,
 )
 
+# a planted d=2 n=5 support: 106 tensors, and the search checks the states
+# at slabs 1, 2 and 3 against live sets
+PLANTED_D2N5 = (
+    11, 22, 29, 29, 15, 14, 15, 29, 15, 30, 29, 26, 27, 28, 29, 30, 15, 27,
+    25, 23, 19, 21, 21, 26, 27,
+)
+
 # sha256 of enumerate's stdout, taken from the search before it replayed the
-# last two slabs; a change to the stream, its order or --limit fails here
+# last two slabs (the last three before it checked live sets); a change to
+# the stream, its order or --limit fails here
 ENUMERATE_SHA256 = {
     "--d 2 --n 4": "15bedba6764abbc71ea8407c7a708bf7aff6b3b14353a0e6b2eb15dfed1b7f98",
     "--d 3 --n 3": "4d7081e97bc0e5da6e6e7ca404879bc3af5e8d5073ea3592b04f3c32751a5d28",
@@ -30,6 +38,8 @@ ENUMERATE_SHA256 = {
     "--d 3 --n 4 --limit 17": "0fabf9b491b1a5eeb9b54b8215b93fbe3c140138ae358d8bc04e006a84ca6ac9",
     "--d 2 --n 5 --limit 1001": "9d1e167f7a3ef4faf6870a136122359d72fd0db63fbb6d007a9602df25356cb2",
     "--d 2 --n 5": "1b808d7933333d7a95a8239525f05e602abd6d1d92a8b718159de3106b081040",
+    "--d 2 --n 6 --limit 5000": "363d73b69c594cef01da3ccbd9077660b5aae07b80d77a8d1145c0f94b3a627a",
+    "--support PLANTED5": "224f38ba18210413bfab87460d5a55bd1da04e51332e199a833ad25034f15d93",
 }
 
 
@@ -100,7 +110,9 @@ def test_count_threads_env(capsys, monkeypatch):
 
 
 def test_counting_subcommands_do_not_import_numpy():
-    # count and enumerate start with the parser, core and counting alone;
+    # count and enumerate start with the parser, core and counting alone,
+    # and only enumerate's search of a d >= 2 support that is not a full
+    # square loads hdperm.live;
     # construct and cd load their own modules, and no subcommand loads numpy
     script = textwrap.dedent(
         """
@@ -110,6 +122,13 @@ def test_counting_subcommands_do_not_import_numpy():
         def loaded(names):
             return sorted(name for name in names if name in sys.modules)
 
+        for argv in (
+            ["count", "--d", "2", "--n", "5"],
+            ["enumerate", "--d", "1", "--n", "5", "--limit", "2"],
+            ["enumerate", "--d", "2", "--n", "5", "--limit", "2"],
+        ):
+            assert hdperm.cli.run(argv) == 0, argv
+        assert loaded(["hdperm.live"]) == []
         for argv in (
             ["count", "--d", "2", "--n", "3"],
             ["enumerate", "--d", "2", "--n", "3", "--limit", "2"],
@@ -181,12 +200,15 @@ def test_enumerate_text(capsys):
 
 
 def test_enumerate_stream_is_pinned(capsys, tmp_path):
-    path = tmp_path / "planted.json"
-    ones = [[i, j, v] for (i, j), mask in zip(Shape(2, 6).cells(), PLANTED_D2N6)
-            for v in range(6) if mask >> v & 1]
-    path.write_text(json.dumps({"d": 2, "n": 6, "ones": ones}))
+    paths = {}
+    for name, n, masks in (("PLANTED", 6, PLANTED_D2N6), ("PLANTED5", 5, PLANTED_D2N5)):
+        paths[name] = tmp_path / f"{name}.json"
+        ones = [[i, j, v] for (i, j), mask in zip(Shape(2, n).cells(), masks)
+                for v in range(n) if mask >> v & 1]
+        paths[name].write_text(json.dumps({"d": 2, "n": n, "ones": ones}))
     for args, want in ENUMERATE_SHA256.items():
-        argv = ["enumerate", *args.replace("PLANTED", str(path)).split()]
+        argv = ["enumerate", *args.split()]
+        argv = [str(paths.get(arg, arg)) for arg in argv]
         code, out = run_text(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == want, args
@@ -220,7 +242,7 @@ def test_enumerate_limit_stays_lazy():
     # a design that lists a slab's fillings first times out instead
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    for d, n, limit in ((2, 12, 3), (3, 5, 1)):
+    for d, n, limit in ((2, 12, 3), (3, 5, 1), (2, 6, 5000)):
         argv = ["enumerate", "--d", str(d), "--n", str(n), "--limit", str(limit)]
         proc = subprocess.run(
             [sys.executable, "-m", "hdperm.cli", *argv],

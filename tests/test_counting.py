@@ -21,6 +21,7 @@ from hdperm.core import (
 )
 from hdperm.counting import count_all, enumerate_perms, per_d, supports
 from hdperm.kernels import BACKEND, get
+from hdperm.live import live_states
 
 from oracles import (
     count_rows_d2,
@@ -328,10 +329,93 @@ def test_enumerate_limit_is_a_prefix_inside_replays():
 
 
 def test_memo_cap_keeps_the_stream(monkeypatch):
-    cases = [all_ones_support(Shape(2, 5)), planted_d2_support(random.Random(5), 6, 3.6)]
+    # _MEMO_MAX = 1 empties the memo at every store and turns the live sets
+    # off, so the search runs with neither
+    rng = random.Random(5)
+    cases = [all_ones_support(Shape(2, 5)), all_ones_support(Shape(3, 3))]
+    cases += [planted_d2_support(rng, 6, 3.6) for _ in range(4)]
+    cases += [planted_d2_support(rng, 5, 3.6) for _ in range(3)]
+    cases += [random_support(rng, 3, 3, density=0.8) for _ in range(3)]
+    pruned = [a for a in cases if any(live_sets(a) or ())]
+    assert len(pruned) >= 7
     want = [[p.values for p in enumerate_perms(a)] for a in cases]
     monkeypatch.setattr(counting, "_MEMO_MAX", 1)
+    assert all(live_sets(a) is None for a in pruned)
     assert [[p.values for p in enumerate_perms(a)] for a in cases] == want
+
+
+def live_sets(a):
+    return live_states(a, counting._fill_lister(a))
+
+
+def states_after(values, shape, s):
+    """The axis-0 line masks of a tensor after its slabs 0..s-1."""
+    m = shape.n ** (shape.d - 1)
+    masks = [0] * m
+    for rank in range(s * m):
+        masks[rank % m] |= 1 << values[rank]
+    return tuple(masks)
+
+
+def checked_live_sets(a):
+    """Assert that every live set live_states builds for a is exactly the
+    states after s slabs of the oracle's tensors; return how many there
+    were."""
+    live = live_sets(a)
+    checked = [(s, states) for s, states in enumerate(live or ()) if states is not None]
+    if checked:
+        tensors = list(enumerate_sets(a))
+        for s, states in checked:
+            assert states == {states_after(v, a.shape, s) for v in tensors}, (a, s)
+    return len(checked)
+
+
+def test_live_sets_are_exact():
+    rng = random.Random(77)
+    checked = 0
+    for i in range(150):
+        d = rng.choice([1, 2, 2, 3])
+        n = rng.randint(3, {1: 6, 2: 5, 3: 3}[d])
+        a = random_support(rng, d, n, density=rng.uniform(0.4, 0.95))
+        if i % 10 == 0:
+            a = with_cell(a, rng.randrange(len(a.masks)), 0)
+        checked += checked_live_sets(a)
+    for n, k in ((5, 4), (6, 2)):
+        for _ in range(k):
+            checked += checked_live_sets(planted_d2_support(rng, n, 3.6))
+    assert checked >= 100
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=drawn_supports(max_n={1: 6, 2: 5, 3: 3}))
+def test_live_sets_are_exact_property(a):
+    checked_live_sets(a)
+
+
+def test_live_sets_give_up_before_listing(monkeypatch):
+    # listing a slab (or stepping a table) past _MEMO_MAX is refused before
+    # it starts, so a short --limit never waits for the tables; a full
+    # support of d = 2 builds none at all
+    listed = []
+
+    def counted(shape, cells):
+        listed.append(cells)
+        return slab_fills(shape, cells)
+
+    slab_fills = counting._slab_fills
+    monkeypatch.setattr(counting, "_slab_fills", counted)
+    for d, n in ((2, 12), (3, 5), (3, 4), (2, 6)):
+        assert next(enumerate_perms(all_ones_support(Shape(d, n)))).shape == Shape(d, n)
+        assert listed == [], (d, n)
+    # one value short in the last slab: the backward pass lists the last
+    # slab, steps it, lists the full slab before it and stops, since 600
+    # states times 720 fillings pass the cap
+    a = with_cell(all_ones_support(Shape(2, 6)), 35, 0b011111)
+    assert live_sets(a) is None
+    assert len(listed) == 2
+    listed.clear()
+    assert next(enumerate_perms(a)).values[:6] == (0, 1, 2, 3, 4, 5)
+    assert len(listed) <= 2
 
 
 def test_supports_detects_forbidden_cell():
