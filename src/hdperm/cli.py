@@ -30,9 +30,8 @@ from hdperm.core import (
     parse_perm,
     parse_support,
     serialize_perm,
-    write_perms,
 )
-from hdperm.counting import enumerate_perms, per_d
+from hdperm.counting import per_d, write_perms
 
 
 def _real(x: float):
@@ -117,7 +116,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     a = _load_support(args)
-    write_perms(enumerate_perms(a, limit=args.limit), sys.stdout)
+    write_perms(a, sys.stdout, limit=args.limit)
     return 0
 
 
@@ -330,7 +329,18 @@ def verify_suite(args) -> int:
 
 # -- parser --------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+class _Unbuilt:
+    """Takes the arguments of a subcommand whose parser is not built."""
+
+    def add_argument(self, *args, **kwargs):
+        pass
+
+
+def _build_parser(only=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or with only the parser of subcommand
+    only built: a subcommand's parser does not depend on the others. The
+    top-level usage line lists them all, so _parse_args falls back to the
+    full parser for any error the top level reports."""
     top = argparse.ArgumentParser(
         prog="hdperm",
         description="Exact counting and bound verification for d-dimensional "
@@ -339,8 +349,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        return p
+        if only is None or name == only:
+            return sub.add_parser(name, **kwargs)
+        return _Unbuilt()
 
     def shape_flags(p, required=False):
         p.add_argument("--d", type=int, required=required, help="dimension")
@@ -431,10 +442,23 @@ _ERROR_KINDS = (
 )
 
 
+def _parse_args(argv=None) -> argparse.Namespace:
+    """_build_parser().parse_args(argv), building only the subcommand argv
+    names first where that gives the same result."""
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in _HANDLERS:
+        args, extra = _build_parser(argv[0]).parse_known_args(argv)
+        if not extra:
+            return args
+    # the top level's usage errors list every subcommand
+    return _build_parser().parse_args(argv)
+
+
 def run(argv=None) -> int:
     """Dispatch one invocation; returns the exit code (argparse itself exits
     with 2 on usage errors)."""
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return _HANDLERS[args.subcommand](args)
     except tuple(k for k, _ in _ERROR_KINDS) as exc:

@@ -405,50 +405,14 @@ def parse_perm(text: str) -> PermTensor:
 
 def serialize_perm(p: PermTensor) -> str:
     """Canonical text form: one header line, then n values per line."""
-    return _perm_text(p, _RowText())
+    return f"{p.shape.d} {p.shape.n}\n" + rows_text(p.values, p.shape.n)
 
 
-_WRITE_BLOCK = 1024
-_ROW_CACHE_MAX = 1 << 16
-
-
-def write_perms(perms: Iterable[PermTensor], out) -> None:
-    """Write tensors in the serialize_perm form, a blank line between two.
-
-    The text goes to out.write in blocks of _WRITE_BLOCK tensors. Each
-    distinct row is formatted once and its text reused; the cache is emptied
-    between blocks once it holds more than _ROW_CACHE_MAX rows, so an
-    endless stream runs in flat memory.
-    """
-    rows = _RowText()
-    texts = []
-    sep = ""
-    for p in perms:
-        texts.append(_perm_text(p, rows))
-        if len(texts) == _WRITE_BLOCK:
-            out.write(sep + "\n".join(texts))
-            sep = "\n"
-            texts.clear()
-            if len(rows) > _ROW_CACHE_MAX:
-                rows.clear()
-    if texts:
-        out.write(sep + "\n".join(texts))
-
-
-class _RowText(dict):
-    """Text of a row of values, a newline included, keyed by the value tuple
-    and formatted on first use."""
-
-    def __missing__(self, row: tuple) -> str:
-        text = self[row] = " ".join(map(str, row)) + "\n"
-        return text
-
-
-def _perm_text(p: PermTensor, rows: _RowText) -> str:
-    n = p.shape.n
-    v = p.values
-    return f"{p.shape.d} {n}\n" + "".join(
-        [rows[v[i : i + n]] for i in range(0, len(v), n)]
+def rows_text(values: Sequence[int], n: int) -> str:
+    """values as text lines of n values each (the last may be shorter),
+    every line ending in a newline: the body of serialize_perm."""
+    return "".join(
+        [" ".join(map(str, values[i : i + n])) + "\n" for i in range(0, len(values), n)]
     )
 
 

@@ -1,66 +1,68 @@
 """Exact d-permanent computation: the number of d-dimensional permutations
 supported by a 0-1 array.
 
-per_d counts slab by slab. A slab is the hyperplane with the first
-coordinate fixed; every axis-0 line crosses each slab once, and no other
-line crosses two slabs, so all that slabs 0..k-1 pass on to the rest is the
-set of values each axis-0 line has used: the state. Each slab takes one
-(d-1)-dimensional permutation its own support admits; these fillings are
-listed once per distinct tuple of slab cell masks in a call. The count meets
-in the middle: a forward DP counts the ways slabs 0..h-1 (h = n // 2) reach
-each state S, a backward DP the ways slabs n-1..h reach each state T, and
-every line takes each value once, so the count is the sum of
-F[S] * B[full ^ S]. The work grows with the number of distinct states, not
-with the count. The states are most numerous half-way, and neither DP steps
-on from there.
-Counts are exact Python ints, and the result and the per-slab state counts
-are deterministic. Measured in process on a 2-core machine: L(6) =
-812,851,200 in 12 s (22-27 s with a forward DP alone), d=3 n=4 in
-0.05-0.07 s (0.06-0.085 s when each of its four slabs listed the 576 Latin
-squares anew).
+Both per_d and enumerate_perms work slab by slab. A slab is the hyperplane
+with the first coordinate fixed; every axis-0 line crosses each slab once,
+and no other line crosses two slabs, so all that slabs 0..k-1 pass on to
+the rest is the set of values each axis-0 line has used: the state, one int
+with n bits per line. Each slab takes one (d-1)-dimensional permutation, a
+filling, of its residual support: each cell's mask minus the values its
+axis-0 line has used. A slab's fillings are listed by the same walk one
+dimension down (a d = 1 slab is one cell, and its fillings are the bits of
+its mask).
 
-enumerate_perms is the package's one depth-first search: it fills cells in
-row-major order with per-line used-value bitmasks. It searches only the
-first n-1 slabs; the last slab is forced, since every axis-0 line then
-misses exactly one value, so each leaf is checked against the support and
-yielded, or dropped, without searching its cells. For d >= 2 and n >= 3 it
-prunes with live sets (hdperm.live) built once per call from the count's
-slab fillings and a set-valued form of its transition: live[s] holds the
-states after s slabs that some filling of the remaining slabs completes, and
-the search backtracks at once from a slab boundary whose state is not in it.
-Where every state the search can reach is live (any full d = 2 support)
-there is no check, and the build gives up, with no check anywhere, rather
-than list or step more than _MEMO_MAX entries, so a short --limit never
-waits for it. The search also keys a per-call memo on the state at slab n-2
-and replays the last two slabs' recorded values for every later prefix that
-reaches the same state. Measured in process on a 2-core machine: on the full
-d=2 n=5 support (66,240 prefixes reach 2,040 states at slab 3) the stream
-takes 0.67 s with the memo and 1.9 s without; the 20 planted d=2 n=6
-supports of the first two passes of the enumerate benchmark (seed 4242),
-where almost every prefix that reaches slab 4 has no completion, take 0.22 s
-with the live sets and the memo and 1.4 s with neither.
-per_d(a, backend="python") counts its leaves; that is the reference the
-tests and benchmarks cross-check the slab DP against. As its live sets come
-from the same slab fillings, the tests also run the search with the tables
-off and compare both with the oracles in tests/oracles.py.
+per_d meets in the middle: a forward DP counts the ways slabs 0..h-1
+(h = n // 2) reach each state S, a backward DP the ways slabs n-1..h reach
+each state T, and every line takes each value once, so the count is the
+sum of F[S] * B[full ^ S]. Its slab fillings are listed once per distinct
+tuple of slab cell masks in a call, and each step still filters that whole
+list against every state. The work grows with the number of distinct
+states, not with the count. Counts are exact Python ints, and the result
+and the per-slab state counts are deterministic. Measured in process on a
+2-core machine: L(6) = 812,851,200 in 12 s (22-27 s with a forward DP
+alone), d=3 n=4 in 0.05-0.07 s.
+
+enumerate_perms walks the first n-2 slabs depth first, in the order of the
+value tuples, and at each slab tries only the fillings of its residual
+support. Listings of small residual supports are kept per call and reused
+by every prefix that leaves the same residual; large ones run lazily and are
+not kept, so a short --limit never waits for a whole slab. The last slab is
+forced (every axis-0 line then misses one value), so the last two slabs
+depend only on the state after the first n-2: each call keeps a memo from
+that state to the texts or values of its completions. The walk hands out
+one block per prefix that reaches slab n-2: the prefix, formatted once, and
+the memo's tails. For d >= 2 and n >= 3 it prunes with live sets
+(hdperm.live), built once per call from the count's slab fillings: a prefix
+whose state is not live has no completion. Measured in process on a 2-core
+machine: full d=2 n=5 (161,280 tensors) takes 0.16-0.19 s as text and
+0.3-0.4 s as PermTensors, full d=3 n=4 (55,296) 0.22 s and 0.27-0.38 s,
+against 1.1 s, 0.7 s, 1.5 s and 1.2 s for the cell-by-cell search this walk
+replaced.
+per_d(a, backend="python") counts the tensors of enumerate_perms; that is
+the reference the tests and benchmarks cross-check the slab DP against.
 """
 
 from functools import lru_cache
-from operator import and_
+from math import prod
 from typing import Iterator, Optional
 
 from hdperm import kernels
-from hdperm.core import PermTensor, Shape, SupportArray, all_ones_support
+from hdperm.core import PermTensor, Shape, SupportArray, all_ones_support, rows_text
 
-# entries plus tails one enumerate_perms call keeps in its memo, and the
-# most value tuples or state-filling pairs its live sets may list or step
+# entries one enumerate_perms call keeps in its listings, text cache and
+# memo together, and the most value tuples or state-filling pairs its live
+# sets may list or step
 _MEMO_MAX = 1 << 16
+
+# blocks write_perms joins into one write
+_WRITE_BLOCKS = 1024
 
 
 @lru_cache(maxsize=None)
 def _line_table(shape: Shape):
     """Per-cell line ids: for each cell in row-major order, a tuple of its d
-    line ids.
+    line ids. The package no longer walks cell by cell; the table stays for
+    the benchmark's line-table probe.
 
     Line id for direction k (0-based) = k * n^{d-1} + row-major rank of the
     d-1 fixed coordinates.
@@ -80,17 +82,180 @@ def _line_table(shape: Shape):
     return tuple(table)
 
 
+def _pack(masks, n: int) -> int:
+    """Cell masks as one int, n bits a cell, the first cell lowest: the form
+    of slab supports, fillings and states."""
+    packed = 0
+    for i, mask in enumerate(masks):
+        packed |= mask << i * n
+    return packed
+
+
+def _values(packed: int, cells: int, n: int) -> tuple:
+    """The values of a packed filling of cells cells."""
+    full = (1 << n) - 1
+    return tuple([(packed >> i & full).bit_length() - 1 for i in range(0, cells * n, n)])
+
+
+class _Walker:
+    """The slab walk for supports of order n, and the tables one call keeps.
+
+    Every table the walker keeps (listings, texts, the memo) counts towards
+    one budget: once they hold more than _MEMO_MAX entries together, all of
+    them are emptied, so an endless stream runs in flat memory.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.cap = _MEMO_MAX
+        self.tables = []
+        self.stored = 0
+        self.listings = 0  # residual listings made rather than read back
+        self.pruned = 0  # prefixes cut by the live sets
+        self._sublisters = {}
+
+    def table(self) -> dict:
+        table = {}
+        self.tables.append(table)
+        return table
+
+    def keep(self, table: dict, key, value, size: int) -> None:
+        """table[key] = value, value counting size entries; a value larger
+        than the whole budget is not kept."""
+        if size > self.cap:
+            return
+        self.stored += size
+        if self.stored > self.cap:
+            for t in self.tables:
+                t.clear()
+            self.stored = size
+        table[key] = value
+
+    def cached(self, fn):
+        """fn, its results kept per argument within the budget."""
+        table = self.table()
+        get = table.get
+
+        def lookup(key):
+            got = get(key)
+            if got is None:
+                got = fn(key)
+                self.keep(table, key, got, 1)
+            return got
+
+        return lookup
+
+    def lister(self, k: int, piece):
+        """listing(R): the (f, piece(f)) pairs of the k-dimensional
+        permutations f inside the packed support R, in the order of their
+        value tuples.
+
+        A listing is kept per R when the product of R's cell sizes, which
+        bounds its length, is under the budget; otherwise it runs lazily and
+        is not kept.
+        """
+        n = self.n
+        table = self.table()
+        get = table.get
+        full = (1 << n) - 1
+        cells = range(0, n ** (k + 1), n) if k else ()  # a cell lists at most n
+
+        def listing(R: int):
+            got = get(R)
+            if got is not None:
+                return got
+            self.listings += 1
+            pairs = ((f, piece(f)) for f in self.fillings(k, R))
+            if prod([(R >> i & full).bit_count() for i in cells]) >= self.cap:
+                return pairs
+            got = list(pairs)
+            self.keep(table, R, got, 1 + len(got))
+            return got
+
+        return listing
+
+    def sublisters(self, k: int) -> list:
+        """One lister per slab position t of a (k+1)-dimensional walk, its
+        pieces the fillings shifted into place."""
+        found = self._sublisters.get(k)
+        if found is None:
+            w = self.n ** (k + 1)
+            found = self._sublisters[k] = [
+                self.lister(k, lambda f, shift=t * w: f << shift) for t in range(self.n)
+            ]
+        return found
+
+    def fillings(self, k: int, R: int) -> Iterator[int]:
+        """The k-dimensional permutations inside the packed support R,
+        packed, in the order of their value tuples: for k = 0 (one cell) the
+        bits of R, else the walk over its n slabs."""
+        n = self.n
+        if k == 0 or n == 1:
+            while R:
+                b = R & -R
+                yield b
+                R ^= b
+            return
+        w = n ** k  # bits per slab
+        full = (1 << w) - 1
+        parts = [R >> i & full for i in range(0, n * w, w)]
+        lists = self.sublisters(k - 1)
+        mid = n - 2
+        at_mid = lists[mid]
+        forbid = full ^ parts[-1]
+        last = (n - 1) * w
+        for head, U in self.walk(parts, lists, 0):
+            for f, x in at_mid(parts[mid] & ~U):
+                forced = full ^ U ^ f
+                if not forced & forbid:
+                    yield head | x | forced << last
+
+    def walk(self, parts: list, lists: list, head, live=None):
+        """(head, state) for every prefix of slabs 0..n-3 of the support cut
+        into slabs parts, depth first in the order of the value tuples.
+
+        Slab s takes the pairs (f, piece) of lists[s] on its residual
+        support, and head is the given start plus the pieces of the prefix.
+        live[s], where not None, holds the states after s slabs that have a
+        completion; a prefix outside it is dropped.
+        """
+        mid = len(parts) - 2
+        if mid == 0:
+            yield head, 0
+            return
+        its = [None] * mid
+        states = [0] * mid
+        heads = [head] * mid
+        its[0] = iter(lists[0](parts[0]))
+        s = 0
+        while True:
+            for f, x in its[s]:
+                S = states[s] | f
+                t = s + 1
+                if live is not None:
+                    alive = live[t]
+                    if alive is not None and S not in alive:
+                        self.pruned += 1
+                        continue
+                if t == mid:
+                    yield heads[s] + x, S
+                    continue
+                states[t] = S
+                heads[t] = heads[s] + x
+                its[t] = iter(lists[t](parts[t] & ~S))
+                s = t
+                break
+            else:
+                if s == 0:
+                    return
+                s -= 1
+
+
 def _slab_fills(shape: Shape, cells: tuple) -> list:
     """Every permutation a slab with cell masks cells admits, as a state:
     the value of slab cell p sets bit p*n + value."""
-    d, n = shape.d, shape.n
-    if d == 1:
-        return [1 << v for v in range(n) if cells[0] >> v & 1]
-    sub = SupportArray(Shape(d - 1, n), cells)
-    return [
-        sum(1 << (p * n + v) for p, v in enumerate(perm.values))
-        for perm in enumerate_perms(sub)
-    ]
+    n = shape.n
+    return list(_Walker(n).fillings(shape.d - 1, _pack(cells, n)))
 
 
 def _fill_lister(a: SupportArray):
@@ -163,11 +328,11 @@ def per_d(
     "algorithm" ("meet"), "states", the distinct states after each forward
     slab 0..n//2-1, and "states_back", the same after each backward slab
     n-1..n//2.
-    backend="python" instead counts the leaves of enumerate_perms'
-    depth-first search, the reference path for tests and benchmarks; any
-    other backend raises RuntimeError. threads is accepted for compatibility
-    and ignored: a thread split only slowed the pure-Python count under the
-    interpreter lock, and it never changed the result.
+    backend="python" instead counts the tensors of enumerate_perms' walk, the
+    reference path for tests and benchmarks; any other backend raises
+    RuntimeError. threads is accepted for compatibility and ignored: a
+    thread split only slowed the pure-Python count under the interpreter
+    lock, and it never changed the result.
     """
     if backend is None:
         count, states, states_back = _count_slabs(a)
@@ -175,7 +340,7 @@ def per_d(
             stats.update(algorithm="meet", states=states, states_back=states_back)
         return count
     kernels.get(backend)
-    return sum(1 for _ in enumerate_perms(a))
+    return sum(len(tails) for _, tails in _blocks(a, False))
 
 
 def count_all(shape: Shape, threads: int = 1, backend: Optional[str] = None) -> int:
@@ -191,140 +356,142 @@ def supports(a: SupportArray, p: PermTensor) -> bool:
     return all((m >> v) & 1 for m, v in zip(a.masks, p.values))
 
 
-def enumerate_perms(a: SupportArray, limit: Optional[int] = None) -> Iterator[PermTensor]:
-    """Yield the supported permutations in deterministic order.
+def _blocks(a: SupportArray, text: bool, stats: Optional[dict] = None):
+    """(head, tails) for every prefix of slabs 0..n-3 of a that has a
+    completion, in the order of the value tuples; a tensor is head + tail
+    for each tail, and the blocks list every tensor of a once.
 
-    Cells are filled row-major, candidate values tried in ascending order, so
-    the stream sorts by the value tuple. Without a limit it yields exactly
-    per_d(a) tensors.
+    As text, head is the header line plus the prefix rows and a tail the
+    rows of the last two slabs, in the serialize_perm layout; else both are
+    value tuples. Pieces of the prefix are formatted once per filling and
+    tails once per memo entry.
 
-    The search stops at the last slab (first coordinate n-1), which is
-    forced, as in the slab DP: its cell p lies on axis-0 line p and takes the
-    one value that line still misses. Along every other axis those values
-    always form a permutation, so only the support can reject the slab.
+    The walk checks live sets (hdperm.live) for d >= 2 and n >= 3, except on
+    the full supports where every state is live: those of d = 2, since
+    every Latin rectangle completes to a Latin square (M. Hall, 1945), and
+    those of order 3, since a first slab L completes by L + 1 and L + 2
+    mod 3. d = 1 builds none either: a slab is one cell, and the tables
+    cost more than the walk they would prune.
 
-    For d >= 2 the search looks the axis-0 line masks up in live[s] (see
-    hdperm.live) when it enters a slab s = 1..n-2 that has a live set, and
-    backtracks at once if they are not there: no filling of the remaining
-    slabs completes that prefix, so only leafless prefixes are skipped. A
-    slab has no live set where every state the search can reach is live,
-    and no slab has one when building them would pass _MEMO_MAX. None are
-    built for a full support of d = 2, where every state is live, since
-    every Latin rectangle completes to a Latin square (M. Hall, 1945), nor
-    for d = 1, where a slab is one cell and the tables cost more than the
-    search they would prune.
+    stats, when given, receives the work counters when the walk ends or is
+    closed: "prefixes" that reached slab n-2, "listings" of residual
+    supports made rather than read back, "memo_entries" made, "replays" of
+    memo entries and "live_prunes".
+    """
+    shape = a.shape
+    d, n = shape.d, shape.n
+    m = n ** (d - 1)  # cells per slab, one per axis-0 line
+    w = m * n  # bits per slab
+    walker = _Walker(n)
+    prefixes = entries = replays = 0
+    try:
+        head = f"{d} {n}\n" if text else ()
+        if n == 1:
+            if a.masks[0] & 1:
+                yield head, ["0\n" if text else (0,)]
+            return
+        if text and d == 1:
+            # the one row: a prefix value is followed by a space, the tail
+            # ends the line
+            def piece(f):
+                return f"{f.bit_length() - 1} "
 
-    What the last two slabs admit depends only on the axis-0 line masks when
-    the search enters slab n-2, so each call memoises, per mask tuple, the
-    values those slabs took at every leaf (in search order), and replays
-    them when a later prefix reaches the same masks. Most entries of a
-    sparse support record no tail at all, so the memo is emptied once its
-    entries and tails together number more than _MEMO_MAX; an endless
-    stream then runs in flat memory.
+            def tail(f, forced):
+                return f"{f.bit_length() - 1} {forced.bit_length() - 1}\n"
+        else:
+            @walker.cached
+            def piece(f):
+                values = _values(f, m, n)
+                return rows_text(values, n) if text else values
+
+            def tail(f, forced):
+                return piece(f) + piece(forced)
+
+        top = walker.lister(d - 1, piece)
+        masks = a.masks
+        parts = [_pack(masks[i : i + m], n) for i in range(0, n * m, m)]
+        full = (1 << w) - 1
+        mid = n - 2
+        forbid = full ^ parts[-1]
+        live = None
+        if d >= 2 and (masks.count(shape.full_mask) < len(masks) or d > 2 and n > 3):
+            from hdperm.live import live_states
+
+            live = live_states(a, _fill_lister(a))
+        memo = walker.table()
+        get = memo.get
+        for h, S in walker.walk(parts, [top] * mid, head, live):
+            prefixes += 1
+            tails = get(S)
+            if tails is None:
+                entries += 1
+                tails = []
+                walker.listings += 1
+                for f in walker.fillings(d - 1, parts[mid] & ~S):
+                    forced = full ^ S ^ f
+                    if not forced & forbid:
+                        tails.append(tail(f, forced))
+                walker.keep(memo, S, tails, 1 + len(tails))
+            else:
+                replays += 1
+            if tails:
+                yield h, tails
+    finally:
+        if stats is not None:
+            stats.update(prefixes=prefixes, listings=walker.listings,
+                         memo_entries=entries, replays=replays,
+                         live_prunes=walker.pruned)
+
+
+def enumerate_perms(
+    a: SupportArray, limit: Optional[int] = None, stats: Optional[dict] = None
+) -> Iterator[PermTensor]:
+    """Yield the supported permutations in deterministic order: sorted by
+    the row-major value tuple. Without a limit it yields exactly per_d(a)
+    tensors; with one, the first limit of them.
+
+    stats, when given, receives the walk's work counters (see _blocks) once
+    the stream ends or the generator is closed.
     """
     if limit is not None and limit <= 0:
         raise ValueError("limit must be positive")
     shape = a.shape
-    allowed = a.masks
-    n = shape.n
-    if n == 1:
-        if allowed[0]:
-            yield PermTensor(shape, (0,))
-        return
-    lines = _line_table(shape)
-    m = n ** (shape.d - 1)  # cells per slab, one per axis-0 line
-    base = shape.ncells - m  # first cell of the forced last slab
-    mid = base - m  # first cell of slab n-2, where the memo is keyed
-    last = base - 1  # the last cell the search fills
-    full = shape.full_mask
-    last_masks = allowed[base:]
-    value_of = {1 << v: v for v in range(n)}.__getitem__
-    live = [None] * (n - 1)  # live[s]: the states slab s may start from; None: any
-    if shape.d > 2 or shape.d == 2 and allowed.count(full) < len(allowed):
-        from hdperm.live import live_states
-
-        live = live_states(a, _fill_lister(a)) or live
-    # gate[depth]: the search looks up the axis-0 line masks on entering
-    # depth, the start of a slab with a live set or of slab n-2
-    gate = [False] * base
-    for s, states in enumerate(live):
-        gate[s * m] = states is not None
-    gate[mid] = True
-    used = [0] * (shape.d * m)
-    avail = [0] * base
-    chosen = [0] * base
-    memo = {}
-    stored = 0  # entries plus tails held by memo
-    key = None
-    head = ()  # values of the cells before mid, once a tensor needs them
-    tails = []  # the current miss's record; for n = 2 the whole stream
-    stop = limit or 0  # yielded never equals 0 after a yield
-    yielded = 0
-    depth = 0
-    avail[0] = allowed[0]
-    while True:
-        mask = avail[depth]
-        if mask == 0:
-            if depth == mid:
-                stored += 1 + len(tails)
-                if stored > _MEMO_MAX:
-                    memo.clear()
-                    stored = 1 + len(tails)
-                memo[key] = tails
-            depth -= 1
-            if depth < 0:
-                return
-            b = chosen[depth]
-            for line in lines[depth]:
-                used[line] ^= b
-            continue
-        b = mask & -mask
-        avail[depth] = mask ^ b
-        chosen[depth] = b
-        if depth == last:
-            # cell base-1 sits on axis-0 line m-1; every axis-0 line now
-            # misses exactly one value, which the last slab must take
-            forced = [full ^ u for u in used[: m - 1]]
-            forced.append(full ^ used[m - 1] ^ b)
-            if all(map(and_, last_masks, forced)):
-                rest = (*map(value_of, chosen[mid:]), *map(value_of, forced))
-                tails.append(rest)
-                if head is None:
-                    head = tuple(map(value_of, chosen[:mid]))
-                yield PermTensor(shape, head + rest)
-                yielded += 1
-                if yielded == stop:
-                    return
-            continue
-        for line in lines[depth]:
-            used[line] |= b
-        depth += 1
-        if gate[depth]:
-            key = tuple(used[:m])
-            alive = live[depth // m]
-            if alive is not None and key not in alive:
-                replay = ()  # no leaf below: backtrack at once
-            elif depth != mid:
-                replay = None
-            else:
-                replay = tails = memo.get(key)
-                if tails is None:
-                    tails = []
-                    head = None  # built at the first leaf; most misses have none
-            if replay is not None:
-                # replay the recorded tails, then backtrack out of the slab
-                if replay:
-                    head = tuple(map(value_of, chosen[:mid]))
-                for rest in replay:
-                    yield PermTensor(shape, head + rest)
-                    yielded += 1
-                    if yielded == stop:
+    left = limit
+    blocks = _blocks(a, False, stats)
+    try:
+        for head, tails in blocks:
+            for tail in tails:
+                yield PermTensor(shape, head + tail)
+                if left is not None:
+                    left -= 1
+                    if left == 0:
                         return
-                depth -= 1
-                for line in lines[depth]:
-                    used[line] ^= b
-                continue
-        u = 0
-        for line in lines[depth]:
-            u |= used[line]
-        avail[depth] = allowed[depth] & ~u
+    finally:
+        blocks.close()
+
+
+def write_perms(a: SupportArray, out, limit: Optional[int] = None) -> None:
+    """Write the tensors of enumerate_perms(a, limit) to out in the
+    serialize_perm form, a blank line between two.
+
+    Each block of the walk goes out as H + ("\\n" + H).join(tails), H being
+    its header and prefix text, and _WRITE_BLOCKS blocks make one write.
+    """
+    if limit is not None and limit <= 0:
+        raise ValueError("limit must be positive")
+    left = limit
+    chunk = []
+    sep = ""
+    for head, tails in _blocks(a, True):
+        if left is not None:
+            if len(tails) >= left:
+                chunk.append(head + ("\n" + head).join(tails[:left]))
+                break
+            left -= len(tails)
+        chunk.append(head + ("\n" + head).join(tails))
+        if len(chunk) == _WRITE_BLOCKS:
+            out.write(sep + "\n".join(chunk))
+            sep = "\n"
+            chunk.clear()
+    if chunk:
+        out.write(sep + "\n".join(chunk))

@@ -6,10 +6,10 @@ s whole slabs has a completion exactly when its state is live: some filling
 of slabs s..n-1 takes every line's missing values. live_states finds these
 sets with the count's slab fillings and a set-valued form of its transition.
 
-Only enumerate_perms imports the module, where the sets can prune (d >= 3,
-or d = 2 with some value missing), so that the CLI's start-up, `count` of
-d <= 2 (whose slabs it lists with enumerate_perms of d = 1) and `enumerate`
-of a full square never compile it.
+Only enumerate_perms imports the module, where the sets can prune (d >= 2
+with some value missing, or a full support of d >= 3 and order n > 3), so
+that the CLI's start-up, `count`, and `enumerate` of a full square or of a
+full support of order 3 never compile it.
 """
 
 from math import prod
@@ -26,8 +26,8 @@ def _reach(states, fills: list) -> set:
 
 
 def live_states(a: SupportArray, fills) -> Optional[list]:
-    """live[s] for s = 0..n-2: the states after slabs 0..s-1, as tuples of
-    axis-0 line masks, that some filling of slabs s..n-1 completes; None
+    """live[s] for s = 0..n-2: the states after slabs 0..s-1, packed as
+    the DP packs them, that some filling of slabs s..n-1 completes; None
     where every state the search can reach there is live, so a check would
     prune nothing: for s <= h = n // 2 where live[s] is all of F[s], past h
     where it is every state one slab takes live[s-1] to.
@@ -73,13 +73,11 @@ def live_states(a: SupportArray, fills) -> Optional[list]:
             return None
         fwd.append(_reach(fwd[s], fills(s)))
     live = [None] * (n - 1)
-    mask = (1 << n) - 1
-    shifts = range(0, n * m, n)
 
     def keep(s, states, reachable):
         # live[s] stays None when the check would prune nothing
         if len(states) < len(reachable):
-            live[s] = {tuple(S >> k & mask for k in shifts) for S in states}
+            live[s] = set(states)
 
     half = {S for S in fwd[h] if full ^ S in back[h]}
     keep(h, half, fwd[h])

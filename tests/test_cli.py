@@ -443,6 +443,40 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        [],
+        ["no-such-subcommand"],
+        ["count", "--help"],
+        ["enumerate", "--d", "2", "--n", "3", "--limit", "2"],
+        ["count", "--d", "not-a-number"],
+        ["count", "--d", "2", "--n", "3", "extra"],
+        ["count", "--no-such-flag"],
+        ["f"],
+        ["construct", "nope", "--d", "2", "--n", "3"],
+        ["verify", "--samples", "5"],
+        ["shade", "mc", "--d", "2", "--n", "3"],
+    ],
+)
+def test_one_subcommand_parser_matches_the_full_parser(capsys, argv):
+    # a job builds only its own subcommand's parser; the help, the usage
+    # errors, the exit codes and the parsed arguments stay those of the
+    # parser of all ten
+    def outcome(parse):
+        try:
+            args, code = vars(parse(list(argv))), None
+        except SystemExit as exc:
+            args, code = None, exc.code
+        out = capsys.readouterr()
+        return args, code, out.out, out.err
+
+    want = outcome(lambda a: cli._build_parser().parse_args(a))
+    assert outcome(cli._parse_args) == want
+    assert want[1] in (None, 0, 2)
+
+
 def test_json_is_key_sorted_and_repeatable(capsys):
     _, a = run_text(capsys, ["cd", "--d", "4"])
     _, b = run_text(capsys, ["cd", "--d", "4"])

@@ -1,14 +1,16 @@
+import io
 import json
 import math
 import random
 import time
+from contextlib import redirect_stdout
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdperm import counting
+from hdperm import cli, counting
 from hdperm.core import (
     Shape,
     SupportArray,
@@ -19,7 +21,7 @@ from hdperm.core import (
     transpose_support,
     validate_perm,
 )
-from hdperm.counting import count_all, enumerate_perms, per_d, supports
+from hdperm.counting import count_all, enumerate_perms, per_d, supports, write_perms
 from hdperm.kernels import BACKEND, get
 from hdperm.live import live_states
 
@@ -43,6 +45,15 @@ KNOWN_COUNTS = {
     (3, 3): 24,
     (3, 4): 55296,
 }
+
+
+# the planted d=2 n=6 support of the CLI's pinned streams: 258 tensors
+PLANTED_D2N6 = (
+    42, 54, 38, 21, 30, 46, 60, 43, 30, 14, 39, 53, 39, 58, 57, 38, 43, 57,
+    57, 45, 43, 27, 15, 52, 27, 27, 41, 54, 45, 15, 15, 26, 35, 54, 58, 30,
+)
+PLANTED_D2N6_STATS = {"prefixes": 220, "listings": 561, "memo_entries": 119,
+                      "replays": 101, "live_prunes": 1832}
 
 
 def random_support(rng, d, n, density=None):
@@ -329,8 +340,8 @@ def test_enumerate_limit_is_a_prefix_inside_replays():
 
 
 def test_memo_cap_keeps_the_stream(monkeypatch):
-    # _MEMO_MAX = 1 empties the memo at every store and turns the live sets
-    # off, so the search runs with neither
+    # _MEMO_MAX = 1 keeps no listing and almost no memo entry, and turns the
+    # live sets off, so the walk runs with none of them
     rng = random.Random(5)
     cases = [all_ones_support(Shape(2, 5)), all_ones_support(Shape(3, 3))]
     cases += [planted_d2_support(rng, 6, 3.6) for _ in range(4)]
@@ -349,12 +360,14 @@ def live_sets(a):
 
 
 def states_after(values, shape, s):
-    """The axis-0 line masks of a tensor after its slabs 0..s-1."""
-    m = shape.n ** (shape.d - 1)
-    masks = [0] * m
+    """The state of a tensor after its slabs 0..s-1: the values axis-0 line
+    p has used set bits p*n + value."""
+    n = shape.n
+    m = n ** (shape.d - 1)
+    state = 0
     for rank in range(s * m):
-        masks[rank % m] |= 1 << values[rank]
-    return tuple(masks)
+        state |= 1 << (rank % m) * n + values[rank]
+    return state
 
 
 def checked_live_sets(a):
@@ -416,6 +429,127 @@ def test_live_sets_give_up_before_listing(monkeypatch):
     listed.clear()
     assert next(enumerate_perms(a)).values[:6] == (0, 1, 2, 3, 4, 5)
     assert len(listed) <= 2
+    # nor does the walk list a whole slab before the first tensor: a slab
+    # residual too large to keep is listed lazily, filling by filling
+    listed.clear()
+    made = []
+    fillings = counting._Walker.fillings
+
+    def counted_fillings(self, k, R):
+        for f in fillings(self, k, R):
+            made.append(k)
+            yield f
+
+    monkeypatch.setattr(counting._Walker, "fillings", counted_fillings)
+    # a slab of these admits 12!, about 8e8 and 161,280 fillings
+    for d, n in ((2, 12), (3, 6)):
+        made.clear()
+        assert next(enumerate_perms(all_ones_support(Shape(d, n)))).shape == Shape(d, n)
+        assert 0 < made.count(d - 1) < 1000, (d, n, made.count(d - 1))
+    made.clear()
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.run(["enumerate", "--d", "3", "--n", "5", "--limit", "1"]) == 0
+    assert out.getvalue().startswith("3 5\n0 1 2 3 4\n")
+    assert 0 < made.count(2) < 1000, made.count(2)
+    assert listed == []
+
+
+def test_full_order_3_supports_have_no_live_checks(monkeypatch):
+    # a first slab L completes by L + 1 and L + 2 mod 3, so every state is
+    # live and the sets would prune nothing (d = 4 already fails the cap on
+    # listing a slab); enumerate does not build them
+    for d in (2, 3, 4):
+        live = live_sets(all_ones_support(Shape(d, 3)))
+        assert live is None or all(states is None for states in live), d
+
+    def refused(a, fills):
+        raise AssertionError("live sets built")
+
+    monkeypatch.setattr("hdperm.live.live_states", refused)
+    for d in (2, 3, 4):
+        assert len(list(enumerate_perms(all_ones_support(Shape(d, 3))))) == count_all(Shape(d, 3))
+
+
+def test_enumerate_reports_work_counters():
+    # full d=2 n=5: 66,240 prefixes reach slab 3 in 2,040 states, so all but
+    # 2,040 of them replay a memo entry, and every state is live
+    stats = {}
+    assert sum(1 for _ in enumerate_perms(all_ones_support(Shape(2, 5)), stats=stats)) == 161280
+    assert stats == {"prefixes": 66240, "listings": 4299, "memo_entries": 2040,
+                     "replays": 64200, "live_prunes": 0}
+    # a planted d=2 n=6 support: the live sets cut 1,832 prefixes before
+    # slab 4, and 101 of the 220 that reach it replay a memo entry
+    a = SupportArray(Shape(2, 6), PLANTED_D2N6)
+    stats = {}
+    assert sum(1 for _ in enumerate_perms(a, stats=stats)) == 258
+    assert stats == PLANTED_D2N6_STATS
+    # the counters cover the walk up to where a limit stops it
+    stats = {}
+    assert len(list(enumerate_perms(a, limit=1, stats=stats))) == 1
+    assert 0 < stats["prefixes"] < PLANTED_D2N6_STATS["prefixes"]
+
+
+def test_walk_tables_stay_within_budget(monkeypatch):
+    # listings, texts and the memo count towards one budget of _MEMO_MAX
+    # entries, and are emptied together once they would pass it
+    worst = []
+    keep = counting._Walker.keep
+
+    def checked_keep(self, table, key, value, size):
+        keep(self, table, key, value, size)
+        assert sum(map(len, self.tables)) <= self.stored <= self.cap
+        worst.append(self.stored)
+
+    monkeypatch.setattr(counting._Walker, "keep", checked_keep)
+    a = all_ones_support(Shape(2, 5))
+    want = [p.values for p in enumerate_perms(a)]
+    assert max(worst) <= counting._MEMO_MAX
+    for cap in (500, 5000):
+        monkeypatch.setattr(counting, "_MEMO_MAX", cap)
+        worst.clear()
+        assert [p.values for p in enumerate_perms(a)] == want
+        assert cap // 2 < max(worst) <= cap
+
+
+def serialized(a, limit=None):
+    return "\n".join(map(serialize_perm, enumerate_perms(a, limit)))
+
+
+def written(a, limit=None):
+    out = io.StringIO()
+    write_perms(a, out, limit)
+    return out.getvalue()
+
+
+def test_write_perms_matches_serialize_perm(monkeypatch):
+    # writes of any number of blocks, tables emptied at every store, limits
+    # that end inside a replayed block, and the empty stream give the
+    # serialize_perm texts with one blank line between two tensors
+    rng = random.Random(8)
+    cases = [all_ones_support(Shape(d, n)) for d, n in ((2, 3), (1, 4), (3, 2), (2, 1), (1, 1))]
+    cases += [planted_d2_support(rng, 5, 3.6), SupportArray(Shape(2, 3), (0,) * 9)]
+    for cap in (1 << 16, 1):
+        monkeypatch.setattr(counting, "_MEMO_MAX", cap)
+        for blocks in (1, 2, 1024):
+            monkeypatch.setattr(counting, "_WRITE_BLOCKS", blocks)
+            for a in cases:
+                assert written(a) == serialized(a), a
+    a = all_ones_support(Shape(2, 4))
+    for limit in (1, 2, 3, 5, 575, 576, 577):
+        assert written(a, limit) == serialized(a, limit)
+    assert written(SupportArray(Shape(2, 3), (0,) * 9)) == ""
+    with pytest.raises(ValueError):
+        written(a, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=drawn_supports(), data=st.data())
+def test_write_perms_matches_stream_property(a, data):
+    # enumerate's block-written stdout is the serialize_perm stream, at
+    # every limit: past the end, inside a block and in an empty stream
+    limit = data.draw(st.none() | st.integers(1, 40), label="limit")
+    assert written(a, limit) == serialized(a, limit)
 
 
 def test_supports_detects_forbidden_cell():
