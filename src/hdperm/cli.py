@@ -8,17 +8,15 @@ significant digits. Identical invocations with identical seeds produce
 byte-identical output.
 
 This module holds the parser, one handler per subcommand and the dispatch.
-Importing it loads only what count and enumerate run (argparse, json, math,
-os, sys, hdperm.core and hdperm.counting). Every other handler imports its
-own modules when it runs: hdperm.bounds where f is evaluated,
+Importing it loads only what count and enumerate run (argparse, json, sys,
+hdperm.core and hdperm.counting). Every other handler imports its own
+modules when it runs: hdperm.bounds where f is evaluated,
 hdperm.constructions, hdperm.shade, hdperm.suites for verify, and csv for
 --csv output.
 """
 
 import argparse
 import json
-import math
-import os
 import sys
 
 from hdperm.core import (
@@ -85,20 +83,10 @@ def _write_csv(rows) -> None:
 
 
 def _threads(args) -> int:
-    """--threads, else HDPERM_THREADS, else 1; either must be an integer >= 1."""
-    if args.threads is not None:
-        source, value = "--threads", args.threads
-    else:
-        source, value = "HDPERM_THREADS", os.environ.get("HDPERM_THREADS")
-        if not value:
-            return 1
-    try:
-        threads = int(value)
-        if threads >= 1:
-            return threads
-    except ValueError:
-        pass
-    raise ValueError(f"{source} must be an integer >= 1, got {value!r}")
+    """--threads, an integer >= 1 (default 1)."""
+    if args.threads < 1:
+        raise ValueError(f"--threads must be an integer >= 1, got {args.threads!r}")
+    return args.threads
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -255,34 +243,21 @@ def _cmd_shade(args) -> int:
             "pass": abs(mean - f_ref) <= 4 * stderr,
         }
         return _result("shade", params, payload)
-    total = math.factorial(shape.n) ** shape.d
-    if args.mode == "exact":
-        mean = shade.exact_expectation_logN(q)
-        payload = {
-            "query": descriptor,
-            "mode": "exact",
-            "samples": total,
-            "mean": _real(mean),
-            "stderr": 0.0,
-            "exact": True,
-            "f_reference": _real(f_ref),
-            "pass": abs(mean - f_ref) <= bounds.TOL_EXACT,
-        }
-        return _result("shade", params, payload)
     dist = shade.shade_histogram(q)
     mean = dist.log_mean()
     payload = {
         "query": descriptor,
-        "mode": "hist",
-        "samples": total,
-        "counts": {str(k): v for k, v in sorted(dist.counts.items())},
-        "pmf": {str(k): str(v) for k, v in dist.pmf().items()},
+        "mode": args.mode,
+        "samples": dist.total,
         "mean": _real(mean),
         "stderr": 0.0,
         "exact": True,
         "f_reference": _real(f_ref),
         "pass": abs(mean - f_ref) <= bounds.TOL_EXACT,
     }
+    if args.mode == "hist":
+        payload["counts"] = {str(k): v for k, v in sorted(dist.counts.items())}
+        payload["pmf"] = {str(k): str(v) for k, v in dist.pmf().items()}
     return _result("shade", params, payload)
 
 
@@ -360,7 +335,7 @@ def _build_parser(only=None) -> argparse.ArgumentParser:
     p = add("count", help="exact number of supported permutations")
     shape_flags(p)
     p.add_argument("--support", metavar="FILE", help="support JSON file")
-    p.add_argument("--threads", type=int,
+    p.add_argument("--threads", type=int, default=1,
                    help="accepted and echoed; the count does not use threads")
 
     p = add("enumerate", help="stream supported permutations as text")

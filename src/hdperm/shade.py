@@ -13,21 +13,21 @@ central fact this module verifies is that the expectation of log N over the
 (n!)^d orderings equals f(d, |W|), whatever X, i and the identity of W's
 elements. At d=1, N itself is uniform on {1,...,|W|}.
 
-Exact enumeration walks sigma tuples in lexicographic rank order and NEVER
-rounds: it accumulates an integer histogram of N and takes the log-mean with
-fsum. Monte Carlo sampling uses random.Random (Mersenne Twister), seeded,
-consuming d shuffles per sample; means are reproducible for a fixed seed.
+The exact distribution of N needs no walk over orderings: the values each
+axis shades form a uniform-size, uniform subset of the n-1 values other
+than X(i), independently per axis, so inclusion-exclusion over subsets of W
+gives the integer count of every N in closed form (shade_histogram). It
+NEVER rounds before the log-mean, which is one fsum. Monte Carlo sampling
+uses random.Random (Mersenne Twister), seeded, consuming d shuffles per
+sample; means are reproducible for a fixed seed.
 """
 
 import math
 import random
-from itertools import permutations, product
 from typing import NamedTuple, Optional, Tuple
 
 from hdperm.core import PermTensor, Record, Shape, SupportArray
 from hdperm.constructions import modular_perm
-
-ENUM_BUDGET = 10**7  # max (n!)^d ordering tuples for the exact path
 
 
 class OrderingSpec(Record):
@@ -114,54 +114,6 @@ def shade_count(q: ShadeQuery, ordering: OrderingSpec) -> int:
     return (_w_mask(q) & ~shaded).bit_count()
 
 
-def _check_budget(shape: Shape):
-    total = math.factorial(shape.n) ** shape.d
-    if total > ENUM_BUDGET:
-        raise ValueError(
-            f"enumeration budget exceeded: (n!)^d = {total} > {ENUM_BUDGET}"
-        )
-    return total
-
-
-def _ordering_histogram(q: ShadeQuery) -> dict:
-    """Integer counts of N over all (n!)^d orderings, enumerated in
-    lexicographic rank order (exact, no rounding)."""
-    shape = q.x.shape
-    _check_budget(shape)
-    axis_vals = _axis_values(q)
-    wmask = _w_mask(q)
-    # per axis, the shade mask each sigma produces; the product loop is then
-    # just OR + popcount
-    per_axis = []
-    for k in range(shape.d):
-        vals = axis_vals[k]
-        ik = q.target[k]
-        masks = []
-        for sig in permutations(range(shape.n)):
-            rank_i = sig[ik]
-            m = 0
-            for t in range(shape.n):
-                if sig[t] < rank_i:
-                    m |= 1 << vals[t]
-            masks.append(m)
-        per_axis.append(masks)
-    counts: dict = {}
-    for combo in product(*per_axis):
-        shaded = 0
-        for m in combo:
-            shaded |= m
-        n_left = (wmask & ~shaded).bit_count()
-        counts[n_left] = counts.get(n_left, 0) + 1
-    return counts
-
-
-def exact_expectation_logN(q: ShadeQuery) -> float:
-    """Average of log N over all orderings; equals f(d, |W|)."""
-    counts = _ordering_histogram(q)
-    total = sum(counts.values())
-    return math.fsum(c * math.log(n) for n, c in counts.items()) / total
-
-
 class ShadeDistribution(NamedTuple):
     """Exact PMF of N: integer counts over all (n!)^d orderings."""
 
@@ -174,14 +126,48 @@ class ShadeDistribution(NamedTuple):
         return {n: Fraction(c, self.total) for n, c in sorted(self.counts.items())}
 
     def log_mean(self) -> float:
-        return (
-            math.fsum(c * math.log(n) for n, c in self.counts.items()) / self.total
-        )
+        # c / total is a correctly rounded int division, so counts far above
+        # 1e308 never pass through a float
+        return math.fsum(c / self.total * math.log(n) for n, c in self.counts.items())
 
 
 def shade_histogram(q: ShadeQuery) -> ShadeDistribution:
-    counts = _ordering_histogram(q)
-    return ShadeDistribution(counts, sum(counts.values()))
+    """Integer counts of N over all (n!)^d orderings, in closed form.
+
+    Each line through the target cell holds every value once, so the cells
+    of axis k other than the target hold the n-1 values other than
+    x = X(target). A uniform ordering of axis k puts the target at a uniform
+    rank and the cells before it form a uniform subset of that size: the
+    values axis k shades are a uniform-size, uniform subset of [n] \\ {x},
+    drawn independently per axis. A fixed u-subset of W \\ {x} escapes axis
+    k when the target precedes its u cells, in n!/(u+1) of the axis's n!
+    orderings, so it escapes every axis in (n!/(u+1))^d orderings. By
+    inclusion-exclusion, exactly t of the r-1 other values of W survive
+    (N = t+1) in
+
+        C(r-1, t) * sum_k (-1)^k C(r-1-t, k) (n!/(t+k+1))^d
+
+    orderings: exact ints, O(r^2) terms, whatever d.
+    """
+    shape = q.x.shape
+    n, d = shape.n, shape.d
+    for k, vals in enumerate(_axis_values(q)):
+        if sorted(vals) != list(range(n)):
+            raise ValueError(f"axis {k + 1} through the target repeats a value")
+    m = len(q.w) - 1
+    fact = math.factorial(n)
+    escape = [(fact // (u + 1)) ** d for u in range(m + 1)]
+    counts = {
+        t + 1: math.comb(m, t)
+        * sum((-1) ** k * math.comb(m - t, k) * escape[t + k] for k in range(m - t + 1))
+        for t in range(m + 1)
+    }
+    return ShadeDistribution(counts, fact**d)
+
+
+def exact_expectation_logN(q: ShadeQuery) -> float:
+    """Average of log N over all orderings; equals f(d, |W|)."""
+    return shade_histogram(q).log_mean()
 
 
 def mc_expectation_logN(

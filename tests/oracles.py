@@ -9,14 +9,15 @@ tensor it finds; and expansion by minors for the d=1 permanent.
 The f table and the theorem-5 sweep are the extended-precision numpy
 versions the package used before it moved to exact integer prefix sums, and
 the line validator is the cell-by-cell one it used before it sliced lines
-by stride.
+by stride. The shade histogram is the walk over all (n!)^d orderings that
+the package ran before it counted them in closed form.
 Nothing here imports from hdperm.counting, whose depth-first search is the
 package's own reference; hdperm.core supplies the support type and the
 validator's records and line helpers.
 """
 
 import math
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -200,3 +201,39 @@ def validate_perm_cells(values, shape: Shape) -> ValidationReport:
                     if v not in counts:
                         violations.append(Violation("missing", direction, fixed, v))
     return ValidationReport(not violations, tuple(violations))
+
+
+def ordering_histogram(q) -> dict:
+    """Integer counts of N for the shade query q (a hdperm.shade.ShadeQuery)
+    over all (n!)^d orderings, enumerated in lexicographic rank order."""
+    shape = q.x.shape
+    axis_vals = [
+        [q.x.value_at(q.target[:k] + (t,) + q.target[k + 1:]) for t in range(shape.n)]
+        for k in range(shape.d)
+    ]
+    wmask = 0
+    for v in q.w:
+        wmask |= 1 << v
+    # per axis, the shade mask each sigma produces; the product loop is then
+    # just OR + popcount
+    per_axis = []
+    for k in range(shape.d):
+        vals = axis_vals[k]
+        ik = q.target[k]
+        masks = []
+        for sig in permutations(range(shape.n)):
+            rank_i = sig[ik]
+            m = 0
+            for t in range(shape.n):
+                if sig[t] < rank_i:
+                    m |= 1 << vals[t]
+            masks.append(m)
+        per_axis.append(masks)
+    counts: dict = {}
+    for combo in product(*per_axis):
+        shaded = 0
+        for m in combo:
+            shaded |= m
+        n_left = (wmask & ~shaded).bit_count()
+        counts[n_left] = counts.get(n_left, 0) + 1
+    return counts

@@ -42,6 +42,18 @@ ENUMERATE_SHA256 = {
     "--support PLANTED5": "224f38ba18210413bfab87460d5a55bd1da04e51332e199a833ad25034f15d93",
 }
 
+# sha256 of shade's stdout, taken from the (n!)^d ordering walk before the
+# closed-form histogram replaced it; PERM is the 3x3 square in PERM_D2N3
+SHADE_SHA256 = {
+    "exact --d 2 --n 3 --r 3 --seed 7": "c377f69656f1618c42e756d0e75b35c2518606b9807c2db9cff3b8857ca0597d",
+    "hist --d 3 --n 3 --seed 1": "0a81db747397366dbbd5a26b93e1dd5c40579b0fbc7b68f34cc29318d199730b",
+    "exact --d 1 --n 7 --r 4 --seed 2": "4d668a7ef60ab720238e5872bc25e18cb09b2f4c877cd289a9e03719864bce11",
+    "hist --d 4 --n 3 --r 2 --seed 5": "49bf3a3dc7a93316ba306b53d1d5463ad2a70b1166ae30998f3f2475d2ef877e",
+    "exact --perm PERM --r 2 --seed 1": "307315ae31493166f76d4924b339da79272a6f218f687b4331c0fc09a8c1068f",
+    "mc --d 3 --n 4 --samples 2000 --seed 0": "5b42ad653474c849ad1fbde31890ad52ce69a0d5286b970f7ac50181bc11c102",
+}
+PERM_D2N3 = "2 3\n0 1 2\n1 2 0\n2 0 1\n"
+
 
 def run_json(capsys, argv):
     code = cli.run(argv)
@@ -88,21 +100,17 @@ def test_count_support_file(capsys, tmp_path):
 
 
 def test_count_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("HDPERM_THREADS", "3")
+    # --threads must be an integer >= 1; no environment variable stands in
+    # for it
+    monkeypatch.setenv("HDPERM_THREADS", "junk")
     code, obj = run_json(capsys, ["count", "--d", "2", "--n", "4"])
     assert code == 0
-    assert obj["params"]["threads"] == 3
+    assert obj["params"]["threads"] == 1
     assert obj["count"] == "576"
-    for bad in ("junk", "0"):
-        monkeypatch.setenv("HDPERM_THREADS", bad)
-        code, obj = run_json(capsys, ["count", "--d", "2", "--n", "3"])
-        assert code == 1
-        assert obj["status"] == "error"
-        assert obj["error"]["kind"] == "domain"
-    # the flag obeys the same rule as the variable, and takes precedence
     for bad in ("0", "-3"):
         code, obj = run_json(capsys, ["count", "--d", "2", "--n", "3", "--threads", bad])
         assert code == 1
+        assert obj["status"] == "error"
         assert obj["error"]["kind"] == "domain"
     code, obj = run_json(capsys, ["count", "--d", "2", "--n", "3", "--threads", "2"])
     assert code == 0
@@ -374,6 +382,15 @@ def test_shade_exact(capsys):
     assert len(obj["query"]["w"]) == 2
 
 
+def test_shade_exact_past_the_old_budget(capsys):
+    # (8!)^3 = 6.6e13 orderings, counted in closed form
+    code, obj = run_json(capsys, ["shade", "exact", "--d", "3", "--n", "8"])
+    assert code == 0
+    assert obj["pass"] is True
+    assert obj["samples"] == math.factorial(8) ** 3
+    assert "counts" not in obj and "pmf" not in obj
+
+
 def test_shade_hist(capsys):
     code, obj = run_json(capsys, ["shade", "hist", "--d", "2", "--n", "3", "--r", "3"])
     assert code == 0
@@ -394,12 +411,22 @@ def test_shade_mc_deterministic(capsys):
 
 def test_shade_perm_file(capsys, tmp_path):
     path = tmp_path / "perm.txt"
-    path.write_text("2 3\n0 1 2\n1 2 0\n2 0 1\n")
+    path.write_text(PERM_D2N3)
     code, obj = run_json(
         capsys, ["shade", "exact", "--perm", str(path), "--r", "2", "--seed", "1"]
     )
     assert code == 0
-    assert obj["query"]["perm"] == "2 3\n0 1 2\n1 2 0\n2 0 1\n"
+    assert obj["query"]["perm"] == PERM_D2N3
+
+
+def test_shade_stdout_is_pinned(capsys, tmp_path):
+    path = tmp_path / "perm.txt"
+    path.write_text(PERM_D2N3)
+    for args, want in SHADE_SHA256.items():
+        argv = ["shade", *(str(path) if a == "PERM" else a for a in args.split())]
+        code, out = run_text(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, args
 
 
 def test_missing_file_is_io_error(capsys):

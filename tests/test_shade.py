@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdperm.bounds import f_float
 from hdperm.constructions import modular_perm
@@ -20,7 +22,11 @@ from hdperm.shade import (
     shade_histogram,
 )
 
+from oracles import ordering_histogram
+
 EXACT_CASES = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 3)]
+# the largest n per d at which the oracle's (n!)^d walk stays quick
+ORACLE_MAX_N = {1: 7, 2: 5, 3: 4, 4: 3}
 
 
 def identity_ordering(shape):
@@ -153,9 +159,50 @@ def test_singleton_w():
     assert mean == 0.0 and stderr == 0.0
 
 
-def test_exact_budget_guard():
+def test_histogram_matches_ordering_oracle():
+    rng = random.Random(12)
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        n = rng.randint(1, ORACLE_MAX_N[d])
+        q = random_query(Shape(d, n), r=rng.randint(1, n), seed=rng.random())
+        assert shade_histogram(q).counts == ordering_histogram(q), (d, n, q.w)
+
+
+@st.composite
+def oracle_queries(draw):
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, ORACLE_MAX_N[d]))
+    r = draw(st.integers(1, n))
+    return random_query(Shape(d, n), r=r, seed=draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=oracle_queries())
+def test_histogram_matches_ordering_oracle_property(q):
+    dist = shade_histogram(q)
+    assert dist.counts == ordering_histogram(q)
+    assert dist.total == math.factorial(q.x.shape.n) ** q.x.shape.d
+
+
+def test_exact_reaches_past_the_old_budget():
+    # (n!)^d up to (64!)^2 ~ 1.6e178, far past the 10^7 the ordering walk
+    # was held to; Shape(3, 6) was its refused case
+    queries = [random_query(Shape(3, 6), seed=0)]
+    for d, n in [(3, 8), (5, 7), (2, 64)]:
+        queries += [random_query(Shape(d, n), r=r, seed=r) for r in (1, n // 2, n)]
+    for q in queries:
+        d, n = q.x.shape.d, q.x.shape.n
+        dist = shade_histogram(q)
+        assert sum(dist.counts.values()) == dist.total == math.factorial(n) ** d
+        assert abs(dist.log_mean() - f_float(d, len(q.w))) <= 1e-12, (d, n, len(q.w))
+        assert exact_expectation_logN(q) == dist.log_mean()
+
+
+def test_histogram_rejects_a_repeat_on_the_target_lines():
+    # a row that repeats 0 through the target cell breaks the closed form
+    p = PermTensor(Shape(2, 3), (0, 0, 2, 1, 2, 0, 2, 1, 1))
     with pytest.raises(ValueError):
-        exact_expectation_logN(random_query(Shape(3, 6), seed=0))
+        shade_histogram(ShadeQuery(p, (0, 0), frozenset({0, 2})))
 
 
 def test_mc_deterministic_and_converges():
