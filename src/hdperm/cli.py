@@ -3,8 +3,9 @@
 One JSON object per invocation on stdout (construct/enumerate emit the plain
 text tensor format instead, and --csv switches tabular subcommands to CSV).
 Exit codes: 0 success, 1 domain error (with a JSON error object), 2 usage
-error. Counts are decimal strings, never floats; reals carry at most 15
-significant digits. Identical invocations with identical seeds produce
+error. Counts are decimal strings, never floats, except in shade: its
+"samples" total and the "counts" of shade hist are JSON integers. Reals
+carry at most 15 significant digits. Identical invocations with identical seeds produce
 byte-identical output.
 
 This module holds the parser, one handler per subcommand and the dispatch.

@@ -151,10 +151,13 @@ class SupportArray(Record):
     __slots__ = ("shape", "masks")
 
     def __init__(self, shape: Shape, masks: tuple):
+        masks = tuple(masks)
         if len(masks) != shape.ncells:
             raise ShapeError(f"need {shape.ncells} cell masks, got {len(masks)}")
         full = shape.full_mask
         for m in masks:
+            if not _is_int(m):
+                raise ShapeError(f"cell mask must be an integer, got {m!r}")
             if not 0 <= m <= full:
                 raise ShapeError(f"cell mask {m:#x} out of range for n={shape.n}")
         _set(self, "shape", shape)

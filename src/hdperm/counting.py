@@ -31,8 +31,8 @@ forced (every axis-0 line then misses one value), so the last two slabs
 depend only on the state after the first n-2: each call keeps a memo from
 that state to the texts or values of its completions. The walk hands out
 one block per prefix that reaches slab n-2: the prefix, formatted once, and
-the memo's tails. For d >= 2 and n >= 3 it prunes with live sets
-(hdperm.live), built once per call from the count's slab fillings: a prefix
+the memo's tails. For d >= 2 and n >= 3 it prunes with live sets (_live),
+found once per call from per_d's own forward and backward tables: a prefix
 whose state is not live has no completion. Measured in process on a 2-core
 machine: full d=2 n=5 (161,280 tensors) takes 0.16-0.19 s as text and
 0.3-0.4 s as PermTensors, full d=3 n=4 (55,296) 0.22 s and 0.27-0.38 s,
@@ -216,8 +216,8 @@ class _Walker:
 
         Slab s takes the pairs (f, piece) of lists[s] on its residual
         support, and head is the given start plus the pieces of the prefix.
-        live[s], where not None, holds the states after s slabs that have a
-        completion; a prefix outside it is dropped.
+        live, where not None, holds at live[s] the states after s slabs that
+        have a completion; a prefix outside it is dropped.
         """
         mid = len(parts) - 2
         if mid == 0:
@@ -232,11 +232,9 @@ class _Walker:
             for f, x in its[s]:
                 S = states[s] | f
                 t = s + 1
-                if live is not None:
-                    alive = live[t]
-                    if alive is not None and S not in alive:
-                        self.pruned += 1
-                        continue
+                if live is not None and S not in live[t]:
+                    self.pruned += 1
+                    continue
                 if t == mid:
                     yield heads[s] + x, S
                     continue
@@ -275,9 +273,12 @@ def _fill_lister(a: SupportArray):
     return fills
 
 
-def _step(dp: dict, fills: list) -> dict:
+def _step(dp: dict, fills: list, cap: Optional[int] = None) -> Optional[dict]:
     """One slab of the DP: every state extended by every filling it shares no
-    bit with, the ways to reach each new state summed."""
+    bit with, the ways to reach each new state summed; None, before any
+    work, when that is more than cap state-filling pairs."""
+    if cap is not None and len(dp) * len(fills) > cap:
+        return None
     nxt = {}
     get = nxt.get
     for state, c in dp.items():
@@ -288,31 +289,92 @@ def _step(dp: dict, fills: list) -> dict:
     return nxt
 
 
-def _count_slabs(a: SupportArray):
-    """Meet-in-the-middle slab count of a's permutations, and the number of
-    distinct states after each forward and each backward slab.
+def _meet(a: SupportArray, fills, cap: Optional[int] = None):
+    """The meet-in-the-middle tables of a's slab DP: fwd[s] for s = 0..h
+    (h = n // 2) maps each state slabs 0..s-1 reach to the ways they reach
+    it, and back[s] for s = h..n (None below h) does the same for slabs
+    n-1..s.
 
     A state packs the values used on every axis-0 line into one int, n bits
-    per line, lines in the row-major order of the slab's cells. The forward
-    DP fills slabs 0..h-1 (h = n // 2), the backward DP slabs n-1..h. Every
-    line takes n distinct values from n slabs, so a forward state S joins
-    exactly the backward state full ^ S.
+    per line, lines in the row-major order of the slab's cells. Every line
+    takes n distinct values from n slabs, so a forward state S at a
+    boundary joins exactly the backward state full ^ S there.
+
+    With a cap, returns None before it lists a slab whose cells admit more
+    than cap value tuples or steps more than cap state-filling pairs, so
+    the tables stay small. The backward pass, n - h >= h slabs long, goes
+    first, so it meets the cap sooner.
     """
     n = a.shape.n
+    m = n ** (a.shape.d - 1)
     h = n // 2
-    full = (1 << (n * n ** (a.shape.d - 1))) - 1
-    fills = _fill_lister(a)
-    fwd, states = {0: 1}, []
-    for s in range(h):
-        fwd = _step(fwd, fills(s))
-        states.append(len(fwd))
-    back, states_back = {0: 1}, []
+
+    def step(dp, s):
+        if cap is not None and prod(map(int.bit_count, a.masks[s * m : (s + 1) * m])) > cap:
+            return None  # refused before listing
+        return _step(dp, fills(s), cap)
+
+    back = [{0: 1}]
     for s in range(n - 1, h - 1, -1):
-        back = _step(back, fills(s))
-        states_back.append(len(back))
-    get = back.get
-    count = sum(c * get(full ^ state, 0) for state, c in fwd.items())
-    return count, states, states_back
+        back.append(step(back[-1], s))
+        if back[-1] is None:
+            return None
+    fwd = [{0: 1}]
+    for s in range(h):
+        fwd.append(step(fwd[-1], s))
+        if fwd[-1] is None:
+            return None
+    return fwd, [None] * h + back[::-1]
+
+
+def _live(a: SupportArray, fills) -> Optional[list]:
+    """live[s] for s = 1..n-2: the states after slabs 0..s-1 that some
+    filling of slabs s..n-1 completes (live[0] is None).
+
+    live[h] is the S in fwd[h] with full ^ S in back[h] (see _meet). Walking
+    back, live[s-1] is what a filling of slab s-1 taken from a state in
+    live[s] leaves, kept if in fwd[s-1]; the walk steps the complements,
+    since full ^ (S ^ f) = (full ^ S) | f. Walking forward, live[s+1] is
+    what a filling of slab s adds to a state in live[s], kept if its
+    complement is in back[s+1].
+
+    Returns None, so that nothing is checked, for n < 3, which has no slab
+    boundary to check, and where _meet's tables or a step of the walks
+    would pass _MEMO_MAX: a search that stops after a few tensors never
+    waits for them.
+    """
+    n = a.shape.n
+    if n < 3:
+        return None  # no slab boundary to check
+    tables = _meet(a, fills, _MEMO_MAX)
+    if tables is None:
+        return None
+    fwd, back = tables
+    h = n // 2
+    full = (1 << n * n ** (a.shape.d - 1)) - 1
+
+    def walk(dp, s, table):
+        # dp one slab on, keeping the states whose complement is in table
+        nxt = _step(dp, fills(s), _MEMO_MAX)
+        if nxt is None:
+            return None
+        return {S: c for S, c in nxt.items() if full ^ S in table}
+
+    live = [None] * (n - 1)
+    live[h] = {S for S in fwd[h] if full ^ S in back[h]}
+    comp = {full ^ S: 1 for S in live[h]}
+    for s in range(h - 1, 0, -1):
+        comp = walk(comp, s, fwd[s])
+        if comp is None:
+            return None
+        live[s] = {full ^ T for T in comp}
+    states = dict.fromkeys(live[h], 1)
+    for s in range(h, n - 2):
+        states = walk(states, s, back[s + 1])
+        if states is None:
+            return None
+        live[s + 1] = states.keys()
+    return live
 
 
 def per_d(
@@ -323,11 +385,11 @@ def per_d(
 ) -> int:
     """Exact count of supported d-dimensional permutations.
 
-    By default the count comes from the meet-in-the-middle slab DP
-    (_count_slabs), and stats, when given, receives its work record:
+    By default the count joins the meet-in-the-middle slab DP's tables
+    (_meet) at h = n // 2, and stats, when given, receives its work record:
     "algorithm" ("meet"), "states", the distinct states after each forward
-    slab 0..n//2-1, and "states_back", the same after each backward slab
-    n-1..n//2.
+    slab 0..h-1, and "states_back", the same after each backward slab
+    n-1..h.
     backend="python" instead counts the tensors of enumerate_perms' walk, the
     reference path for tests and benchmarks; any other backend raises
     RuntimeError. threads is accepted for compatibility and ignored: a
@@ -335,9 +397,15 @@ def per_d(
     lock, and it never changed the result.
     """
     if backend is None:
-        count, states, states_back = _count_slabs(a)
+        n = a.shape.n
+        h = n // 2
+        full = (1 << n * n ** (a.shape.d - 1)) - 1
+        fwd, back = _meet(a, _fill_lister(a))
+        get = back[h].get
+        count = sum(c * get(full ^ state, 0) for state, c in fwd[h].items())
         if stats is not None:
-            stats.update(algorithm="meet", states=states, states_back=states_back)
+            stats.update(algorithm="meet", states=[len(t) for t in fwd[1:]],
+                         states_back=[len(back[s]) for s in range(n - 1, h - 1, -1)])
         return count
     kernels.get(backend)
     return sum(len(tails) for _, tails in _blocks(a, False))
@@ -366,7 +434,7 @@ def _blocks(a: SupportArray, text: bool, stats: Optional[dict] = None):
     value tuples. Pieces of the prefix are formatted once per filling and
     tails once per memo entry.
 
-    The walk checks live sets (hdperm.live) for d >= 2 and n >= 3, except on
+    The walk checks live sets (_live) for d >= 2 and n >= 3, except on
     the full supports where every state is live: those of d = 2, since
     every Latin rectangle completes to a Latin square (M. Hall, 1945), and
     those of order 3, since a first slab L completes by L + 1 and L + 2
@@ -415,9 +483,7 @@ def _blocks(a: SupportArray, text: bool, stats: Optional[dict] = None):
         forbid = full ^ parts[-1]
         live = None
         if d >= 2 and (masks.count(shape.full_mask) < len(masks) or d > 2 and n > 3):
-            from hdperm.live import live_states
-
-            live = live_states(a, _fill_lister(a))
+            live = _live(a, _fill_lister(a))
         memo = walker.table()
         get = memo.get
         for h, S in walker.walk(parts, [top] * mid, head, live):

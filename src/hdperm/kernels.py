@@ -1,4 +1,4 @@
-"""The name of the one counting backend, the depth-first search in
+"""The name of the one counting backend, the slab walk of
 counting.enumerate_perms. The module exists for the benchmark, which reads
 BACKEND and probes get(name) for each backend it knows."""
 

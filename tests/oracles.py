@@ -11,7 +11,7 @@ versions the package used before it moved to exact integer prefix sums, and
 the line validator is the cell-by-cell one it used before it sliced lines
 by stride. The shade histogram is the walk over all (n!)^d orderings that
 the package ran before it counted them in closed form.
-Nothing here imports from hdperm.counting, whose depth-first search is the
+Nothing here imports from hdperm.counting, whose slab walk is the
 package's own reference; hdperm.core supplies the support type and the
 validator's records and line helpers.
 """

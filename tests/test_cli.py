@@ -120,23 +120,34 @@ def test_count_threads_env(capsys, monkeypatch):
 def test_counting_subcommands_do_not_import_numpy():
     # count and enumerate start with the parser, core and counting alone,
     # and only enumerate's search of a d >= 2 support that is not a full
-    # square loads hdperm.live;
+    # square builds live sets;
     # construct and cd load their own modules, and no subcommand loads numpy
     script = textwrap.dedent(
         """
         import sys
         import hdperm.cli
+        from hdperm import counting
 
         def loaded(names):
             return sorted(name for name in names if name in sys.modules)
 
+        built = []
+        live = counting._live
+
+        def counted(a, fills):
+            built.append(a.shape)
+            return live(a, fills)
+
+        counting._live = counted
         for argv in (
             ["count", "--d", "2", "--n", "5"],
             ["enumerate", "--d", "1", "--n", "5", "--limit", "2"],
             ["enumerate", "--d", "2", "--n", "5", "--limit", "2"],
         ):
             assert hdperm.cli.run(argv) == 0, argv
-        assert loaded(["hdperm.live"]) == []
+        assert built == [], built
+        assert hdperm.cli.run(["enumerate", "--d", "3", "--n", "4", "--limit", "2"]) == 0
+        assert len(built) == 1, built
         for argv in (
             ["count", "--d", "2", "--n", "3"],
             ["enumerate", "--d", "2", "--n", "3", "--limit", "2"],

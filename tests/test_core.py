@@ -30,7 +30,7 @@ from hdperm.core import (
     validate_perm,
 )
 from hdperm.constructions import BlockChoice, modular_perm
-from hdperm.counting import _line_table
+from hdperm.counting import _line_table, per_d
 from hdperm.shade import ShadeQuery
 
 from oracles import validate_perm_cells
@@ -139,6 +139,18 @@ def test_support_rejects_out_of_range():
         SupportArray.from_ones(Shape(1, 3), [(3, 0)])  # bad coordinate
     with pytest.raises(ShapeError):
         SupportArray(Shape(1, 3), (0b111,))  # wrong mask count
+
+
+def test_support_masks_are_an_int_tuple():
+    # a list is stored as a tuple, so the support stays hashable and per_d
+    # can key its slab listings on slices of it
+    a = SupportArray(Shape(2, 2), [1, 2, 2, 1])
+    assert a.masks == (1, 2, 2, 1)
+    assert hash(a) == hash(SupportArray(Shape(2, 2), (1, 2, 2, 1)))
+    assert per_d(a) == 1
+    for bad in (1.0, True, "1", None):
+        with pytest.raises(ShapeError):
+            SupportArray(Shape(2, 2), (bad, 2, 2, 1))
 
 
 def test_enumerate_lines_counts():

@@ -23,7 +23,6 @@ from hdperm.core import (
 )
 from hdperm.counting import count_all, enumerate_perms, per_d, supports, write_perms
 from hdperm.kernels import BACKEND, get
-from hdperm.live import live_states
 
 from oracles import (
     count_rows_d2,
@@ -356,7 +355,7 @@ def test_memo_cap_keeps_the_stream(monkeypatch):
 
 
 def live_sets(a):
-    return live_states(a, counting._fill_lister(a))
+    return counting._live(a, counting._fill_lister(a))
 
 
 def states_after(values, shape, s):
@@ -371,7 +370,7 @@ def states_after(values, shape, s):
 
 
 def checked_live_sets(a):
-    """Assert that every live set live_states builds for a is exactly the
+    """Assert that every live set counting._live builds for a is exactly the
     states after s slabs of the oracle's tensors; return how many there
     were."""
     live = live_sets(a)
@@ -457,16 +456,21 @@ def test_live_sets_give_up_before_listing(monkeypatch):
 
 def test_full_order_3_supports_have_no_live_checks(monkeypatch):
     # a first slab L completes by L + 1 and L + 2 mod 3, so every state is
-    # live and the sets would prune nothing (d = 4 already fails the cap on
-    # listing a slab); enumerate does not build them
+    # live: each set is all the states the forward DP reaches there, and
+    # would prune nothing (d = 4 already fails the cap on listing a slab);
+    # enumerate does not build them
     for d in (2, 3, 4):
-        live = live_sets(all_ones_support(Shape(d, 3)))
-        assert live is None or all(states is None for states in live), d
+        a = all_ones_support(Shape(d, 3))
+        live = live_sets(a)
+        assert (live is None) == (d == 4), d
+        if live is not None:
+            fwd, _ = counting._meet(a, counting._fill_lister(a))
+            assert live[1:] == [fwd[1].keys()], d  # order 3: one boundary
 
     def refused(a, fills):
         raise AssertionError("live sets built")
 
-    monkeypatch.setattr("hdperm.live.live_states", refused)
+    monkeypatch.setattr(counting, "_live", refused)
     for d in (2, 3, 4):
         assert len(list(enumerate_perms(all_ones_support(Shape(d, 3))))) == count_all(Shape(d, 3))
 
@@ -484,6 +488,8 @@ def test_enumerate_reports_work_counters():
     stats = {}
     assert sum(1 for _ in enumerate_perms(a, stats=stats)) == 258
     assert stats == PLANTED_D2N6_STATS
+    # and it has an exact live set at every slab boundary 1..4
+    assert checked_live_sets(a) == 4
     # the counters cover the walk up to where a limit stops it
     stats = {}
     assert len(list(enumerate_perms(a, limit=1, stats=stats))) == 1
