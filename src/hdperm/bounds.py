@@ -84,9 +84,13 @@ def _f_row(d: int, rmax: int):
         return rows[d]
 
 
-def _check_dr(d, r):
+def _check_d(d):
     if not isinstance(d, int) or d < 0:
         raise ValueError(f"d must be an integer >= 0, got {d!r}")
+
+
+def _check_dr(d, r):
+    _check_d(d)
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"r must be an integer >= 1, got {r!r}")
 
@@ -186,8 +190,7 @@ class BoundConstants(NamedTuple):
 
 
 def c_constant(d: int) -> BoundConstants:
-    if not isinstance(d, int) or d < 0:
-        raise ValueError(f"d must be an integer >= 0, got {d!r}")
+    _check_d(d)
     c = 0.0
     for k in range(1, d + 1):
         c = (1 + math.e ** (-(k - 1))) * c / k + k * (2 / k**k + (math.e / k) ** k)
@@ -202,8 +205,7 @@ def c_constant(d: int) -> BoundConstants:
 
 def c_cap(d: int) -> float:
     """Loose closed-form caps on c_d: 0, 5, 8, then d^3 (1.1)^d / d!."""
-    if not isinstance(d, int) or d < 0:
-        raise ValueError(f"d must be an integer >= 0, got {d!r}")
+    _check_d(d)
     if d == 0:
         return 0.0
     if d == 1:
@@ -371,6 +373,7 @@ def f_table_rows(d: int, r_max: int) -> list:
 
 
 def cd_table_rows(d_max: int) -> list:
+    _check_d(d_max)
     rows = [("d", "c_d", "cap")]
     rows.extend(
         (d, _g15(c_constant(d).c_d), _g15(c_cap(d))) for d in range(d_max + 1)

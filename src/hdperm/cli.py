@@ -6,7 +6,7 @@ Exit codes: 0 success, 1 domain error (with a JSON error object), 2 usage
 error. Counts are decimal strings, never floats, except in shade: its
 "samples" total and the "counts" of shade hist are JSON integers. Reals
 carry at most 15 significant digits. Identical invocations with identical seeds produce
-byte-identical output.
+byte-identical output, and every --seed defaults to 0.
 
 This module holds the parser, one handler per subcommand and the dispatch.
 Importing it loads only what count and enumerate run (argparse, json, sys,
@@ -131,7 +131,7 @@ def _cmd_f(args) -> int:
         if args.csv:
             _write_csv(bounds.f_table_rows(args.d, args.rmax))
             return 0
-        table = [[r, _real(bounds.f_float(args.d, r))] for r in range(1, args.rmax + 1)]
+        table = [[r, _real(f)] for r, f in enumerate(bounds.f_values(args.d, args.rmax), 1)]
         return _result(
             "f", {"d": args.d, "rmax": args.rmax}, {"table": table}
         )
@@ -270,19 +270,18 @@ def verify_suite(args) -> int:
         names = [args.suite]
     if "claim1" in names and (args.d is None) != (args.n is None):
         raise ValueError("claim1 needs both --d and --n, or neither")
-    seed = args.seed if args.seed is not None else 0
     results = []
     for name in names:
         if name == "bounds":
-            results.append(suites.suite_bounds(seed=seed))
+            results.append(suites.suite_bounds(seed=args.seed))
         elif name == "theorem5":
             ds = None if args.d is None else [args.d]
             results.append(suites.suite_theorem5(rmax=args.rmax, ds=ds))
         elif name == "claim1":
             cases = None if args.d is None else [(args.d, args.n)]
-            results.append(suites.suite_claim1(seed=seed, cases=cases))
+            results.append(suites.suite_claim1(seed=args.seed, cases=cases))
         elif name == "constructions":
-            results.append(suites.suite_constructions(seed=seed))
+            results.append(suites.suite_constructions(seed=args.seed))
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         worst = "" if res.worst is None else f" worst={res.worst:.6g}"
@@ -374,7 +373,7 @@ def _build_parser(only=None) -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bits", help='block arrangement bits: 0/1 string or "random"'
                                   " (default all zeros)")
-    p.add_argument("--seed", type=int, help="seed for --bits random")
+    p.add_argument("--seed", type=int, default=0, help="seed for --bits random")
 
     p = add("shade", help="shade-process statistics for a random query")
     p.add_argument("mode", choices=["exact", "mc", "hist"])

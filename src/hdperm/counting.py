@@ -11,16 +11,16 @@ axis-0 line has used. A slab's fillings are listed by the same walk one
 dimension down (a d = 1 slab is one cell, and its fillings are the bits of
 its mask).
 
-per_d meets in the middle: a forward DP counts the ways slabs 0..h-1
-(h = n // 2) reach each state S, a backward DP the ways slabs n-1..h reach
-each state T, and every line takes each value once, so the count is the
-sum of F[S] * B[full ^ S]. Its slab fillings are listed once per distinct
-tuple of slab cell masks in a call, and each step still filters that whole
-list against every state. The work grows with the number of distinct
-states, not with the count. Counts are exact Python ints, and the result
-and the per-slab state counts are deterministic. Measured in process on a
-2-core machine: L(6) = 812,851,200 in 12 s (22-27 s with a forward DP
-alone), d=3 n=4 in 0.05-0.07 s.
+The slab DP is one pass, _pass: over slabs taken in a given order, it
+keeps after each slab every state those slabs reach and the ways to reach
+it. Every line takes each value once, so a state S after slabs 0..t-1 has
+a completion exactly when full ^ S is a state the pass over slabs n-1..t
+reaches. per_d meets in the middle: it joins the pass over slabs 0..h-1
+(h = n // 2) with the pass over slabs n-1..h, and the count is the sum of
+F[S] * B[full ^ S]. A call lists slab fillings once per distinct tuple of
+slab cell masks, so the work grows with the number of distinct states, not
+with the count. Counts are exact Python ints, and the result and the
+per-slab state counts are deterministic.
 
 enumerate_perms walks the first n-2 slabs depth first, in the order of the
 value tuples, and at each slab tries only the fillings of its residual
@@ -31,13 +31,9 @@ forced (every axis-0 line then misses one value), so the last two slabs
 depend only on the state after the first n-2: each call keeps a memo from
 that state to the texts or values of its completions. The walk hands out
 one block per prefix that reaches slab n-2: the prefix, formatted once, and
-the memo's tails. For d >= 2 and n >= 3 it prunes with live sets (_live),
-found once per call from per_d's own forward and backward tables: a prefix
-whose state is not live has no completion. Measured in process on a 2-core
-machine: full d=2 n=5 (161,280 tensors) takes 0.16-0.19 s as text and
-0.3-0.4 s as PermTensors, full d=3 n=4 (55,296) 0.22 s and 0.27-0.38 s,
-against 1.1 s, 0.7 s, 1.5 s and 1.2 s for the cell-by-cell search this walk
-replaced.
+the memo's tails. For d >= 2 and n >= 3 it prunes with the complement
+tables of _live, read from the same two passes: a prefix whose state's
+complement is not in them has no completion.
 per_d(a, backend="python") counts the tensors of enumerate_perms; that is
 the reference the tests and benchmarks cross-check the slab DP against.
 """
@@ -50,8 +46,8 @@ from hdperm import kernels
 from hdperm.core import PermTensor, Shape, SupportArray, all_ones_support, rows_text
 
 # entries one enumerate_perms call keeps in its listings, text cache and
-# memo together, and the most value tuples or state-filling pairs its live
-# sets may list or step
+# memo together, and the most value tuples or state-filling pairs the
+# passes behind its live tables may list or step
 _MEMO_MAX = 1 << 16
 
 # blocks write_perms joins into one write
@@ -111,7 +107,7 @@ class _Walker:
         self.tables = []
         self.stored = 0
         self.listings = 0  # residual listings made rather than read back
-        self.pruned = 0  # prefixes cut by the live sets
+        self.pruned = 0  # prefixes cut by the live tables
         self._sublisters = {}
 
     def table(self) -> dict:
@@ -210,14 +206,15 @@ class _Walker:
                 if not forced & forbid:
                     yield head | x | forced << last
 
-    def walk(self, parts: list, lists: list, head, live=None):
+    def walk(self, parts: list, lists: list, head, comp=None, full=0):
         """(head, state) for every prefix of slabs 0..n-3 of the support cut
         into slabs parts, depth first in the order of the value tuples.
 
         Slab s takes the pairs (f, piece) of lists[s] on its residual
         support, and head is the given start plus the pieces of the prefix.
-        live, where not None, holds at live[s] the states after s slabs that
-        have a completion; a prefix outside it is dropped.
+        comp, where not None, is _live's tables: a prefix whose state S after
+        s slabs has full ^ S outside comp[s] has no completion and is
+        dropped.
         """
         mid = len(parts) - 2
         if mid == 0:
@@ -232,7 +229,7 @@ class _Walker:
             for f, x in its[s]:
                 S = states[s] | f
                 t = s + 1
-                if live is not None and S not in live[t]:
+                if comp is not None and full ^ S not in comp[t]:
                     self.pruned += 1
                     continue
                 if t == mid:
@@ -289,92 +286,65 @@ def _step(dp: dict, fills: list, cap: Optional[int] = None) -> Optional[dict]:
     return nxt
 
 
-def _meet(a: SupportArray, fills, cap: Optional[int] = None):
-    """The meet-in-the-middle tables of a's slab DP: fwd[s] for s = 0..h
-    (h = n // 2) maps each state slabs 0..s-1 reach to the ways they reach
-    it, and back[s] for s = h..n (None below h) does the same for slabs
-    n-1..s.
+def _pass(a: SupportArray, fills, order, cap: Optional[int] = None) -> list:
+    """The slab DP of a over the slabs order lists: tables[j] maps each
+    state that the first j of them reach to the ways they reach it.
 
     A state packs the values used on every axis-0 line into one int, n bits
-    per line, lines in the row-major order of the slab's cells. Every line
-    takes n distinct values from n slabs, so a forward state S at a
-    boundary joins exactly the backward state full ^ S there.
+    per line, lines in the row-major order of the slab's cells.
 
-    With a cap, returns None before it lists a slab whose cells admit more
-    than cap value tuples or steps more than cap state-filling pairs, so
-    the tables stay small. The backward pass, n - h >= h slabs long, goes
-    first, so it meets the cap sooner.
+    With a cap, the pass stops, and returns the tables it has, before it
+    lists a slab whose cells admit more than cap value tuples or steps more
+    than cap state-filling pairs, so the tables stay small.
     """
-    n = a.shape.n
-    m = n ** (a.shape.d - 1)
-    h = n // 2
-
-    def step(dp, s):
+    m = a.shape.n ** (a.shape.d - 1)
+    tables = [{0: 1}]
+    for s in order:
         if cap is not None and prod(map(int.bit_count, a.masks[s * m : (s + 1) * m])) > cap:
-            return None  # refused before listing
-        return _step(dp, fills(s), cap)
-
-    back = [{0: 1}]
-    for s in range(n - 1, h - 1, -1):
-        back.append(step(back[-1], s))
-        if back[-1] is None:
-            return None
-    fwd = [{0: 1}]
-    for s in range(h):
-        fwd.append(step(fwd[-1], s))
-        if fwd[-1] is None:
-            return None
-    return fwd, [None] * h + back[::-1]
+            break  # refused before listing
+        nxt = _step(tables[-1], fills(s), cap)
+        if nxt is None:
+            break
+        tables.append(nxt)
+    return tables
 
 
 def _live(a: SupportArray, fills) -> Optional[list]:
-    """live[s] for s = 1..n-2: the states after slabs 0..s-1 that some
-    filling of slabs s..n-1 completes (live[0] is None).
+    """comp[t] for t = 1..n-2 (comp[0] is None): for every state S that
+    slabs 0..t-1 reach, some filling of slabs t..n-1 completes S exactly
+    when full ^ S is in comp[t].
 
-    live[h] is the S in fwd[h] with full ^ S in back[h] (see _meet). Walking
-    back, live[s-1] is what a filling of slab s-1 taken from a state in
-    live[s] leaves, kept if in fwd[s-1]; the walk steps the complements,
-    since full ^ (S ^ f) = (full ^ S) | f. Walking forward, live[s+1] is
-    what a filling of slab s adds to a state in live[s], kept if its
-    complement is in back[s+1].
+    With back the pass over slabs n-1..h (h = n // 2) and fwd the pass over
+    slabs 0..h-1, comp[t] for t > h is back[n - t] itself, and comp[h] is
+    the meet: the T in back[n - h] with full ^ T in fwd[h]. Below h,
+    comp[t] is comp[t + 1] stepped by slab t, kept if full ^ T is in
+    fwd[t], since full ^ (S ^ f) = (full ^ S) | f.
 
     Returns None, so that nothing is checked, for n < 3, which has no slab
-    boundary to check, and where _meet's tables or a step of the walks
-    would pass _MEMO_MAX: a search that stops after a few tensors never
-    waits for them.
+    boundary to check, and where a pass or a step of the walk back would
+    pass _MEMO_MAX: a search that stops after a few tensors never waits for
+    them. The backward pass, n - h >= h slabs long, goes first, so it meets
+    the cap sooner.
     """
     n = a.shape.n
     if n < 3:
         return None  # no slab boundary to check
-    tables = _meet(a, fills, _MEMO_MAX)
-    if tables is None:
-        return None
-    fwd, back = tables
     h = n // 2
+    back = _pass(a, fills, range(n - 1, h - 1, -1), _MEMO_MAX)
+    if len(back) <= n - h:
+        return None
+    fwd = _pass(a, fills, range(h), _MEMO_MAX)
+    if len(fwd) <= h:
+        return None
     full = (1 << n * n ** (a.shape.d - 1)) - 1
-
-    def walk(dp, s, table):
-        # dp one slab on, keeping the states whose complement is in table
-        nxt = _step(dp, fills(s), _MEMO_MAX)
+    comp = [None] * h + back[n - h : 1 : -1]
+    comp[h] = {T: c for T, c in back[n - h].items() if full ^ T in fwd[h]}
+    for t in range(h - 1, 0, -1):
+        nxt = _step(comp[t + 1], fills(t), _MEMO_MAX)
         if nxt is None:
             return None
-        return {S: c for S, c in nxt.items() if full ^ S in table}
-
-    live = [None] * (n - 1)
-    live[h] = {S for S in fwd[h] if full ^ S in back[h]}
-    comp = {full ^ S: 1 for S in live[h]}
-    for s in range(h - 1, 0, -1):
-        comp = walk(comp, s, fwd[s])
-        if comp is None:
-            return None
-        live[s] = {full ^ T for T in comp}
-    states = dict.fromkeys(live[h], 1)
-    for s in range(h, n - 2):
-        states = walk(states, s, back[s + 1])
-        if states is None:
-            return None
-        live[s + 1] = states.keys()
-    return live
+        comp[t] = {T: c for T, c in nxt.items() if full ^ T in fwd[t]}
+    return comp
 
 
 def per_d(
@@ -385,11 +355,11 @@ def per_d(
 ) -> int:
     """Exact count of supported d-dimensional permutations.
 
-    By default the count joins the meet-in-the-middle slab DP's tables
-    (_meet) at h = n // 2, and stats, when given, receives its work record:
-    "algorithm" ("meet"), "states", the distinct states after each forward
-    slab 0..h-1, and "states_back", the same after each backward slab
-    n-1..h.
+    By default the count joins the slab DP's forward pass over slabs
+    0..h-1 (h = n // 2) with its backward pass over slabs n-1..h (_pass),
+    and stats, when given, receives its work record: "algorithm" ("meet"),
+    "states", the distinct states after each forward slab 0..h-1, and
+    "states_back", the same after each backward slab n-1..h.
     backend="python" instead counts the tensors of enumerate_perms' walk, the
     reference path for tests and benchmarks; any other backend raises
     RuntimeError. threads is accepted for compatibility and ignored: a
@@ -400,21 +370,23 @@ def per_d(
         n = a.shape.n
         h = n // 2
         full = (1 << n * n ** (a.shape.d - 1)) - 1
-        fwd, back = _meet(a, _fill_lister(a))
-        get = back[h].get
-        count = sum(c * get(full ^ state, 0) for state, c in fwd[h].items())
+        fills = _fill_lister(a)
+        back = _pass(a, fills, range(n - 1, h - 1, -1))
+        fwd = _pass(a, fills, range(h))
+        get = back[-1].get
+        count = sum(c * get(full ^ state, 0) for state, c in fwd[-1].items())
         if stats is not None:
             stats.update(algorithm="meet", states=[len(t) for t in fwd[1:]],
-                         states_back=[len(back[s]) for s in range(n - 1, h - 1, -1)])
+                         states_back=[len(t) for t in back[1:]])
         return count
     kernels.get(backend)
     return sum(len(tails) for _, tails in _blocks(a, False))
 
 
-def count_all(shape: Shape, threads: int = 1, backend: Optional[str] = None) -> int:
+def count_all(shape: Shape) -> int:
     """per_d of the all-ones support: the full count of order-n
     d-dimensional permutations."""
-    return per_d(all_ones_support(shape), threads=threads, backend=backend)
+    return per_d(all_ones_support(shape))
 
 
 def supports(a: SupportArray, p: PermTensor) -> bool:
@@ -424,17 +396,21 @@ def supports(a: SupportArray, p: PermTensor) -> bool:
     return all((m >> v) & 1 for m, v in zip(a.masks, p.values))
 
 
-def _blocks(a: SupportArray, text: bool, stats: Optional[dict] = None):
+def _blocks(
+    a: SupportArray, text: bool, stats: Optional[dict] = None, limit: Optional[int] = None
+):
     """(head, tails) for every prefix of slabs 0..n-3 of a that has a
     completion, in the order of the value tuples; a tensor is head + tail
-    for each tail, and the blocks list every tensor of a once.
+    for each tail, and the blocks list every tensor of a once. With a
+    limit, which must be positive, they list the first limit tensors: the
+    last block is cut short and the walk ends there.
 
     As text, head is the header line plus the prefix rows and a tail the
     rows of the last two slabs, in the serialize_perm layout; else both are
     value tuples. Pieces of the prefix are formatted once per filling and
     tails once per memo entry.
 
-    The walk checks live sets (_live) for d >= 2 and n >= 3, except on
+    The walk checks live tables (_live) for d >= 2 and n >= 3, except on
     the full supports where every state is live: those of d = 2, since
     every Latin rectangle completes to a Latin square (M. Hall, 1945), and
     those of order 3, since a first slab L completes by L + 1 and L + 2
@@ -446,6 +422,8 @@ def _blocks(a: SupportArray, text: bool, stats: Optional[dict] = None):
     supports made rather than read back, "memo_entries" made, "replays" of
     memo entries and "live_prunes".
     """
+    if limit is not None and limit <= 0:
+        raise ValueError("limit must be positive")
     shape = a.shape
     d, n = shape.d, shape.n
     m = n ** (d - 1)  # cells per slab, one per axis-0 line
@@ -486,7 +464,7 @@ def _blocks(a: SupportArray, text: bool, stats: Optional[dict] = None):
             live = _live(a, _fill_lister(a))
         memo = walker.table()
         get = memo.get
-        for h, S in walker.walk(parts, [top] * mid, head, live):
+        for h, S in walker.walk(parts, [top] * mid, head, live, full):
             prefixes += 1
             tails = get(S)
             if tails is None:
@@ -501,6 +479,11 @@ def _blocks(a: SupportArray, text: bool, stats: Optional[dict] = None):
             else:
                 replays += 1
             if tails:
+                if limit is not None:
+                    if len(tails) >= limit:
+                        yield h, tails[:limit]
+                        return
+                    limit -= len(tails)
                 yield h, tails
     finally:
         if stats is not None:
@@ -519,19 +502,12 @@ def enumerate_perms(
     stats, when given, receives the walk's work counters (see _blocks) once
     the stream ends or the generator is closed.
     """
-    if limit is not None and limit <= 0:
-        raise ValueError("limit must be positive")
     shape = a.shape
-    left = limit
-    blocks = _blocks(a, False, stats)
+    blocks = _blocks(a, False, stats, limit)
     try:
         for head, tails in blocks:
             for tail in tails:
                 yield PermTensor(shape, head + tail)
-                if left is not None:
-                    left -= 1
-                    if left == 0:
-                        return
     finally:
         blocks.close()
 
@@ -543,17 +519,9 @@ def write_perms(a: SupportArray, out, limit: Optional[int] = None) -> None:
     Each block of the walk goes out as H + ("\\n" + H).join(tails), H being
     its header and prefix text, and _WRITE_BLOCKS blocks make one write.
     """
-    if limit is not None and limit <= 0:
-        raise ValueError("limit must be positive")
-    left = limit
     chunk = []
     sep = ""
-    for head, tails in _blocks(a, True):
-        if left is not None:
-            if len(tails) >= left:
-                chunk.append(head + ("\n" + head).join(tails[:left]))
-                break
-            left -= len(tails)
+    for head, tails in _blocks(a, True, limit=limit):
         chunk.append(head + ("\n" + head).join(tails))
         if len(chunk) == _WRITE_BLOCKS:
             out.write(sep + "\n".join(chunk))

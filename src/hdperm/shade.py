@@ -165,11 +165,6 @@ def shade_histogram(q: ShadeQuery) -> ShadeDistribution:
     return ShadeDistribution(counts, fact**d)
 
 
-def exact_expectation_logN(q: ShadeQuery) -> float:
-    """Average of log N over all orderings; equals f(d, |W|)."""
-    return shade_histogram(q).log_mean()
-
-
 def mc_expectation_logN(
     q: ShadeQuery, samples: int, seed=None
 ) -> Tuple[float, float]:

@@ -114,7 +114,7 @@ def suite_claim1(seed: int = 0, cases=None, queries: int = 10) -> SuiteResult:
                 q = shade.random_query(
                     shape, r=r, seed=seed * 1000003 + checked + idx
                 )
-                delta = abs(shade.exact_expectation_logN(q) - bounds.f_float(d, r))
+                delta = abs(shade.shade_histogram(q).log_mean() - bounds.f_float(d, r))
                 max_delta = max(max_delta, delta)
             checked += queries
     return SuiteResult(

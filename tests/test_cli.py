@@ -325,6 +325,20 @@ def test_cd_csv(capsys):
     assert len(lines) == 5  # d = 0..3
 
 
+@pytest.mark.parametrize("argv", [["f", "--d", "2", "--rmax", "0"],
+                                  ["f", "--d", "2", "--rmax", "-5"],
+                                  ["cd", "--d", "-1"]])
+def test_f_and_cd_reject_alike_as_json_and_csv(capsys, argv):
+    # the JSON table and the CSV rows check their arguments the same way
+    errors = []
+    for extra in ([], ["--csv"]):
+        code, obj = run_json(capsys, argv + extra)
+        assert code == 1
+        assert obj["error"]["kind"] == "domain"
+        errors.append(obj)
+    assert errors[0] == errors[1]
+
+
 def test_theorem5(capsys):
     code, obj = run_json(capsys, ["theorem5", "--d", "2", "--rmax", "1000"])
     assert code == 0
@@ -381,6 +395,14 @@ def test_construct_block_random_seeded(capsys):
     _, b = run_text(capsys, argv)
     assert a == b
     assert validate_perm(parse_perm(a).values, Shape(2, 4)).valid
+
+
+def test_construct_block_random_unseeded_is_seed_0(capsys):
+    argv = ["construct", "block", "--d", "2", "--n", "4", "--bits", "random"]
+    _, a = run_text(capsys, argv)
+    _, b = run_text(capsys, argv)
+    _, seeded = run_text(capsys, argv + ["--seed", "0"])
+    assert a == b == seeded
 
 
 def test_shade_exact(capsys):

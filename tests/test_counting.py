@@ -370,15 +370,20 @@ def states_after(values, shape, s):
 
 
 def checked_live_sets(a):
-    """Assert that every live set counting._live builds for a is exactly the
-    states after s slabs of the oracle's tensors; return how many there
-    were."""
-    live = live_sets(a)
-    checked = [(s, states) for s, states in enumerate(live or ()) if states is not None]
+    """Assert that at every slab boundary t where counting._live builds a
+    table comp[t] for a, a state S the forward DP reaches there has
+    full ^ S in comp[t] exactly when some tensor of the oracle passes
+    through S; return how many tables there were."""
+    comp = live_sets(a)
+    checked = [(t, table) for t, table in enumerate(comp or ()) if table is not None]
     if checked:
+        n = a.shape.n
+        full = (1 << n**a.shape.d) - 1
+        fwd = counting._pass(a, counting._fill_lister(a), range(n - 2))
         tensors = list(enumerate_sets(a))
-        for s, states in checked:
-            assert states == {states_after(v, a.shape, s) for v in tensors}, (a, s)
+        for t, table in checked:
+            live = {states_after(v, a.shape, t) for v in tensors}
+            assert {S for S in fwd[t] if full ^ S in table} == live, (a, t)
     return len(checked)
 
 
@@ -456,16 +461,18 @@ def test_live_sets_give_up_before_listing(monkeypatch):
 
 def test_full_order_3_supports_have_no_live_checks(monkeypatch):
     # a first slab L completes by L + 1 and L + 2 mod 3, so every state is
-    # live: each set is all the states the forward DP reaches there, and
-    # would prune nothing (d = 4 already fails the cap on listing a slab);
-    # enumerate does not build them
+    # live: each table holds the complement of every state the forward DP
+    # reaches there, and would prune nothing (d = 4 already fails the cap on
+    # listing a slab); enumerate does not build them
     for d in (2, 3, 4):
         a = all_ones_support(Shape(d, 3))
-        live = live_sets(a)
-        assert (live is None) == (d == 4), d
-        if live is not None:
-            fwd, _ = counting._meet(a, counting._fill_lister(a))
-            assert live[1:] == [fwd[1].keys()], d  # order 3: one boundary
+        comp = live_sets(a)
+        assert (comp is None) == (d == 4), d
+        if comp is not None:
+            fwd = counting._pass(a, counting._fill_lister(a), range(1))
+            full = (1 << 3**d) - 1
+            # order 3: one boundary
+            assert [{full ^ T for T in table} for table in comp[1:]] == [fwd[1].keys()], d
 
     def refused(a, fills):
         raise AssertionError("live sets built")
@@ -570,10 +577,10 @@ def test_supports_detects_forbidden_cell():
 
 
 def test_thread_split_deterministic():
-    s = Shape(2, 4)
-    want = count_all(s)
+    a = all_ones_support(Shape(2, 4))
+    want = per_d(a)
     for threads in (1, 2, 3, 4, 8):
-        assert count_all(s, threads=threads) == want
+        assert per_d(a, threads=threads) == want
 
 
 def test_backend_name_is_exposed():

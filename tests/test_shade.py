@@ -13,7 +13,6 @@ from hdperm.core import PermTensor, Shape, all_ones_support, validate_perm
 from hdperm.shade import (
     OrderingSpec,
     ShadeQuery,
-    exact_expectation_logN,
     mc_expectation_logN,
     query_from_support,
     random_query,
@@ -131,7 +130,7 @@ def test_exact_expectation_matches_f():
         for r in range(1, n + 1):
             for i in range(10):
                 q = random_query(shape, r=r, seed=1000 * d + 100 * n + 10 * r + i)
-                delta = abs(exact_expectation_logN(q) - f_float(d, r))
+                delta = abs(shade_histogram(q).log_mean() - f_float(d, r))
                 assert delta <= 1e-12, (d, n, r, delta)
 
 
@@ -146,7 +145,7 @@ def test_expectation_invariant_in_x_cell_and_w_identity():
         must = x.value_at(target)
         others = [v for v in range(3) if v != must]
         w = frozenset({must, rng.choice(others)})
-        val = exact_expectation_logN(ShadeQuery(x, target, w))
+        val = shade_histogram(ShadeQuery(x, target, w)).log_mean()
         seen.add(round(val, 13))
     assert len(seen) == 1
     assert seen.pop() == pytest.approx(f_float(2, 2), abs=1e-12)
@@ -154,7 +153,7 @@ def test_expectation_invariant_in_x_cell_and_w_identity():
 
 def test_singleton_w():
     q = random_query(Shape(2, 4), r=1, seed=3)
-    assert exact_expectation_logN(q) == 0.0
+    assert shade_histogram(q).log_mean() == 0.0
     mean, stderr = mc_expectation_logN(q, 50, seed=3)
     assert mean == 0.0 and stderr == 0.0
 
@@ -195,7 +194,6 @@ def test_exact_reaches_past_the_old_budget():
         dist = shade_histogram(q)
         assert sum(dist.counts.values()) == dist.total == math.factorial(n) ** d
         assert abs(dist.log_mean() - f_float(d, len(q.w))) <= 1e-12, (d, n, len(q.w))
-        assert exact_expectation_logN(q) == dist.log_mean()
 
 
 def test_histogram_rejects_a_repeat_on_the_target_lines():
@@ -260,6 +258,6 @@ def test_exact_agrees_with_direct_average_d1():
     logs = []
     for sig in permutations(range(4)):
         logs.append(math.log(shade_count(q, OrderingSpec((sig,)))))
-    assert exact_expectation_logN(q) == pytest.approx(
+    assert shade_histogram(q).log_mean() == pytest.approx(
         math.fsum(logs) / len(logs), abs=1e-15
     )
