@@ -1,36 +1,2 @@
 """hdperm: exact counting and bound verification for d-dimensional
 permutations (Latin hypercubes)."""
-
-from hdperm.core import (
-    PermTensor,
-    Shape,
-    SupportArray,
-    ValidationReport,
-    all_ones_support,
-    enumerate_lines,
-    parse_perm,
-    parse_support,
-    serialize_perm,
-    validate_perm,
-)
-from hdperm.counting import count_all, enumerate_perms, per_d, supports
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "PermTensor",
-    "Shape",
-    "SupportArray",
-    "ValidationReport",
-    "all_ones_support",
-    "count_all",
-    "enumerate_lines",
-    "enumerate_perms",
-    "parse_perm",
-    "parse_support",
-    "per_d",
-    "serialize_perm",
-    "supports",
-    "validate_perm",
-    "__version__",
-]

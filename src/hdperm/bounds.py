@@ -16,11 +16,11 @@ floor loses less than one unit of 2^-FRAC_BITS, so f(d,r) carries under d
 such units on top of the rounding of log k: far inside the 1e-12 agreement
 budget the exact path and the d=1 reference are held to, within an ulp of f
 through d = 4, and a few ulps only where f is tiny (d ≥ 5, small r). A value
-never depends on how long its row is. The table is computed once, grown on
-demand, and shared read-only, one compact array('d') per d except row 0, the
-log k every sweep reads, which is a list; growth builds a new table under a
-lock and swaps it in, so concurrent callers always read a complete one. The
-sweeps stream their margins straight from those rows.
+never depends on how long its row is. The table, one compact array('d') per
+d except row 0 (the log k every sweep reads, a list), is built whole in one
+loop, as deep and long as a call needs; a call needing more builds a new one
+under a lock (at least twice as long if rows must grow) and swaps it in, so
+concurrent callers always read a complete table. Sweeps stream from its rows.
 """
 
 import math
@@ -60,26 +60,20 @@ def _f_row(d: int, rmax: int):
     rows = _rows
     if d < len(rows) and rmax <= len(rows[d]):
         return rows[d]
-    # grow a private copy and publish it whole: readers holding the old list
-    # keep a consistent table, and two growers cannot append the same row
+    # build a new table and publish it whole, so that readers holding the
+    # old list keep a consistent one
     with _rows_lock:
-        size = _rmax if rmax <= _rmax else max(rmax, 2 * _rmax, 512)
-        depth = max(d + 1, len(_rows))
-        if size == _rmax:
-            rows = list(_rows)
-        else:
-            # row 0 feeds every sweep; as a list it hands out its floats
-            # without boxing them again on each read
-            rows = [list(map(math.log, range(1, size + 1)))]
-        if len(rows) < depth:
-            # only the float rows are kept, so a deeper row starts again from
-            # row 0, whose doubles convert back to its integers exactly
-            rs = list(range(1, size + 1))  # one set of int objects for every row
-            ints = _fixed(rows[0])
-            for k in range(1, depth):
-                ints = list(map(floordiv, accumulate(ints), rs))
-                if k == len(rows):
-                    rows.append(array("d", _floats(ints)))
+        if d < len(_rows) and rmax <= _rmax:
+            return _rows[d]
+        size = _rmax if rmax <= _rmax else max(rmax, 2 * _rmax)
+        # row 0 feeds every sweep; as a list it hands out its floats without
+        # boxing them again on each read
+        rows = [list(map(math.log, range(1, size + 1)))]
+        rs = list(range(1, size + 1))  # one set of int objects for every row
+        ints = _fixed(rows[0])
+        for _ in range(1, max(d + 1, len(_rows))):
+            ints = list(map(floordiv, accumulate(ints), rs))
+            rows.append(array("d", _floats(ints)))
         _rows, _rmax = rows, size
         return rows[d]
 
@@ -359,25 +353,18 @@ def sdn_log_upper_bound(shape: Shape) -> SdnBound:
     )
 
 
-# -- CSV table rows (header first); the CLI writes them out -------------------
-
-def _g15(x) -> str:
-    return format(float(x), ".15g")
-
+# -- CSV table rows (header first); the CLI formats and writes them ---------
 
 def f_table_rows(d: int, r_max: int) -> list:
     rows = [("d", "r", "f_float")]
-    vals = f_values(d, r_max)
-    rows.extend((d, r, _g15(vals[r - 1])) for r in range(1, r_max + 1))
+    rows.extend((d, r, f) for r, f in enumerate(f_values(d, r_max), 1))
     return rows
 
 
 def cd_table_rows(d_max: int) -> list:
     _check_d(d_max)
     rows = [("d", "c_d", "cap")]
-    rows.extend(
-        (d, _g15(c_constant(d).c_d), _g15(c_cap(d))) for d in range(d_max + 1)
-    )
+    rows.extend((d, c_constant(d).c_d, c_cap(d)) for d in range(d_max + 1))
     return rows
 
 
@@ -402,10 +389,10 @@ def theorem5_table_rows(reports) -> list:
             rep.r_max,
             rep.checked,
             rep.violations,
-            _g15(rep.min_margin),
+            rep.min_margin,
             rep.weak_violations,
-            _g15(rep.weak_min_margin),
-            _g15(rep.c_d),
+            rep.weak_min_margin,
+            rep.c_d,
         )
         for rep in reports
     )

@@ -3,10 +3,11 @@
 One JSON object per invocation on stdout (construct/enumerate emit the plain
 text tensor format instead, and --csv switches tabular subcommands to CSV).
 Exit codes: 0 success, 1 domain error (with a JSON error object), 2 usage
-error. Counts are decimal strings, never floats, except in shade: its
-"samples" total and the "counts" of shade hist are JSON integers. Reals
-carry at most 15 significant digits. Identical invocations with identical seeds produce
-byte-identical output, and every --seed defaults to 0.
+error; a result too large for a float is a domain error. Counts are decimal
+strings, never floats, except in shade: its "samples" total and the "counts"
+of shade hist are JSON integers. Reals, in JSON and CSV alike, carry at most
+15 significant digits (this module formats them). Identical invocations with
+identical seeds produce byte-identical output, and every --seed defaults to 0.
 
 This module holds the parser, one handler per subcommand and the dispatch.
 Importing it loads only what count and enumerate run (argparse, json, sys,
@@ -80,7 +81,8 @@ def _write_csv(rows) -> None:
     import csv
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerows(rows)
+    for row in rows:
+        writer.writerow(format(v, ".15g") if isinstance(v, float) else v for v in row)
 
 
 def _threads(args) -> int:
@@ -201,12 +203,10 @@ def _cmd_construct(args) -> int:
     if args.kind == "modular":
         p = constructions.modular_perm(shape)
     else:
-        nblocks = (shape.n // 2) ** shape.d if shape.n % 2 == 0 else 0
+        choice = None  # block_lift's default: every bit 0
         if args.bits == "random":
             choice = constructions.BlockChoice.random(shape, seed=args.seed)
-        elif args.bits is None:
-            choice = constructions.BlockChoice(shape, (0,) * nblocks)
-        else:
+        elif args.bits is not None:
             choice = constructions.BlockChoice.from_string(shape, args.bits)
         p = constructions.block_lift(shape, choice)
     sys.stdout.write(serialize_perm(p))
@@ -414,6 +414,7 @@ _ERROR_KINDS = (
     (ShapeError, "shape"),
     (OSError, "io"),
     (ValueError, "domain"),
+    (OverflowError, "domain"),
 )
 
 

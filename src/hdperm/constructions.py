@@ -46,30 +46,35 @@ class BlockChoice(Record):
 
     @classmethod
     def random(cls, shape: Shape, seed=None) -> "BlockChoice":
-        if shape.n % 2:
+        if shape.n % 2:  # fail before drawing (n//2)^d bits for nothing
             raise ValueError(f"block construction needs even n, got {shape.n}")
         rng = random.Random(seed)
         nblocks = (shape.n // 2) ** shape.d
         return cls(shape, tuple(rng.randrange(2) for _ in range(nblocks)))
 
 
-def block_lift(shape: Shape, choice: Union[BlockChoice, Sequence[int]]) -> PermTensor:
+def block_lift(
+    shape: Shape, choice: Union[BlockChoice, Sequence[int], None] = None
+) -> PermTensor:
     """Lift the order-n/2 modular permutation to order n.
 
     The block at base cell b with base value j holds
     value(eps) = j + (n/2) * ((eps_1 + ... + eps_d + bit_b) mod 2)
     at in-block offset eps in {0,1}^d. Flipping the bit swaps the two values
-    everywhere in the block, which is the other valid arrangement.
+    everywhere in the block, which is the other valid arrangement. Without a
+    choice every bit is 0.
     """
     if shape.n % 2:
         raise ValueError(f"block construction needs even n, got {shape.n}")
+    d, n = shape.d, shape.n
+    half = n // 2
+    base = Shape(d, half)
+    if choice is None:
+        choice = (0,) * base.ncells
     if not isinstance(choice, BlockChoice):
         choice = BlockChoice(shape, tuple(choice))
     if choice.shape != shape:
         raise ValueError(f"choice is for {choice.shape}, not {shape}")
-    d, n = shape.d, shape.n
-    half = n // 2
-    base = Shape(d, half)
     values = [0] * shape.ncells
     for brank, bcoords in enumerate(base.cells()):
         j = sum(bcoords) % half

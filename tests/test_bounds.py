@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
@@ -124,6 +125,20 @@ def test_f_table_is_thread_safe(monkeypatch):
                 assert got == want, (i, got if isinstance(got, Exception) else None)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_f_table_is_sized_to_the_request(monkeypatch):
+    # a cold table built for f(5000, 2) holds 5001 rows of two entries each;
+    # rows padded to hundreds of entries would take over 20 MB here
+    monkeypatch.setattr(bounds, "_rows", [])
+    monkeypatch.setattr(bounds, "_rmax", 0)
+    tracemalloc.start()
+    try:
+        f_float(5000, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_f_values_matches_scalar():

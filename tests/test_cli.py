@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hdperm import cli, suites
+from hdperm import bounds, cli, suites
 from hdperm.bounds import f_float
 from hdperm.core import Shape, parse_perm, validate_perm
 
@@ -339,6 +339,37 @@ def test_f_and_cd_reject_alike_as_json_and_csv(capsys, argv):
     assert errors[0] == errors[1]
 
 
+# sha256 of the CSV tables, taken while the bounds module formatted their reals
+CSV_SHA256 = {
+    "f --d 3 --rmax 50 --csv": "ac853f399041d637bb356a3d0ed8d27d4f765ed06f10d002dfa7d63002e2aba1",
+    "cd --d 6 --csv": "e17d926ad2ce997d5e85018e013206aa18643667b6af58bcd467d2a53cc2d19e",
+    "theorem5 --d 2 --rmax 1000 --csv": "a929d7be298a93f016511223a92091ad659ced32a511cf6ec0bcd36c61792470",
+}
+
+
+def test_csv_stdout_is_pinned(capsys):
+    for args, want in CSV_SHA256.items():
+        code, out = run_text(capsys, args.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, args
+
+
+@pytest.mark.parametrize("args", ["cd --d 172",
+                                  "cd --d 171 --csv",
+                                  "theorem5 --d 710 --rmax 10",
+                                  "verify --suite theorem5 --d 710 --rmax 10",
+                                  "sdn-bound --d 1100 --n 2"])
+def test_float_overflow_is_domain_error(capsys, monkeypatch, args):
+    # a result past the largest double is a JSON domain error, not a traceback;
+    # the deep f table sdn-bound builds is dropped afterwards
+    monkeypatch.setattr(bounds, "_rows", [])
+    monkeypatch.setattr(bounds, "_rmax", 0)
+    code, obj = run_json(capsys, args.split())
+    assert code == 1
+    assert obj["status"] == "error"
+    assert obj["error"]["kind"] == "domain"
+
+
 def test_theorem5(capsys):
     code, obj = run_json(capsys, ["theorem5", "--d", "2", "--rmax", "1000"])
     assert code == 0
@@ -379,8 +410,12 @@ def test_construct_block(capsys):
     assert code == 0
     assert validate_perm(parse_perm(out).values, Shape(2, 4)).valid
 
-    code, out = run_text(capsys, ["construct", "block", "--d", "2", "--n", "4"])
-    assert code == 0  # defaults to all-zero bits
+    # without --bits every block takes bit 0
+    for d, n, zeros in ((2, 4, "0000"), (3, 2, "0")):
+        shape = ["--d", str(d), "--n", str(n)]
+        code, out = run_text(capsys, ["construct", "block", *shape])
+        assert code == 0
+        assert out == run_text(capsys, ["construct", "block", *shape, "--bits", zeros])[1]
 
     code, obj = run_json(
         capsys, ["construct", "block", "--d", "2", "--n", "4", "--bits", "01"]
