@@ -19,8 +19,10 @@ through d = 4, and a few ulps only where f is tiny (d ≥ 5, small r). A value
 never depends on how long its row is. The table, one compact array('d') per
 d except row 0 (the log k every sweep reads, a list), is built whole in one
 loop, as deep and long as a call needs; a call needing more builds a new one
-under a lock (at least twice as long if rows must grow) and swaps it in, so
-concurrent callers always read a complete table. Sweeps stream from its rows.
+under a lock and swaps it in, so concurrent callers always read a complete
+table. Rows that must grow longer grow at least twice as long, and only rows
+0..d of that call are built: deeper ones are dropped until a call needs them.
+Sweeps stream from its rows.
 """
 
 import math
@@ -71,7 +73,7 @@ def _f_row(d: int, rmax: int):
         rows = [list(map(math.log, range(1, size + 1)))]
         rs = list(range(1, size + 1))  # one set of int objects for every row
         ints = _fixed(rows[0])
-        for _ in range(1, max(d + 1, len(_rows))):
+        for _ in range(d):
             ints = list(map(floordiv, accumulate(ints), rs))
             rows.append(array("d", _floats(ints)))
         _rows, _rmax = rows, size
@@ -228,11 +230,6 @@ class SweepReport(NamedTuple):
     def passed(self) -> bool:
         return self.violations == 0 and self.weak_violations == 0
 
-    @property
-    def max_violation(self) -> float:
-        worst = min(self.min_margin, self.weak_min_margin)
-        return max(0.0, -worst)
-
 
 def _min_and_violations(margins) -> tuple:
     """The least margin and the number of negative ones. margins() streams
@@ -351,49 +348,3 @@ def sdn_log_upper_bound(shape: Shape) -> SdnBound:
         log_bound=shape.ncells * f,
         ratio=f / denom if denom > 0 else None,
     )
-
-
-# -- CSV table rows (header first); the CLI formats and writes them ---------
-
-def f_table_rows(d: int, r_max: int) -> list:
-    rows = [("d", "r", "f_float")]
-    rows.extend((d, r, f) for r, f in enumerate(f_values(d, r_max), 1))
-    return rows
-
-
-def cd_table_rows(d_max: int) -> list:
-    _check_d(d_max)
-    rows = [("d", "c_d", "cap")]
-    rows.extend((d, c_constant(d).c_d, c_cap(d)) for d in range(d_max + 1))
-    return rows
-
-
-def theorem5_table_rows(reports) -> list:
-    rows = [
-        (
-            "d",
-            "r_start",
-            "r_max",
-            "checked",
-            "violations",
-            "min_margin",
-            "weak_violations",
-            "weak_min_margin",
-            "c_d",
-        )
-    ]
-    rows.extend(
-        (
-            rep.d,
-            rep.r_start,
-            rep.r_max,
-            rep.checked,
-            rep.violations,
-            rep.min_margin,
-            rep.weak_violations,
-            rep.weak_min_margin,
-            rep.c_d,
-        )
-        for rep in reports
-    )
-    return rows

@@ -6,10 +6,12 @@ Exit codes: 0 success, 1 domain error (with a JSON error object), 2 usage
 error; a result too large for a float is a domain error. Counts are decimal
 strings, never floats, except in shade: its "samples" total and the "counts"
 of shade hist are JSON integers. Reals, in JSON and CSV alike, carry at most
-15 significant digits (this module formats them). Identical invocations with
-identical seeds produce byte-identical output, and every --seed defaults to 0.
+15 significant digits. Identical invocations with identical seeds produce
+byte-identical output, and every --seed defaults to 0.
 
-This module holds the parser, one handler per subcommand and the dispatch.
+This module lays out every report, JSON fields and CSV columns alike: the
+other modules return numbers and records, and each report's fields are named
+once, here. It holds the parser, one handler per subcommand and the dispatch.
 Importing it loads only what count and enumerate run (argparse, json, sys,
 hdperm.core and hdperm.counting). Every other handler imports its own
 modules when it runs: hdperm.bounds where f is evaluated,
@@ -129,62 +131,49 @@ def _cmd_f(args) -> int:
 
     if args.r is None and args.rmax is None:
         raise ValueError("need --r for a single value or --rmax for a table")
-    if args.rmax is not None:
-        if args.csv:
-            _write_csv(bounds.f_table_rows(args.d, args.rmax))
-            return 0
-        table = [[r, _real(f)] for r, f in enumerate(bounds.f_values(args.d, args.rmax), 1)]
-        return _result(
-            "f", {"d": args.d, "rmax": args.rmax}, {"table": table}
-        )
-    return _result(
-        "f",
-        {"d": args.d, "r": args.r},
-        {"f": _real(bounds.f_float(args.d, args.r))},
-    )
+    if args.rmax is None:
+        f = bounds.f_float(args.d, args.r)
+        return _result("f", {"d": args.d, "r": args.r}, {"f": _real(f)})
+    table = list(enumerate(bounds.f_values(args.d, args.rmax), 1))
+    if args.csv:
+        _write_csv([("d", "r", "f_float")] + [(args.d, r, f) for r, f in table])
+        return 0
+    return _result("f", {"d": args.d, "rmax": args.rmax},
+                   {"table": [[r, _real(f)] for r, f in table]})
 
 
 def _cmd_cd(args) -> int:
     from hdperm import bounds
 
+    c = bounds.c_constant(args.d)  # a bad --d fails before any CSV is written
     if args.csv:
-        _write_csv(bounds.cd_table_rows(args.d))
+        # all rows are built before one is written: c_cap overflows at d = 171
+        rows = [("d", "c_d", "cap")]
+        rows.extend((d, bounds.c_constant(d).c_d, bounds.c_cap(d))
+                    for d in range(args.d + 1))
+        _write_csv(rows)
         return 0
-    c = bounds.c_constant(args.d)
-    return _result(
-        "cd",
-        {"d": args.d},
-        {
-            "c_d": _real(c.c_d),
-            "xi": _real(c.xi),
-            "gamma": _real(c.gamma),
-            "r_d": _real(c.r_d),
-            "cap": _real(bounds.c_cap(args.d)),
-        },
-    )
+    payload = {k: _real(v) for k, v in c._asdict().items() if k != "d"}
+    payload["cap"] = _real(bounds.c_cap(args.d))
+    return _result("cd", {"d": args.d}, payload)
+
+
+_THEOREM5_COLUMNS = ("d", "r_start", "r_max", "checked", "violations", "min_margin",
+                     "weak_violations", "weak_min_margin", "c_d")
 
 
 def _cmd_theorem5(args) -> int:
     from hdperm import bounds
 
     rep = bounds.theorem5_check(args.d, args.rmax)
+    row = [getattr(rep, c) for c in _THEOREM5_COLUMNS]
     if args.csv:
-        _write_csv(bounds.theorem5_table_rows([rep]))
+        _write_csv([_THEOREM5_COLUMNS, row])
         return 0
-    return _result(
-        "theorem5",
-        {"d": args.d, "rmax": args.rmax},
-        {
-            "r_start": rep.r_start,
-            "checked": rep.checked,
-            "violations": rep.violations,
-            "min_margin": _real(rep.min_margin),
-            "weak_violations": rep.weak_violations,
-            "weak_min_margin": _real(rep.weak_min_margin),
-            "c_d": _real(rep.c_d),
-            "pass": rep.passed,
-        },
-    )
+    payload = {c: _real(v) if isinstance(v, float) else v
+               for c, v in zip(_THEOREM5_COLUMNS, row) if c not in ("d", "r_max")}
+    payload["pass"] = rep.passed
+    return _result("theorem5", {"d": args.d, "rmax": args.rmax}, payload)
 
 
 def _cmd_sdn_bound(args) -> int:
@@ -227,38 +216,24 @@ def _cmd_shade(args) -> int:
     q = shade.random_query(shape, r=args.r, seed=args.seed, perm=perm)
     f_ref = bounds.f_float(shape.d, len(q.w))
     params = {"d": shape.d, "n": shape.n, "r": len(q.w), "seed": args.seed}
-    descriptor = {
-        "target": list(q.target),
-        "w": sorted(q.w),
-        "perm": serialize_perm(q.x),
-    }
     if args.mode == "mc":
         mean, stderr = shade.mc_expectation_logN(q, args.samples, seed=args.seed)
-        payload = {
-            "query": descriptor,
-            "mode": "mc",
-            "samples": args.samples,
-            "mean": _real(mean),
-            "stderr": _real(stderr),
-            "f_reference": _real(f_ref),
-            "pass": abs(mean - f_ref) <= 4 * stderr,
-        }
-        return _result("shade", params, payload)
-    dist = shade.shade_histogram(q)
-    mean = dist.log_mean()
-    payload = {
-        "query": descriptor,
-        "mode": args.mode,
-        "samples": dist.total,
-        "mean": _real(mean),
-        "stderr": 0.0,
-        "exact": True,
-        "f_reference": _real(f_ref),
-        "pass": abs(mean - f_ref) <= bounds.TOL_EXACT,
-    }
-    if args.mode == "hist":
-        payload["counts"] = {str(k): v for k, v in sorted(dist.counts.items())}
-        payload["pmf"] = {str(k): str(v) for k, v in dist.pmf().items()}
+        payload = {"samples": args.samples, "pass": abs(mean - f_ref) <= 4 * stderr}
+    else:
+        dist = shade.shade_histogram(q)
+        mean, stderr = dist.log_mean(), 0.0
+        payload = {"samples": dist.total, "exact": True,
+                   "pass": abs(mean - f_ref) <= bounds.TOL_EXACT}
+        if args.mode == "hist":
+            payload["counts"] = {str(k): v for k, v in sorted(dist.counts.items())}
+            payload["pmf"] = {str(k): str(v) for k, v in dist.pmf().items()}
+    payload.update(
+        query={"target": list(q.target), "w": sorted(q.w), "perm": serialize_perm(q.x)},
+        mode=args.mode,
+        mean=_real(mean),
+        stderr=_real(stderr),
+        f_reference=_real(f_ref),
+    )
     return _result("shade", params, payload)
 
 

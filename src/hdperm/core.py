@@ -136,7 +136,7 @@ class Shape(Record):
         if len(coords) != self.d:
             raise ShapeError(f"expected {self.d} coordinates, got {len(coords)}")
         for c in coords:
-            if not isinstance(c, int) or not 0 <= c < self.n:
+            if not _is_int(c) or not 0 <= c < self.n:
                 raise ShapeError(f"coordinate {c!r} out of range 0..{self.n - 1}")
         return coords
 
@@ -188,7 +188,7 @@ class SupportArray(Record):
                 )
             *coords, j = entry
             coords = shape.check_coords(coords)
-            if not isinstance(j, int) or not 0 <= j < shape.n:
+            if not _is_int(j) or not 0 <= j < shape.n:
                 raise ValueRangeError(f"value {j!r} out of range 0..{shape.n - 1}")
             masks[shape.rank(coords)] |= 1 << j
         return cls(shape, tuple(masks))

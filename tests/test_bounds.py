@@ -18,15 +18,12 @@ from hdperm.bounds import (
     bregman_log_bound,
     c_cap,
     c_constant,
-    cd_table_rows,
     f_exact,
     f_float,
-    f_table_rows,
     f_values,
     sdn_log_upper_bound,
     stirling_lemma_check,
     theorem5_check,
-    theorem5_table_rows,
     weak_min_margin,
 )
 from hdperm.core import Shape, SupportArray, all_ones_support
@@ -139,6 +136,22 @@ def test_f_table_is_sized_to_the_request(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, peak
+
+
+def test_long_request_after_a_deep_one_builds_only_its_rows(monkeypatch):
+    # rows grown longer after f(1100, 2) are rows 0..2 only: rebuilding all
+    # 1101 rows at length 5000 would take over 40 MB here
+    monkeypatch.setattr(bounds, "_rows", [])
+    monkeypatch.setattr(bounds, "_rmax", 0)
+    f_float(1100, 2)
+    tracemalloc.start()
+    try:
+        f_float(2, 5000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+    assert len(bounds._rows) == 3  # the deep rows wait for a call that needs them
 
 
 def test_f_values_matches_scalar():
@@ -268,7 +281,6 @@ def test_theorem5_sweep_small_dims():
         assert rep.r_start == math.ceil(math.e**d)
         assert rep.checked == 2000 - rep.r_start + 1
         assert rep.min_margin >= 0
-        assert rep.max_violation == 0.0
 
 
 def test_theorem5_matches_numpy_sweep_over_longdouble_table():
@@ -342,21 +354,3 @@ def test_ratio_trend_light():
     rs = [100, 1000, 10000]
     ratios = [f_float(2, r) / (math.log(r) - 2) for r in rs]
     assert ratios[0] > ratios[1] > ratios[2] > 1
-
-
-def test_csv_rows():
-    rows = f_table_rows(1, 4)
-    assert rows[0] == ("d", "r", "f_float")
-    assert len(rows) == 5
-    assert rows[1][:2] == (1, 1) and float(rows[1][2]) == 0.0
-    assert float(rows[3][2]) == pytest.approx(f_float(1, 3), abs=1e-12)
-
-    rows = cd_table_rows(3)
-    assert rows[0] == ("d", "c_d", "cap")
-    assert len(rows) == 5
-    assert float(rows[3][1]) == pytest.approx(7.921548404866289, abs=1e-9)
-
-    rows = theorem5_table_rows([theorem5_check(1, 100), theorem5_check(2, 100)])
-    assert rows[0][0] == "d"
-    assert len(rows) == 3
-    assert rows[1][0] == 1 and rows[2][0] == 2

@@ -354,6 +354,23 @@ def test_csv_stdout_is_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == want, args
 
 
+# sha256 of the JSON reports, taken while the bounds module named the fields
+# of the f, theorem5 and cd tables
+JSON_SHA256 = {
+    "f --d 3 --rmax 50": "4538c888a35f3984996c0122b41ee654059eb2b073bda550a33b55b95d6e12f5",
+    "theorem5 --d 2 --rmax 1000": "4cfbc8b63e96caf63e3816fa7d410a31e6f56417ed05c597f1750e72419b5414",
+    "cd --d 4": "0e000f0e46208cc540b21fb26b42b6444cc94780907cffe464cc059119174bc9",
+    "cd --d 0": "06056252ad8289cd4889ea0128ccdc85d8429a5a1f9de85d9e8c4ceb8e9847ed",
+}
+
+
+def test_json_stdout_is_pinned(capsys):
+    for args, want in JSON_SHA256.items():
+        code, out = run_text(capsys, args.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, args
+
+
 @pytest.mark.parametrize("args", ["cd --d 172",
                                   "cd --d 171 --csv",
                                   "theorem5 --d 710 --rmax 10",

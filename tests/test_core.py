@@ -141,6 +141,18 @@ def test_support_rejects_out_of_range():
         SupportArray(Shape(1, 3), (0b111,))  # wrong mask count
 
 
+def test_bools_are_not_coordinates_or_values():
+    # the one integer rule of Shape and the masks holds for coordinates and
+    # one-entries too: True is an int to isinstance, but no index
+    s = Shape(2, 3)
+    with pytest.raises(ShapeError):
+        s.check_coords((True, 0))
+    with pytest.raises(ShapeError):
+        SupportArray.from_ones(s, [(True, False, 1)])
+    with pytest.raises(ValueRangeError):
+        SupportArray.from_ones(s, [(1, 0, True)])
+
+
 def test_support_masks_are_an_int_tuple():
     # a list is stored as a tuple, so the support stays hashable and per_d
     # can key its slab listings on slices of it
