@@ -14,15 +14,20 @@ row is its predecessor's exact prefix sums floor-divided by r, and each entry
 becomes the correctly rounded double of its integer over 2^FRAC_BITS. Each
 floor loses less than one unit of 2^-FRAC_BITS, so f(d,r) carries under d
 such units on top of the rounding of log k: far inside the 1e-12 agreement
-budget the exact path and the d=1 reference are held to, within an ulp of f
-through d = 4, and a few ulps only where f is tiny (d ≥ 5, small r). A value
-never depends on how long its row is. The table, one compact array('d') per
-d except row 0 (the log k every sweep reads, a list), is built whole in one
-loop, as deep and long as a call needs; a call needing more builds a new one
-under a lock and swaps it in, so concurrent callers always read a complete
-table. Rows that must grow longer grow at least twice as long, and only rows
-0..d of that call are built: deeper ones are dropped until a call needs them.
-Sweeps stream from its rows.
+budget the tests' exact rational f and the d=1 reference are held to, within
+an ulp of f through d = 4, and a few ulps only where f is tiny (d ≥ 5, small
+r). A value never depends on how long its row is. The table is one compact
+array('d') per d except row 0 (the log k every sweep reads, a list). It is
+built in chunks of _CHUNK entries, and each chunk carries every row's running
+prefix sum in from the one before: the integers, and so every value, are
+those of a build over whole rows, but only one chunk's integers are alive at
+a time, so the build holds a bounded number of them beside the table whatever
+its length (a cold f_values(6, 10^5) peaks under 1.3 times the finished
+table). The table is as deep and long as a call needs; a call needing more
+builds a new one under a lock and swaps it in, so concurrent callers always
+read a complete table. Rows that must grow longer grow at least twice as
+long, and only rows 0..d of that call are built: deeper ones are dropped
+until a call needs them. Sweeps stream from its rows.
 """
 
 import math
@@ -34,10 +39,10 @@ from typing import NamedTuple, Optional
 
 from hdperm.core import Shape, SupportArray
 
-EXACT_R_LIMIT = 200  # rational coefficients blow up as lcm(1..r); 200 is ample
 TOL_EXACT = 1e-12  # identities on f (the d=1 reference, E[log N]) hold to rounding error
 FRAC_BITS = 56  # each log k ≥ log 2 is a multiple of 2^-53, so it converts exactly
 _UNIT = float(1 << FRAC_BITS)
+_CHUNK = 1 << 14  # entries of each row built per pass
 
 _rows: list = []  # _rows[d][r-1] = f(d, r); never mutated once published
 _rmax: int = 0  # length of every row in _rows
@@ -71,11 +76,18 @@ def _f_row(d: int, rmax: int):
         # row 0 feeds every sweep; as a list it hands out its floats without
         # boxing them again on each read
         rows = [list(map(math.log, range(1, size + 1)))]
-        rs = list(range(1, size + 1))  # one set of int objects for every row
-        ints = _fixed(rows[0])
-        for _ in range(d):
-            ints = list(map(floordiv, accumulate(ints), rs))
-            rows.append(array("d", _floats(ints)))
+        rows.extend(array("d") for _ in range(d))
+        sums = [0] * d  # sums[k]: row k's fixed-point entries so far, summed
+        for lo in range(0, size if d else 0, _CHUNK):  # d = 0 needs row 0 only
+            hi = min(lo + _CHUNK, size)
+            rs = range(lo + 1, hi + 1)
+            ints = list(_fixed(rows[0][lo:hi]))
+            for k in range(d):
+                ints[0] += sums[k]
+                ints = list(accumulate(ints))
+                sums[k] = ints[-1]
+                ints = list(map(floordiv, ints, rs))
+                rows[k + 1].extend(_floats(ints))
         _rows, _rmax = rows, size
         return rows[d]
 
@@ -101,46 +113,6 @@ def f_values(d: int, r_max: int) -> array:
     """The vector (f(d,1), ..., f(d,r_max)) as a fresh array('d')."""
     _check_dr(d, r_max)
     return array("d", _f_row(d, r_max)[:r_max])
-
-
-class LogCombination(NamedTuple):
-    """f(d,r) written exactly as Σ q_k log k with rational q_k, k ≥ 2."""
-
-    coefficients: dict
-
-    def evaluate(self) -> float:
-        return math.fsum(float(q) * math.log(k) for k, q in self.coefficients.items())
-
-
-_exact_rows: dict = {}  # d -> [coefficients of f(d,r) for r = 1..len]
-
-
-def _exact_row(d: int, rmax: int) -> list:
-    have = _exact_rows.get(d)
-    if have is not None and len(have) >= rmax:
-        return have
-    if d == 0:
-        from fractions import Fraction
-
-        row = [{} if k == 1 else {k: Fraction(1)} for k in range(1, rmax + 1)]
-    else:
-        prev = _exact_row(d - 1, rmax)
-        acc: dict = {}
-        row = []
-        for k in range(1, rmax + 1):
-            for key, q in prev[k - 1].items():
-                acc[key] = acc.get(key, 0) + q
-            row.append({key: q / k for key, q in acc.items()})
-    _exact_rows[d] = row
-    return row
-
-
-def f_exact(d: int, r: int) -> LogCombination:
-    """Exact rational-coefficient form of f(d,r); capped at r = 200."""
-    _check_dr(d, r)
-    if r > EXACT_R_LIMIT:
-        raise ValueError(f"exact path capped at r <= {EXACT_R_LIMIT}, got {r}")
-    return LogCombination(dict(_exact_row(d, r)[r - 1]))
 
 
 def bregman_log_bound(a: SupportArray) -> float:
@@ -268,8 +240,9 @@ def theorem5_check(d: int, r_max: int) -> SweepReport:
     def strong():
         # ((log r − d) + (c · log^d r) / r) − f(d,r), evaluated in this order
         f = islice(_f_row(d, r_max), r_start - 1, r_max)
-        logs = _f_row(0, r_max)[r_start - 1 : r_max]
-        head = map(sub, logs, repeat(fd))
+        row0 = _f_row(0, r_max)
+        head = map(sub, islice(row0, r_start - 1, r_max), repeat(fd))
+        logs = islice(row0, r_start - 1, r_max)
         scaled = map(mul, repeat(c), map(pow, logs, repeat(fd)))
         tail = map(truediv, scaled, range(r_start, r_max + 1))
         return map(sub, map(add, head, tail), f)

@@ -127,6 +127,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_f(args) -> int:
+    from itertools import chain
+
     from hdperm import bounds
 
     if args.r is None and args.rmax is None:
@@ -134,12 +136,13 @@ def _cmd_f(args) -> int:
     if args.rmax is None:
         f = bounds.f_float(args.d, args.r)
         return _result("f", {"d": args.d, "r": args.r}, {"f": _real(f)})
-    table = list(enumerate(bounds.f_values(args.d, args.rmax), 1))
+    values = bounds.f_values(args.d, args.rmax)
     if args.csv:
-        _write_csv([("d", "r", "f_float")] + [(args.d, r, f) for r, f in table])
+        _write_csv(chain([("d", "r", "f_float")],
+                         ((args.d, r, f) for r, f in enumerate(values, 1))))
         return 0
     return _result("f", {"d": args.d, "rmax": args.rmax},
-                   {"table": [[r, _real(f)] for r, f in table]})
+                   {"table": [[r, _real(f)] for r, f in enumerate(values, 1)]})
 
 
 def _cmd_cd(args) -> int:

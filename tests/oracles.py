@@ -7,8 +7,10 @@ row), memoised on the values used per column; for any d a set-based
 depth-first search that walks cells in reversed order and yields every
 tensor it finds; and expansion by minors for the d=1 permanent.
 The f table and the theorem-5 sweep are the extended-precision numpy
-versions the package used before it moved to exact integer prefix sums, and
-the line validator is the cell-by-cell one it used before it sliced lines
+versions the package used before it moved to exact integer prefix sums; the
+one-shot f table is the integer build the package ran before it built the
+table in chunks; f_exact evaluates f in rationals from its definition. The
+line validator is the cell-by-cell one it used before it sliced lines
 by stride. The shade histogram is the walk over all (n!)^d orderings that
 the package ran before it counted them in closed form.
 Nothing here imports from hdperm.counting, whose slab walk is the
@@ -17,10 +19,13 @@ validator's records and line helpers.
 """
 
 import math
-from itertools import permutations, product
+from fractions import Fraction
+from itertools import accumulate, permutations, product
+from typing import NamedTuple
 
 import numpy as np
 
+from hdperm.bounds import FRAC_BITS
 from hdperm.core import (
     Shape,
     SupportArray,
@@ -149,6 +154,63 @@ def f_table_longdouble(d: int, rmax: int):
     for _ in range(d):
         row = np.cumsum(row) / ks
     return row.astype(np.float64)
+
+
+def f_rows_one_shot(d: int, size: int) -> list:
+    """Rows 0..d of the f table at length size, each built over its whole
+    length in one pass, as the package did before it built the table in
+    chunks: row 0 is log k, and every later row is its predecessor's exact
+    fixed-point prefix sums floor-divided by r, then rounded to doubles."""
+    unit = float(1 << FRAC_BITS)
+    rows = [[math.log(k) for k in range(1, size + 1)]]
+    ints = [int(x * unit) for x in rows[0]]
+    for _ in range(d):
+        ints = [s // r for r, s in enumerate(accumulate(ints), 1)]
+        rows.append([i / unit for i in ints])
+    return rows
+
+
+EXACT_R_LIMIT = 200  # rational coefficients blow up as lcm(1..r); 200 is ample
+
+
+class LogCombination(NamedTuple):
+    """f(d,r) written exactly as Σ q_k log k with rational q_k, k ≥ 2."""
+
+    coefficients: dict
+
+    def evaluate(self) -> float:
+        return math.fsum(float(q) * math.log(k) for k, q in self.coefficients.items())
+
+
+_exact_rows: dict = {}  # d -> [coefficients of f(d,r) for r = 1..len]
+
+
+def _exact_row(d: int, rmax: int) -> list:
+    have = _exact_rows.get(d)
+    if have is not None and len(have) >= rmax:
+        return have
+    if d == 0:
+        row = [{} if k == 1 else {k: Fraction(1)} for k in range(1, rmax + 1)]
+    else:
+        prev = _exact_row(d - 1, rmax)
+        acc: dict = {}
+        row = []
+        for k in range(1, rmax + 1):
+            for key, q in prev[k - 1].items():
+                acc[key] = acc.get(key, 0) + q
+            row.append({key: q / k for key, q in acc.items()})
+    _exact_rows[d] = row
+    return row
+
+
+def f_exact(d: int, r: int) -> LogCombination:
+    """Exact rational-coefficient form of f(d,r), from its definition;
+    capped at r = 200."""
+    if not isinstance(d, int) or d < 0 or not isinstance(r, int) or r < 1:
+        raise ValueError(f"need integers d >= 0 and r >= 1, got {d!r}, {r!r}")
+    if r > EXACT_R_LIMIT:
+        raise ValueError(f"exact path capped at r <= {EXACT_R_LIMIT}, got {r}")
+    return LogCombination(dict(_exact_row(d, r)[r - 1]))
 
 
 def theorem5_sweep_numpy(d: int, r_max: int, c: float) -> tuple:

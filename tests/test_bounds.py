@@ -12,13 +12,11 @@ import pytest
 
 from hdperm import bounds
 from hdperm.bounds import (
-    EXACT_R_LIMIT,
     BoundConstants,
     bregman_d1_reference,
     bregman_log_bound,
     c_cap,
     c_constant,
-    f_exact,
     f_float,
     f_values,
     sdn_log_upper_bound,
@@ -28,7 +26,14 @@ from hdperm.bounds import (
 )
 from hdperm.core import Shape, SupportArray, all_ones_support
 
-from oracles import f_table_longdouble, support_from_matrix, theorem5_sweep_numpy
+from oracles import (
+    EXACT_R_LIMIT,
+    f_exact,
+    f_rows_one_shot,
+    f_table_longdouble,
+    support_from_matrix,
+    theorem5_sweep_numpy,
+)
 
 
 def test_f_base_row_is_log():
@@ -152,6 +157,47 @@ def test_long_request_after_a_deep_one_builds_only_its_rows(monkeypatch):
         tracemalloc.stop()
     assert peak < 2 * 2**20, peak
     assert len(bounds._rows) == 3  # the deep rows wait for a call that needs them
+
+
+def _cold_table(monkeypatch):
+    monkeypatch.setattr(bounds, "_rows", [])
+    monkeypatch.setattr(bounds, "_rmax", 0)
+
+
+def test_chunked_f_table_matches_one_shot_build(monkeypatch):
+    # every row equals a build over its whole length in one pass, at lengths
+    # on either side of a chunk boundary and after a table regrowth
+    chunk = bounds._CHUNK
+    for size in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        want = f_rows_one_shot(6, size)
+        for d in range(7):
+            _cold_table(monkeypatch)
+            bounds._f_row(d, size)
+            assert bounds._rmax == size
+            assert [list(row) for row in bounds._rows] == want[: d + 1], (d, size)
+    for first, then, size in ((100, chunk + 5, chunk + 5), (chunk, chunk + 1, 2 * chunk)):
+        _cold_table(monkeypatch)
+        bounds._f_row(3, first)
+        bounds._f_row(3, then)
+        assert bounds._rmax == size
+        assert [list(row) for row in bounds._rows] == f_rows_one_shot(3, size), size
+
+
+def test_f_table_build_peaks_near_the_finished_table(monkeypatch):
+    # the build holds a chunk or two of integers beside the table it fills;
+    # building each row over its whole length at once peaks near 2.5 times
+    # the finished table here
+    _cold_table(monkeypatch)
+    tracemalloc.start()
+    try:
+        f_values(6, 10**5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = bounds._rows
+    table = sys.getsizeof(rows[0]) + sum(map(sys.getsizeof, rows[0]))
+    table += sum(map(sys.getsizeof, rows[1:]))
+    assert peak < 1.3 * table, (peak, table)
 
 
 def test_f_values_matches_scalar():
