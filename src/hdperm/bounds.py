@@ -180,7 +180,9 @@ def c_cap(d: int) -> float:
         return 5.0
     if d == 2:
         return 8.0
-    return d**3 * 1.1**d / math.factorial(d)
+    # in logs, since d! passes the largest double at d = 171 while the cap
+    # stays far below 1
+    return math.exp(3 * math.log(d) + d * math.log(1.1) - math.lgamma(d + 1))
 
 
 class SweepReport(NamedTuple):
@@ -260,43 +262,6 @@ def theorem5_check(d: int, r_max: int) -> SweepReport:
         weak_violations=weak_violations,
         weak_min_margin=weak_min,
         c_d=c,
-    )
-
-
-class StirlingReport(NamedTuple):
-    r_start: int
-    r_max: int
-    checked: int
-    violations: int
-    min_margin: float
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
-
-def stirling_lemma_check(r_max: int) -> StirlingReport:
-    """Sweep log(r!) ≤ r log r − r + 2 log r for 3 ≤ r ≤ r_max, with the
-    log-factorials summed exactly from the fixed-point row 0 of the f table."""
-    if not isinstance(r_max, int) or r_max < 3:
-        raise ValueError(f"r_max must be an integer >= 3, got {r_max!r}")
-    logs = _f_row(0, r_max)[:r_max]
-
-    def margins():
-        # ((r log r − r) + 2 log r) − log r!
-        logfact = islice(_floats(accumulate(_fixed(logs))), 2, None)
-        rs = range(3, r_max + 1)
-        head = map(sub, map(mul, rs, logs[2:]), rs)
-        twice = map(mul, repeat(2.0), logs[2:])
-        return map(sub, map(add, head, twice), logfact)
-
-    min_margin, violations = _min_and_violations(margins)
-    return StirlingReport(
-        r_start=3,
-        r_max=r_max,
-        checked=r_max - 2,
-        violations=violations,
-        min_margin=min_margin,
     )
 
 

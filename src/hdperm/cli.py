@@ -150,7 +150,6 @@ def _cmd_cd(args) -> int:
 
     c = bounds.c_constant(args.d)  # a bad --d fails before any CSV is written
     if args.csv:
-        # all rows are built before one is written: c_cap overflows at d = 171
         rows = [("d", "c_d", "cap")]
         rows.extend((d, bounds.c_constant(d).c_d, bounds.c_cap(d))
                     for d in range(args.d + 1))

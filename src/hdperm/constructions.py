@@ -10,7 +10,7 @@ lower bound on the total count.
 
 import random
 from itertools import product
-from typing import Sequence, Union
+from typing import Optional
 
 from hdperm.core import PermTensor, Record, Shape
 
@@ -53,9 +53,7 @@ class BlockChoice(Record):
         return cls(shape, tuple(rng.randrange(2) for _ in range(nblocks)))
 
 
-def block_lift(
-    shape: Shape, choice: Union[BlockChoice, Sequence[int], None] = None
-) -> PermTensor:
+def block_lift(shape: Shape, choice: Optional[BlockChoice] = None) -> PermTensor:
     """Lift the order-n/2 modular permutation to order n.
 
     The block at base cell b with base value j holds
@@ -70,9 +68,7 @@ def block_lift(
     half = n // 2
     base = Shape(d, half)
     if choice is None:
-        choice = (0,) * base.ncells
-    if not isinstance(choice, BlockChoice):
-        choice = BlockChoice(shape, tuple(choice))
+        choice = BlockChoice(shape, (0,) * base.ncells)
     if choice.shape != shape:
         raise ValueError(f"choice is for {choice.shape}, not {shape}")
     values = [0] * shape.ncells

@@ -164,19 +164,6 @@ class SupportArray(Record):
         _set(self, "masks", masks)
 
     @classmethod
-    def from_sets(cls, shape: Shape, sets: Iterable[Iterable[int]]) -> "SupportArray":
-        """Build from per-cell value collections in row-major cell order."""
-        masks = []
-        for vals in sets:
-            m = 0
-            for v in vals:
-                if not 0 <= v < shape.n:
-                    raise ValueRangeError(f"value {v} out of range 0..{shape.n - 1}")
-                m |= 1 << v
-            masks.append(m)
-        return cls(shape, tuple(masks))
-
-    @classmethod
     def from_ones(cls, shape: Shape, ones: Iterable[Sequence[int]]) -> "SupportArray":
         """Build from (i_1,...,i_d,j) one-entries; duplicates are idempotent."""
         masks = [0] * shape.ncells
@@ -193,22 +180,9 @@ class SupportArray(Record):
             masks[shape.rank(coords)] |= 1 << j
         return cls(shape, tuple(masks))
 
-    def mask_at(self, coords: Sequence[int]) -> int:
-        return self.masks[self.shape.rank(self.shape.check_coords(coords))]
-
-    def allowed_at(self, coords: Sequence[int]) -> frozenset:
-        return frozenset(_mask_values(self.mask_at(coords)))
-
     def r_values(self) -> list:
         """|R_i| per cell, row-major."""
         return [m.bit_count() for m in self.masks]
-
-    def ones(self) -> Iterator[tuple]:
-        """All (i_1,...,i_d,j) one-entries in row-major order."""
-        for rank, m in enumerate(self.masks):
-            coords = self.shape.unrank(rank)
-            for j in _mask_values(m):
-                yield coords + (j,)
 
 
 class PermTensor(Record):
@@ -257,33 +231,11 @@ def all_ones_support(shape: Shape) -> SupportArray:
     return SupportArray(shape, (shape.full_mask,) * shape.ncells)
 
 
-def enumerate_lines(shape: Shape, direction: int) -> list:
-    """Line descriptors for one axis direction (1-based, 1..d).
-
-    A descriptor is the tuple of d-1 fixed coordinates, in axis order with the
-    varying position removed; there are exactly n^{d-1} of them.
-    """
-    if not 1 <= direction <= shape.d:
-        raise ValueError(f"direction must be in 1..{shape.d}, got {direction}")
-    return list(product(range(shape.n), repeat=shape.d - 1))
-
-
-def line_cells(shape: Shape, direction: int, fixed: Sequence[int]) -> list:
-    """The n cell multi-indices of one line."""
-    if not 1 <= direction <= shape.d:
-        raise ValueError(f"direction must be in 1..{shape.d}, got {direction}")
-    fixed = tuple(fixed)
-    if len(fixed) != shape.d - 1:
-        raise ShapeError(f"expected {shape.d - 1} fixed coordinates")
-    k = direction - 1
-    return [fixed[:k] + (t,) + fixed[k:] for t in range(shape.n)]
-
-
-def validate_perm(candidate, shape: Shape) -> ValidationReport:
+def validate_perm(values: Sequence, shape: Shape) -> ValidationReport:
     """Check the value-form permutation property line by line.
 
-    candidate may be a flat row-major sequence of n^d integers or a nested
-    sequence; a wrong entry count is a structural ShapeError, not a report.
+    values is a flat row-major sequence of n^d entries; a wrong entry count
+    is a structural ShapeError, not a report.
     The report lists every line in every direction that is not a permutation
     of {0,...,n-1}: one "repeat" entry per duplicated value, plus "missing"
     entries when out-of-range cells leave a line short (otherwise missing
@@ -294,7 +246,11 @@ def validate_perm(candidate, shape: Shape) -> ValidationReport:
     with stride n^(d-1-k); its starts, taken in the order of the fixed
     coordinates, are the multiples of n*stride plus 0..stride-1.
     """
-    values = _flatten_values(candidate, shape)
+    if len(values) != shape.ncells:
+        raise ShapeError(
+            f"expected {shape.ncells} entries for d={shape.d} n={shape.n}, "
+            f"got {len(values)}"
+        )
     d, n = shape.d, shape.n
     violations = [
         Violation("range", None, shape.unrank(rank), v)
@@ -326,44 +282,6 @@ def validate_perm(candidate, shape: Shape) -> ValidationReport:
                     if v not in counts:
                         violations.append(Violation("missing", k + 1, fixed, v))
     return ValidationReport(not violations, tuple(violations))
-
-
-def perm_to_indicator(p: PermTensor) -> frozenset:
-    """The 1-cells of the [n]^{d+1} indicator array, as (i_1,...,i_d,j) tuples."""
-    shape = p.shape
-    return frozenset(
-        shape.unrank(rank) + (v,) for rank, v in enumerate(p.values)
-    )
-
-
-def indicator_to_perm(shape: Shape, ones: Iterable[Sequence[int]]) -> PermTensor:
-    """Rebuild the value form from indicator 1-cells; every cell must carry
-    exactly one value."""
-    values = [None] * shape.ncells
-    for entry in ones:
-        *coords, j = tuple(entry)
-        rank = shape.rank(shape.check_coords(coords))
-        if values[rank] is not None:
-            raise ValueError(f"cell {tuple(coords)} holds more than one value")
-        values[rank] = j
-    missing = values.count(None)
-    if missing:
-        raise ValueError(f"{missing} cells hold no value")
-    return PermTensor(shape, tuple(values))
-
-
-def transpose_support(a: SupportArray, axis_a: int, axis_b: int) -> SupportArray:
-    """Swap two of the d+1 directions of the 0-1 form (0-based; axis d is the
-    value direction). The result is again an order-n support with the same d."""
-    d = a.shape.d
-    if not (0 <= axis_a <= d and 0 <= axis_b <= d):
-        raise ValueError(f"axes must be in 0..{d}")
-    swapped = []
-    for entry in a.ones():
-        e = list(entry)
-        e[axis_a], e[axis_b] = e[axis_b], e[axis_a]
-        swapped.append(e)
-    return SupportArray.from_ones(a.shape, swapped)
 
 
 # -- text format: header "d n", then n^d row-major values, n per text line ----
@@ -450,29 +368,3 @@ def parse_support(json_text: str) -> SupportArray:
         return SupportArray.from_ones(shape, ones)
     except (ShapeError, ValueRangeError) as exc:
         raise FormatError(str(exc)) from None
-
-
-def _mask_values(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _flatten_values(candidate, shape: Shape) -> list:
-    out = []
-    _flatten_into(candidate, out)
-    if len(out) != shape.ncells:
-        raise ShapeError(
-            f"expected {shape.ncells} entries for d={shape.d} n={shape.n}, "
-            f"got {len(out)}"
-        )
-    return out
-
-
-def _flatten_into(x, out):
-    if isinstance(x, (list, tuple)):
-        for item in x:
-            _flatten_into(item, out)
-    else:
-        out.append(x)

@@ -43,7 +43,7 @@ from math import prod
 from typing import Iterator, Optional
 
 from hdperm import kernels
-from hdperm.core import PermTensor, Shape, SupportArray, all_ones_support, rows_text
+from hdperm.core import PermTensor, Shape, SupportArray, rows_text
 
 # entries one enumerate_perms call keeps in its listings, text cache and
 # memo together, and the most value tuples or state-filling pairs the
@@ -381,19 +381,6 @@ def per_d(
         return count
     kernels.get(backend)
     return sum(len(tails) for _, tails in _blocks(a, False))
-
-
-def count_all(shape: Shape) -> int:
-    """per_d of the all-ones support: the full count of order-n
-    d-dimensional permutations."""
-    return per_d(all_ones_support(shape))
-
-
-def supports(a: SupportArray, p: PermTensor) -> bool:
-    """True iff every value of p is allowed by a."""
-    if a.shape != p.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {p.shape}")
-    return all((m >> v) & 1 for m, v in zip(a.masks, p.values))
 
 
 def _blocks(

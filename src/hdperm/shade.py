@@ -26,21 +26,8 @@ import math
 import random
 from typing import NamedTuple, Optional, Tuple
 
-from hdperm.core import PermTensor, Record, Shape, SupportArray
+from hdperm.core import PermTensor, Record, Shape
 from hdperm.constructions import modular_perm
-
-
-class OrderingSpec(Record):
-    """d rank permutations: sigmas[k][t] is the rank of coordinate value t
-    along axis k."""
-
-    __slots__ = ("sigmas",)
-
-    def __init__(self, sigmas: Tuple[tuple, ...]):
-        for sig in sigmas:
-            if sorted(sig) != list(range(len(sig))):
-                raise ValueError(f"not a permutation of 0..{len(sig) - 1}: {sig!r}")
-        object.__setattr__(self, "sigmas", sigmas)
 
 
 class ShadeQuery(Record):
@@ -63,19 +50,6 @@ class ShadeQuery(Record):
         object.__setattr__(self, "w", w)
 
 
-def query_from_support(
-    a: SupportArray, x: PermTensor, target, w
-) -> ShadeQuery:
-    """Build a query whose W is constrained to the support's R_target."""
-    q = ShadeQuery(x, tuple(target), frozenset(w))
-    if a.shape != x.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {x.shape}")
-    allowed = a.mask_at(q.target)
-    if any(not (allowed >> v) & 1 for v in q.w):
-        raise ValueError("W must be a subset of the support's value set at target")
-    return q
-
-
 def _axis_values(q: ShadeQuery) -> list:
     """values[k][t] = X at the target cell with coordinate k replaced by t."""
     shape = q.x.shape
@@ -94,24 +68,6 @@ def _w_mask(q: ShadeQuery) -> int:
     for v in q.w:
         m |= 1 << v
     return m
-
-
-def shade_count(q: ShadeQuery, ordering: OrderingSpec) -> int:
-    """N for one concrete ordering."""
-    shape = q.x.shape
-    if len(ordering.sigmas) != shape.d or any(
-        len(sig) != shape.n for sig in ordering.sigmas
-    ):
-        raise ValueError(f"ordering does not match shape {shape}")
-    axis_vals = _axis_values(q)
-    shaded = 0
-    for k, sig in enumerate(ordering.sigmas):
-        rank_i = sig[q.target[k]]
-        vals = axis_vals[k]
-        for t in range(shape.n):
-            if sig[t] < rank_i:
-                shaded |= 1 << vals[t]
-    return (_w_mask(q) & ~shaded).bit_count()
 
 
 class ShadeDistribution(NamedTuple):

@@ -18,6 +18,8 @@ from hdperm.core import Shape, SupportArray, validate_perm
 from hdperm.counting import per_d
 
 TOL_LOG = 1e-9  # bound-vs-exact-count comparisons
+ARRAYS = 100  # random supports per dimension in suite_bounds
+QUERIES = 10  # random queries per (d, n, |W|) in suite_claim1
 
 
 class SuiteResult(NamedTuple):
@@ -39,13 +41,13 @@ def _random_support(rng: random.Random, d: int, n: int) -> SupportArray:
     return SupportArray(Shape(d, n), tuple(masks))
 
 
-def suite_bounds(seed: int = 0, arrays: int = 100) -> SuiteResult:
+def suite_bounds(seed: int = 0) -> SuiteResult:
     """Exact counts never exceed their factorial-type bound, and the d=1
     bound matches the classical reference identically."""
     rng = random.Random(seed)
     min_margin = float("inf")
     violations = 0
-    for _ in range(arrays):
+    for _ in range(ARRAYS):
         a = _random_support(rng, 2, rng.choice([2, 3, 4]))
         c = per_d(a)
         if c == 0:
@@ -55,7 +57,7 @@ def suite_bounds(seed: int = 0, arrays: int = 100) -> SuiteResult:
         if margin < -TOL_LOG:
             violations += 1
     max_delta = 0.0
-    for _ in range(arrays):
+    for _ in range(ARRAYS):
         n = rng.randint(1, 7)
         a = _random_support(rng, 1, n)
         if 0 in a.r_values():  # the d=1 reference needs nonempty rows
@@ -74,7 +76,7 @@ def suite_bounds(seed: int = 0, arrays: int = 100) -> SuiteResult:
         "bounds",
         passed,
         min_margin,
-        f"{2 * arrays} random supports, min bound margin {min_margin:.6g}, "
+        f"{2 * ARRAYS} random supports, min bound margin {min_margin:.6g}, "
         f"max d=1 identity delta {max_delta:.3g}",
     )
 
@@ -99,7 +101,7 @@ def suite_theorem5(rmax: int = 100000, ds=None) -> SuiteResult:
     )
 
 
-def suite_claim1(seed: int = 0, cases=None, queries: int = 10) -> SuiteResult:
+def suite_claim1(seed: int = 0, cases=None) -> SuiteResult:
     """Exact expectation of log N equals f(d, |W|) for every query."""
     from hdperm import shade
 
@@ -110,13 +112,13 @@ def suite_claim1(seed: int = 0, cases=None, queries: int = 10) -> SuiteResult:
     for d, n in cases:
         shape = Shape(d, n)
         for r in range(1, n + 1):
-            for idx in range(queries):
+            for idx in range(QUERIES):
                 q = shade.random_query(
                     shape, r=r, seed=seed * 1000003 + checked + idx
                 )
                 delta = abs(shade.shade_histogram(q).log_mean() - bounds.f_float(d, r))
                 max_delta = max(max_delta, delta)
-            checked += queries
+            checked += QUERIES
     return SuiteResult(
         "claim1",
         max_delta <= TOL_EXACT,

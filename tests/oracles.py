@@ -12,10 +12,11 @@ one-shot f table is the integer build the package ran before it built the
 table in chunks; f_exact evaluates f in rationals from its definition. The
 line validator is the cell-by-cell one it used before it sliced lines
 by stride. The shade histogram is the walk over all (n!)^d orderings that
-the package ran before it counted them in closed form.
+the package ran before it counted them in closed form, and shade_count is
+the N of one ordering, set by set from the definition of the shade.
 Nothing here imports from hdperm.counting, whose slab walk is the
 package's own reference; hdperm.core supplies the support type and the
-validator's records and line helpers.
+validator's records, and the validator lists its lines itself.
 """
 
 import math
@@ -26,14 +27,13 @@ from typing import NamedTuple
 import numpy as np
 
 from hdperm.bounds import FRAC_BITS
-from hdperm.core import (
-    Shape,
-    SupportArray,
-    ValidationReport,
-    Violation,
-    enumerate_lines,
-    line_cells,
-)
+from hdperm.core import Shape, SupportArray, ValidationReport, Violation
+
+
+def _allowed(a: SupportArray, coords: tuple) -> set:
+    """The values the support allows at one cell."""
+    mask = a.masks[a.shape.rank(coords)]
+    return {v for v in range(a.shape.n) if mask >> v & 1}
 
 
 def count_rows_d2(a: SupportArray) -> int:
@@ -55,7 +55,7 @@ def count_rows_d2(a: SupportArray) -> int:
     for i in range(n):
         root = {}
         for perm in permutations(range(n)):
-            if all(perm[j] in a.allowed_at((i, j)) for j in range(n)):
+            if all(perm[j] in _allowed(a, (i, j)) for j in range(n)):
                 node = root
                 for v in perm:
                     node = node.setdefault(v, {})
@@ -111,7 +111,7 @@ def enumerate_sets(a: SupportArray):
             return
         coords = order[idx]
         keys = [key(t, coords) for t in range(1, shape.d + 1)]
-        for v in a.allowed_at(coords):
+        for v in _allowed(a, coords):
             if any(v in used.setdefault(k, set()) for k in keys):
                 continue
             for k in keys:
@@ -139,10 +139,8 @@ def permanent_minors(matrix) -> int:
 
 def support_from_matrix(matrix) -> SupportArray:
     """A d=1 support whose cell i allows value j iff matrix[i][j] = 1."""
-    m = [list(row) for row in matrix]
-    n = len(m)
-    sets = [{j for j in range(n) if row[j]} for row in m]
-    return SupportArray.from_sets(Shape(1, n), sets)
+    masks = [sum(1 << j for j, bit in enumerate(row) if bit) for row in matrix]
+    return SupportArray(Shape(1, len(masks)), tuple(masks))
 
 
 def f_table_longdouble(d: int, rmax: int):
@@ -233,6 +231,13 @@ def theorem5_sweep_numpy(d: int, r_max: int, c: float) -> tuple:
     )
 
 
+def _line_cells(shape: Shape, direction: int, fixed: tuple) -> list:
+    """The n cell multi-indices of the line along direction (1-based) whose
+    other d-1 coordinates, in axis order, are fixed."""
+    k = direction - 1
+    return [fixed[:k] + (t,) + fixed[k:] for t in range(shape.n)]
+
+
 def validate_perm_cells(values, shape: Shape) -> ValidationReport:
     """The line check of core.validate_perm, cell by cell: every line's cells
     are listed as coordinate tuples and looked up by rank. values is flat,
@@ -246,10 +251,10 @@ def validate_perm_cells(values, shape: Shape) -> ValidationReport:
             bad_cells.add(coords)
             violations.append(Violation("range", None, coords, v))
     for direction in range(1, shape.d + 1):
-        for fixed in enumerate_lines(shape, direction):
+        for fixed in product(range(shape.n), repeat=shape.d - 1):
             counts = {}
             has_bad = False
-            for c in line_cells(shape, direction, fixed):
+            for c in _line_cells(shape, direction, fixed):
                 if c in bad_cells:
                     has_bad = True
                     continue
@@ -299,3 +304,37 @@ def ordering_histogram(q) -> dict:
         n_left = (wmask & ~shaded).bit_count()
         counts[n_left] = counts.get(n_left, 0) + 1
     return counts
+
+
+def shade_count(q, sigmas: tuple) -> int:
+    """N for the shade query q under one ordering: sigmas[k][t] is the rank
+    of coordinate value t along axis k. Z^k holds the values of the cells
+    that precede the target along axis k, and N = |W \\ (Z^1 ∪ ... ∪ Z^d)|."""
+    shape = q.x.shape
+    assert len(sigmas) == shape.d and all(sorted(s) == list(range(shape.n)) for s in sigmas)
+    shaded = set()
+    for k, sig in enumerate(sigmas):
+        for t in range(shape.n):
+            if sig[t] < sig[q.target[k]]:
+                shaded.add(q.x.value_at(q.target[:k] + (t,) + q.target[k + 1:]))
+    return len(q.w - shaded)
+
+
+def ones_of(a: SupportArray) -> list:
+    """The (i_1,...,i_d,j) one-entries of a, in row-major order."""
+    n = a.shape.n
+    return [c + (j,) for c, m in zip(a.shape.cells(), a.masks) for j in range(n) if m >> j & 1]
+
+
+def transpose_support(a: SupportArray, axis_a: int, axis_b: int) -> SupportArray:
+    """Swap two of the d+1 directions of the 0-1 form (0-based; axis d is the
+    value direction). The result is again an order-n support with the same d."""
+    d = a.shape.d
+    if not (0 <= axis_a <= d and 0 <= axis_b <= d):
+        raise ValueError(f"axes must be in 0..{d}")
+    swapped = []
+    for entry in ones_of(a):
+        e = list(entry)
+        e[axis_a], e[axis_b] = e[axis_b], e[axis_a]
+        swapped.append(e)
+    return SupportArray.from_ones(a.shape, swapped)

@@ -20,7 +20,6 @@ from hdperm.bounds import (
     f_float,
     f_values,
     sdn_log_upper_bound,
-    stirling_lemma_check,
     theorem5_check,
     weak_min_margin,
 )
@@ -364,18 +363,6 @@ def test_theorem5_errors():
         theorem5_check(0, 100)
     with pytest.raises(ValueError):
         theorem5_check(3, 10)  # r_max below ceil(e^3)
-
-
-def test_stirling_lemma_sweep():
-    rep = stirling_lemma_check(10000)
-    assert rep.passed and rep.violations == 0
-    # equality check at the low end: margin at r=3 is 5 log 3 - 3 - log 6
-    want = 5 * math.log(3) - 3 - math.log(6)
-    first = 3 * math.log(3) - 3 + 2 * math.log(3) - math.lgamma(4)
-    assert first == pytest.approx(want, abs=1e-12)
-    assert rep.min_margin <= want + 1e-9
-    with pytest.raises(ValueError):
-        stirling_lemma_check(2)
 
 
 def test_sdn_log_bound_identity_at_d1():

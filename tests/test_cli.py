@@ -371,8 +371,8 @@ def test_json_stdout_is_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == want, args
 
 
-@pytest.mark.parametrize("args", ["cd --d 172",
-                                  "cd --d 171 --csv",
+@pytest.mark.parametrize("args", ["cd --d 173",
+                                  "cd --d 173 --csv",
                                   "theorem5 --d 710 --rmax 10",
                                   "verify --suite theorem5 --d 710 --rmax 10",
                                   "sdn-bound --d 1100 --n 2"])
@@ -385,6 +385,21 @@ def test_float_overflow_is_domain_error(capsys, monkeypatch, args):
     assert code == 1
     assert obj["status"] == "error"
     assert obj["error"]["kind"] == "domain"
+
+
+def test_cd_is_finite_past_the_largest_factorial(capsys):
+    # d! passes the largest double at d = 171, but every field stays finite
+    # until gamma does at d = 173
+    code, obj = run_json(capsys, ["cd", "--d", "171"])
+    assert code == 0
+    for key in ("c_d", "cap", "gamma", "r_d", "xi"):
+        assert isinstance(obj[key], float) and math.isfinite(obj[key]), key
+    assert 0 < obj["cap"] < 1e-295
+    code, out = run_text(capsys, ["cd", "--d", "172", "--csv"])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [int(row[0]) for row in rows] == list(range(173))
+    assert all(math.isfinite(float(v)) for row in rows for v in row[1:])
 
 
 def test_theorem5(capsys):

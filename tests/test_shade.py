@@ -9,19 +9,16 @@ from hypothesis import strategies as st
 
 from hdperm.bounds import f_float
 from hdperm.constructions import modular_perm
-from hdperm.core import PermTensor, Shape, all_ones_support, validate_perm
+from hdperm.core import PermTensor, Shape, validate_perm
 from hdperm.shade import (
-    OrderingSpec,
     ShadeQuery,
     mc_expectation_logN,
-    query_from_support,
     random_query,
     random_valid_perm,
-    shade_count,
     shade_histogram,
 )
 
-from oracles import ordering_histogram
+from oracles import ordering_histogram, shade_count
 
 EXACT_CASES = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 3)]
 # the largest n per d at which the oracle's (n!)^d walk stays quick
@@ -29,7 +26,7 @@ ORACLE_MAX_N = {1: 7, 2: 5, 3: 4, 4: 3}
 
 
 def identity_ordering(shape):
-    return OrderingSpec(tuple(tuple(range(shape.n)) for _ in range(shape.d)))
+    return tuple(tuple(range(shape.n)) for _ in range(shape.d))
 
 
 def test_query_validation():
@@ -42,20 +39,6 @@ def test_query_validation():
         ShadeQuery(p, (1, 1), frozenset({2, 5}))  # out of range
     with pytest.raises(ValueError):
         ShadeQuery(p, (1, 3), frozenset({2}))  # bad cell
-
-
-def test_query_from_support_enforces_subset():
-    p = modular_perm(Shape(2, 3))
-    a = all_ones_support(Shape(2, 3))
-    q = query_from_support(a, p, (0, 0), {0, 1})
-    assert q.target == (0, 0)
-    masks = list(a.masks)
-    masks[a.shape.rank((0, 0))] = 0b001
-    from hdperm.core import SupportArray
-
-    b = SupportArray(a.shape, tuple(masks))
-    with pytest.raises(ValueError):
-        query_from_support(b, p, (0, 0), {0, 1})
 
 
 def test_shade_count_identity_ordering():
@@ -91,18 +74,8 @@ def test_shade_count_bounds_and_own_value_survives():
             s = list(range(shape.n))
             rng.shuffle(s)
             sigmas.append(tuple(s))
-        n_left = shade_count(q, OrderingSpec(tuple(sigmas)))
+        n_left = shade_count(q, tuple(sigmas))
         assert 1 <= n_left <= len(q.w)
-
-
-def test_ordering_spec_rejects_non_permutation():
-    with pytest.raises(ValueError):
-        OrderingSpec(((0, 0, 1),))
-    with pytest.raises(ValueError):
-        shade_count(
-            random_query(Shape(2, 3), seed=0),
-            OrderingSpec(((0, 1, 2),)),  # only one axis for d=2
-        )
 
 
 def test_d1_shade_is_uniform():
@@ -257,7 +230,7 @@ def test_exact_agrees_with_direct_average_d1():
     q = random_query(shape, r=3, seed=31)
     logs = []
     for sig in permutations(range(4)):
-        logs.append(math.log(shade_count(q, OrderingSpec((sig,)))))
+        logs.append(math.log(shade_count(q, (sig,))))
     assert shade_histogram(q).log_mean() == pytest.approx(
         math.fsum(logs) / len(logs), abs=1e-15
     )
