@@ -255,7 +255,7 @@ def validate_perm(values: Sequence, shape: Shape) -> ValidationReport:
     violations = [
         Violation("range", None, shape.unrank(rank), v)
         for rank, v in enumerate(values)
-        if not (isinstance(v, int) and 0 <= v < n)
+        if not (_is_int(v) and 0 <= v < n)
     ]
     clean = not violations  # then a line of n distinct values is a permutation
     for k in range(d):
@@ -270,7 +270,7 @@ def validate_perm(values: Sequence, shape: Shape) -> ValidationReport:
             line = values[start : start + span : stride]
             if clean and len(set(line)) == n:
                 continue
-            good = [v for v in line if isinstance(v, int) and 0 <= v < n]
+            good = [v for v in line if _is_int(v) and 0 <= v < n]
             counts = {}
             for v in good:
                 counts[v] = counts.get(v, 0) + 1

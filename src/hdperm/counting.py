@@ -46,9 +46,12 @@ from hdperm import kernels
 from hdperm.core import PermTensor, Shape, SupportArray, rows_text
 
 # entries one enumerate_perms call keeps in its listings, text cache and
-# memo together, and the most value tuples or state-filling pairs the
-# passes behind its live tables may list or step
+# memo together
 _MEMO_MAX = 1 << 16
+
+# the most value tuples or state-filling pairs the passes behind
+# enumerate_perms' live tables may list or step
+_LIVE_MAX = 1 << 18
 
 # blocks write_perms joins into one write
 _WRITE_BLOCKS = 1024
@@ -322,7 +325,7 @@ def _live(a: SupportArray, fills) -> Optional[list]:
 
     Returns None, so that nothing is checked, for n < 3, which has no slab
     boundary to check, and where a pass or a step of the walk back would
-    pass _MEMO_MAX: a search that stops after a few tensors never waits for
+    pass _LIVE_MAX: a search that stops after a few tensors never waits for
     them. The backward pass, n - h >= h slabs long, goes first, so it meets
     the cap sooner.
     """
@@ -330,17 +333,17 @@ def _live(a: SupportArray, fills) -> Optional[list]:
     if n < 3:
         return None  # no slab boundary to check
     h = n // 2
-    back = _pass(a, fills, range(n - 1, h - 1, -1), _MEMO_MAX)
+    back = _pass(a, fills, range(n - 1, h - 1, -1), _LIVE_MAX)
     if len(back) <= n - h:
         return None
-    fwd = _pass(a, fills, range(h), _MEMO_MAX)
+    fwd = _pass(a, fills, range(h), _LIVE_MAX)
     if len(fwd) <= h:
         return None
     full = (1 << n * n ** (a.shape.d - 1)) - 1
     comp = [None] * h + back[n - h : 1 : -1]
     comp[h] = {T: c for T, c in back[n - h].items() if full ^ T in fwd[h]}
     for t in range(h - 1, 0, -1):
-        nxt = _step(comp[t + 1], fills(t), _MEMO_MAX)
+        nxt = _step(comp[t + 1], fills(t), _LIVE_MAX)
         if nxt is None:
             return None
         comp[t] = {T: c for T, c in nxt.items() if full ^ T in fwd[t]}

@@ -7,7 +7,8 @@ row), memoised on the values used per column; for any d a set-based
 depth-first search that walks cells in reversed order and yields every
 tensor it finds; and expansion by minors for the d=1 permanent.
 The f table and the theorem-5 sweep are the extended-precision numpy
-versions the package used before it moved to exact integer prefix sums; the
+versions the package used before it moved to exact integer prefix sums,
+and the streamed sweep is the float one it ran before it pruned blocks; the
 one-shot f table is the integer build the package ran before it built the
 table in chunks; f_exact evaluates f in rationals from its definition. The
 line validator is the cell-by-cell one it used before it sliced lines
@@ -21,12 +22,13 @@ validator's records, and the validator lists its lines itself.
 
 import math
 from fractions import Fraction
-from itertools import accumulate, permutations, product
+from itertools import accumulate, islice, permutations, product, repeat
+from operator import add, mul, sub, truediv
 from typing import NamedTuple
 
 import numpy as np
 
-from hdperm.bounds import FRAC_BITS
+from hdperm import bounds
 from hdperm.core import Shape, SupportArray, ValidationReport, Violation
 
 
@@ -159,7 +161,7 @@ def f_rows_one_shot(d: int, size: int) -> list:
     length in one pass, as the package did before it built the table in
     chunks: row 0 is log k, and every later row is its predecessor's exact
     fixed-point prefix sums floor-divided by r, then rounded to doubles."""
-    unit = float(1 << FRAC_BITS)
+    unit = float(1 << bounds.FRAC_BITS)
     rows = [[math.log(k) for k in range(1, size + 1)]]
     ints = [int(x * unit) for x in rows[0]]
     for _ in range(d):
@@ -231,6 +233,48 @@ def theorem5_sweep_numpy(d: int, r_max: int, c: float) -> tuple:
     )
 
 
+def theorem5_sweep_stream(d: int, r_max: int):
+    """bounds.theorem5_check as the package ran it before it pruned the
+    strong sweep by blocks: every margin of both bounds streamed from the
+    package's f table, the strong one as ((log r − d) + (c · log^d r) / r)
+    − f(d,r), and violations counted in a second full pass only when a
+    minimum is negative."""
+    r_start = math.ceil(math.e**d)
+    c = bounds.c_constant(d).c_d
+    fd = float(d)
+    row = bounds._f_row(d, r_max)
+    row0 = bounds._f_row(0, r_max)
+
+    def strong():
+        head = map(sub, islice(row0, r_start - 1, r_max), repeat(fd))
+        logs = islice(row0, r_start - 1, r_max)
+        scaled = map(mul, repeat(c), map(pow, logs, repeat(fd)))
+        tail = map(truediv, scaled, range(r_start, r_max + 1))
+        return map(sub, map(add, head, tail), islice(row, r_start - 1, r_max))
+
+    def weak():
+        return map(sub, islice(row0, r_max), islice(row, r_max))
+
+    def min_and_violations(margins):
+        low = min(margins())
+        return low, (sum(m < 0 for m in margins()) if low < 0 else 0)
+
+    low, violations = min_and_violations(strong)
+    weak_low, weak_violations = min_and_violations(weak)
+    return bounds.SweepReport(
+        d=d,
+        r_start=r_start,
+        r_max=r_max,
+        checked=r_max - r_start + 1,
+        violations=violations,
+        min_margin=low,
+        weak_checked=r_max,
+        weak_violations=weak_violations,
+        weak_min_margin=weak_low,
+        c_d=c,
+    )
+
+
 def _line_cells(shape: Shape, direction: int, fixed: tuple) -> list:
     """The n cell multi-indices of the line along direction (1-based) whose
     other d-1 coordinates, in axis order, are fixed."""
@@ -246,7 +290,7 @@ def validate_perm_cells(values, shape: Shape) -> ValidationReport:
     violations = []
     bad_cells = set()
     for rank, v in enumerate(values):
-        if not isinstance(v, int) or not 0 <= v < shape.n:
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < shape.n:
             coords = shape.unrank(rank)
             bad_cells.add(coords)
             violations.append(Violation("range", None, coords, v))

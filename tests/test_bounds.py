@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from array import array
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
@@ -32,6 +33,7 @@ from oracles import (
     f_table_longdouble,
     support_from_matrix,
     theorem5_sweep_numpy,
+    theorem5_sweep_stream,
 )
 
 
@@ -356,6 +358,78 @@ def test_theorem5_counts_violations_like_numpy_sweep(monkeypatch):
             assert (rep.checked, rep.violations) == (checked, bad), (c, d)
             assert rep.min_margin == pytest.approx(low, abs=1e-12), (c, d)
             assert rep.passed == (bad == 0)
+
+
+def _same_report(got, want):
+    # repr tells -0.0 from 0.0, and prints every float to the last bit
+    assert repr(got) == repr(want)
+
+
+def test_theorem5_matches_streamed_sweep_bit_for_bit(monkeypatch):
+    # r_max at r_start, inside and on either side of the first block edges,
+    # and long; then with c_d shrunk so that the counting passes run
+    block = bounds._BLOCK
+    for d in range(1, 7):
+        r_start = math.ceil(math.e**d)
+        edges = [r_start + k * block + e for k in (1, 2) for e in (-2, -1, 0)]
+        for r_max in (r_start, r_start + 1, *edges, 5000, 10**5):
+            _same_report(theorem5_check(d, r_max), theorem5_sweep_stream(d, r_max))
+    for c in (0.0, 1.0, 3.0):
+
+        def shrunk(d, c=c):
+            return BoundConstants(d, c, 0.0, 0.0, 0.0)
+
+        monkeypatch.setattr(bounds, "c_constant", shrunk)
+        for d in (1, 2, 3):
+            for r_max in (25, 5000):
+                _same_report(theorem5_check(d, r_max), theorem5_sweep_stream(d, r_max))
+
+
+def test_theorem5_finds_a_minimum_inside_a_prunable_block(monkeypatch):
+    # on the true table every block but the last is pruned. Raising f at one
+    # mid-range r on a copy of the table puts the minimum inside the block
+    # that holds r, which the sweep must then evaluate: with a violation of
+    # the strong bound, of both bounds, or, at the block's last r, a margin
+    # just under the true minimum, which only the block's bound at its last
+    # r (not at its first) keeps
+    r_max = 10**5
+    evaluated = []
+    margins = bounds._strong_margins
+
+    def recorded(logs, fs, lo, fd, c):
+        evaluated.append(lo)
+        return margins(logs, fs, lo, fd, c)
+
+    def strong(d, r):
+        log_r = math.log(r)
+        return log_r - d + c_constant(d).c_d * log_r**d / r - f_float(d, r)
+
+    monkeypatch.setattr(bounds, "_strong_margins", recorded)
+    for d in (1, 3, 5):
+        lo = 50_000 - (50_000 - math.ceil(math.e**d)) % bounds._BLOCK
+        hi = lo + bounds._BLOCK - 1
+        evaluated.clear()
+        clean = theorem5_check(d, r_max)
+        assert lo not in evaluated and clean.passed, d
+        under = strong(d, hi) - (clean.min_margin - 1e-7)
+        cases = (
+            (lo + 7, strong(d, lo + 7) + 1e-3, 1, 0),
+            (lo + 7, math.log(lo + 7) + 0.25 - f_float(d, lo + 7), 1, 1),
+            (hi, under, 0, 0),
+        )
+        table = bounds._rows
+        for r, raised, bad, weak_bad in cases:
+            rows = list(table)
+            rows[d] = array("d", rows[d])
+            rows[d][r - 1] += raised
+            monkeypatch.setattr(bounds, "_rows", rows)
+            evaluated.clear()
+            rep = theorem5_check(d, r_max)
+            assert lo in evaluated, (d, r)
+            assert (rep.violations, rep.weak_violations) == (bad, weak_bad), (d, r, rep)
+            assert rep.min_margin < clean.min_margin
+            _same_report(rep, theorem5_sweep_stream(d, r_max))
+        monkeypatch.setattr(bounds, "_rows", table)
 
 
 def test_theorem5_errors():

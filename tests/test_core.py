@@ -190,6 +190,20 @@ def test_validate_range_and_missing():
     assert (2, (1,), 0) in missing  # row i=1 never shows 0
 
 
+def test_validate_rejects_bools():
+    # True and False are ints to isinstance, but not values of a tensor
+    rep = validate_perm([True, False], Shape(1, 2))
+    assert not rep.valid
+    assert [(v.kind, v.fixed, v.value) for v in rep.violations] == [
+        ("range", (0,), True), ("range", (1,), False),
+        ("missing", (), 0), ("missing", (), 1),
+    ]
+    assert rep == validate_perm_cells([True, False], Shape(1, 2))
+    rep = validate_perm([0, True], Shape(1, 2))
+    assert [(v.kind, v.value) for v in rep.violations] == [("range", True), ("missing", 1)]
+    assert rep == validate_perm_cells([0, True], Shape(1, 2))
+
+
 @st.composite
 def candidate_tensors(draw):
     """A scrambled modular permutation (d <= 3, n <= 4), left valid, with
@@ -210,7 +224,7 @@ def candidate_tensors(draw):
         if kind == "out_of_range":
             junk = st.one_of(
                 junk, st.integers(-3, -1), st.integers(n, n + 3),
-                st.sampled_from([1.5, None, "1", True]),
+                st.sampled_from([1.5, None, "1", True, False]),
             )
         for _ in range(draw(st.integers(1, 4))):
             values[draw(st.integers(0, len(values) - 1))] = draw(junk)

@@ -341,8 +341,8 @@ def test_enumerate_limit_is_a_prefix_inside_replays():
 
 
 def test_memo_cap_keeps_the_stream(monkeypatch):
-    # _MEMO_MAX = 1 keeps no listing and almost no memo entry, and turns the
-    # live sets off, so the walk runs with none of them
+    # _MEMO_MAX = 1 keeps no listing and almost no memo entry, and
+    # _LIVE_MAX = 1 turns the live sets off, so the walk runs with none of them
     rng = random.Random(5)
     cases = [all_ones_support(Shape(2, 5)), all_ones_support(Shape(3, 3))]
     cases += [planted_d2_support(rng, 6, 3.6) for _ in range(4)]
@@ -352,12 +352,37 @@ def test_memo_cap_keeps_the_stream(monkeypatch):
     assert len(pruned) >= 7
     want = [[p.values for p in enumerate_perms(a)] for a in cases]
     monkeypatch.setattr(counting, "_MEMO_MAX", 1)
+    monkeypatch.setattr(counting, "_LIVE_MAX", 1)
     assert all(live_sets(a) is None for a in pruned)
     assert [[p.values for p in enumerate_perms(a)] for a in cases] == want
 
 
 def live_sets(a):
     return counting._live(a, counting._fill_lister(a))
+
+
+def test_live_tables_outgrow_the_memo_budget(monkeypatch):
+    # this planted support's passes step up to 108,360 state-filling pairs,
+    # past the walk's _MEMO_MAX of 2^16 but within _LIVE_MAX: it gets live
+    # tables, which prune the walk and keep its stream
+    a = planted_d2_support(random.Random(0), 6, 4.0)
+    pairs = []
+    step = counting._step
+
+    def recorded(dp, fills, cap=None):
+        pairs.append(len(dp) * len(fills))
+        return step(dp, fills, cap)
+
+    monkeypatch.setattr(counting, "_step", recorded)
+    assert live_sets(a) is not None
+    assert counting._MEMO_MAX < max(pairs) <= counting._LIVE_MAX
+    stats = {}
+    stream = [p.values for p in enumerate_perms(a, stats=stats)]
+    assert stats["live_prunes"] > 0
+    assert len(stream) == count_rows_d2(a)
+    monkeypatch.setattr(counting, "_LIVE_MAX", counting._MEMO_MAX)
+    assert live_sets(a) is None
+    assert [p.values for p in enumerate_perms(a)] == stream
 
 
 def states_after(values, shape, s):
@@ -412,7 +437,7 @@ def test_live_sets_are_exact_property(a):
 
 
 def test_live_sets_give_up_before_listing(monkeypatch):
-    # listing a slab (or stepping a table) past _MEMO_MAX is refused before
+    # listing a slab (or stepping a table) past _LIVE_MAX is refused before
     # it starts, so a short --limit never waits for the tables; a full
     # support of d = 2 builds none at all
     listed = []
