@@ -37,8 +37,7 @@ class BlockChoice(Record):
             raise ValueError(f"need {nblocks} bits, got {len(bits)}")
         if any(b not in (0, 1) for b in bits):
             raise ValueError("bits must be 0 or 1")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "bits", bits)
+        super().__init__(shape, bits)
 
     @classmethod
     def from_string(cls, shape: Shape, text: str) -> "BlockChoice":
@@ -62,15 +61,13 @@ def block_lift(shape: Shape, choice: Optional[BlockChoice] = None) -> PermTensor
     everywhere in the block, which is the other valid arrangement. Without a
     choice every bit is 0.
     """
-    if shape.n % 2:
-        raise ValueError(f"block construction needs even n, got {shape.n}")
     d, n = shape.d, shape.n
     half = n // 2
-    base = Shape(d, half)
-    if choice is None:
-        choice = BlockChoice(shape, (0,) * base.ncells)
+    if choice is None:  # first, so an odd n gets BlockChoice's ValueError
+        choice = BlockChoice(shape, (0,) * half**d)
     if choice.shape != shape:
         raise ValueError(f"choice is for {choice.shape}, not {shape}")
+    base = Shape(d, half)
     values = [0] * shape.ncells
     for brank, bcoords in enumerate(base.cells()):
         j = sum(bcoords) % half

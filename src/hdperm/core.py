@@ -13,35 +13,20 @@ all use it.
 
 The records here (Shape, SupportArray, PermTensor, Violation,
 ValidationReport) and those of constructions and shade derive from Record:
-fields in __slots__, set once in __init__, compared and hashed by type and
-field values. Record stands in for frozen dataclasses because importing
+fields in __slots__, set once by Record.__init__ in that order (a subclass
+that validates calls it last), compared and hashed by type and field
+values. Record stands in for frozen dataclasses because importing
 dataclasses pulls inspect, ast and dis into every process that imports the
-package.
+package. Malformed text or JSON input raises FormatError.
 """
 
 import json
 from itertools import product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class FormatError(ValueError):
-    """Base class for malformed serialized input."""
-
-
-class HeaderError(FormatError):
-    pass
-
-
-class EntryCountError(FormatError):
-    pass
-
-
-class ValueRangeError(FormatError):
-    pass
-
-
-class LineConstraintError(FormatError):
-    pass
+    """Malformed serialized input; the message names the fault."""
 
 
 class ShapeError(ValueError):
@@ -51,15 +36,22 @@ class ShapeError(ValueError):
 class Record:
     """Base of the package's immutable records.
 
-    A subclass lists its fields in __slots__ and sets each one once, in
-    __init__, with object.__setattr__; assigning or deleting a field
-    afterwards raises AttributeError. Two records are equal when they have
-    the same type and equal fields, and hash to match. The repr reads
-    Type(field=value, ...), and __init__ takes the fields in __slots__ order,
-    which is what pickling relies on.
+    A subclass lists its fields in __slots__. Record.__init__ takes one
+    value per field, in __slots__ order (which is what pickling relies on),
+    and is the only place a field is set: a subclass that checks or
+    normalizes its input ends its own __init__ with super().__init__(...).
+    Assigning or deleting a field afterwards raises AttributeError. Two
+    records are equal when they have the same type and equal fields, and
+    hash to match. The repr reads Type(field=value, ...).
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__qualname__} takes fields {self.__slots__}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__qualname__} is immutable: cannot set {name!r}")
@@ -86,9 +78,6 @@ class Record:
         return type(self), self._field_values()
 
 
-_set = object.__setattr__  # how a Record's __init__ sets its fields
-
-
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -103,8 +92,7 @@ class Shape(Record):
             raise ShapeError(f"d must be a positive integer, got {d!r}")
         if not _is_int(n) or not 1 <= n <= 64:
             raise ShapeError(f"n must be an integer in 1..64, got {n!r}")
-        _set(self, "d", d)
-        _set(self, "n", n)
+        super().__init__(d, n)
 
     @property
     def ncells(self) -> int:
@@ -160,8 +148,7 @@ class SupportArray(Record):
                 raise ShapeError(f"cell mask must be an integer, got {m!r}")
             if not 0 <= m <= full:
                 raise ShapeError(f"cell mask {m:#x} out of range for n={shape.n}")
-        _set(self, "shape", shape)
-        _set(self, "masks", masks)
+        super().__init__(shape, masks)
 
     @classmethod
     def from_ones(cls, shape: Shape, ones: Iterable[Sequence[int]]) -> "SupportArray":
@@ -176,7 +163,7 @@ class SupportArray(Record):
             *coords, j = entry
             coords = shape.check_coords(coords)
             if not _is_int(j) or not 0 <= j < shape.n:
-                raise ValueRangeError(f"value {j!r} out of range 0..{shape.n - 1}")
+                raise FormatError(f"value {j!r} out of range 0..{shape.n - 1}")
             masks[shape.rank(coords)] |= 1 << j
         return cls(shape, tuple(masks))
 
@@ -194,8 +181,7 @@ class PermTensor(Record):
     def __init__(self, shape: Shape, values: tuple):
         if len(values) != shape.n**shape.d:  # ncells, without the property call
             raise ShapeError(f"need {shape.ncells} values, got {len(values)}")
-        _set(self, "shape", shape)
-        _set(self, "values", values)
+        super().__init__(shape, values)
 
     def value_at(self, coords: Sequence[int]) -> int:
         return self.values[self.shape.rank(self.shape.check_coords(coords))]
@@ -211,19 +197,11 @@ class Violation(Record):
 
     __slots__ = ("kind", "direction", "fixed", "value")
 
-    def __init__(self, kind: str, direction: Optional[int], fixed: tuple, value: int):
-        _set(self, "kind", kind)
-        _set(self, "direction", direction)
-        _set(self, "fixed", fixed)
-        _set(self, "value", value)
-
 
 class ValidationReport(Record):
-    __slots__ = ("valid", "violations")
+    """valid, and the tuple of Violations (empty when valid)."""
 
-    def __init__(self, valid: bool, violations: tuple = ()):
-        _set(self, "valid", valid)
-        _set(self, "violations", violations)
+    __slots__ = ("valid", "violations")
 
 
 def all_ones_support(shape: Shape) -> SupportArray:
@@ -290,18 +268,18 @@ def parse_perm(text: str) -> PermTensor:
     """Parse the text tensor format and validate the line constraints."""
     tokens = text.split()
     if len(tokens) < 2:
-        raise HeaderError("header must carry two integers: d n")
+        raise FormatError("header must carry two integers: d n")
     try:
         d, n = int(tokens[0]), int(tokens[1])
     except ValueError:
-        raise HeaderError(f"non-integer header fields {tokens[:2]!r}") from None
+        raise FormatError(f"non-integer header fields {tokens[:2]!r}") from None
     try:
         shape = Shape(d, n)
     except ShapeError as exc:
-        raise HeaderError(str(exc)) from None
+        raise FormatError(str(exc)) from None
     body = tokens[2:]
     if len(body) != shape.ncells:
-        raise EntryCountError(
+        raise FormatError(
             f"expected {shape.ncells} values for d={d} n={n}, got {len(body)}"
         )
     values = []
@@ -309,14 +287,14 @@ def parse_perm(text: str) -> PermTensor:
         try:
             v = int(tok)
         except ValueError:
-            raise ValueRangeError(f"non-integer value {tok!r}") from None
+            raise FormatError(f"non-integer value {tok!r}") from None
         if not 0 <= v < n:
-            raise ValueRangeError(f"value {v} out of range 0..{n - 1}")
+            raise FormatError(f"value {v} out of range 0..{n - 1}")
         values.append(v)
     report = validate_perm(values, shape)
     if not report.valid:
         first = report.violations[0]
-        raise LineConstraintError(
+        raise FormatError(
             f"line constraints violated ({len(report.violations)} violations; "
             f"first: {first.kind} value {first.value} in direction "
             f"{first.direction} at {first.fixed})"
@@ -366,5 +344,5 @@ def parse_support(json_text: str) -> SupportArray:
             raise FormatError(f"one-entry must be an integer array, got {entry!r}")
     try:
         return SupportArray.from_ones(shape, ones)
-    except (ShapeError, ValueRangeError) as exc:
+    except ShapeError as exc:
         raise FormatError(str(exc)) from None

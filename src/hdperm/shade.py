@@ -45,9 +45,7 @@ class ShadeQuery(Record):
                 raise ValueError(f"W value {v} out of range 0..{shape.n - 1}")
         if x.value_at(target) not in w:
             raise ValueError("W must contain the tensor's value at the target cell")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "w", w)
+        super().__init__(x, target, w)
 
 
 def _axis_values(q: ShadeQuery) -> list:

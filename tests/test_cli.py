@@ -632,6 +632,19 @@ def test_verify_all_suites(capsys):
     assert all(s["passed"] for s in summary["suites"].values())
 
 
+def test_verify_theorem5_worst_is_the_least_strong_margin(capsys):
+    # the weak margin is exactly 0 at r = 1, so folding it in pinned worst at 0
+    least = min(bounds.theorem5_check(d, 3000).min_margin for d in range(1, 6))
+    assert least > 0
+    assert suites.suite_theorem5(rmax=3000).worst == least
+    code = cli.run(["verify", "--suite", "theorem5", "--rmax", "3000"])
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert code == 0
+    assert f" worst={least:.6g} " in lines[0]
+    assert f"min margin {least:.6g} (weak d=6 margin 0)" in lines[0]
+    assert json.loads(lines[-1])["suites"]["theorem5"]["worst"] == float(f"{least:.15g}")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -31,6 +31,14 @@ def test_block_choice_validation():
         BlockChoice(Shape(2, 3), (0,))  # odd order has no block structure
 
 
+def test_block_lift_rejects_odd_order():
+    # n = 1 must not reach Shape(d, 0), whose ShapeError is a ValueError too
+    for n in (1, 3):
+        with pytest.raises(ValueError, match=f"^block construction needs even n, got {n}$") as exc:
+            block_lift(Shape(2, n))
+        assert exc.type is ValueError
+
+
 def test_block_choice_from_string_and_random():
     s = Shape(2, 4)
     assert BlockChoice.from_string(s, "0110").bits == (0, 1, 1, 0)

@@ -6,16 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdperm.core import (
-    EntryCountError,
     FormatError,
-    HeaderError,
-    LineConstraintError,
     PermTensor,
     Shape,
     ShapeError,
     SupportArray,
     ValidationReport,
-    ValueRangeError,
     Violation,
     all_ones_support,
     parse_perm,
@@ -92,6 +88,8 @@ def test_record_semantics(make, fields):
     shown = ", ".join(f"{name}={getattr(a, name)!r}" for name in fields)
     assert repr(a) == f"{type(a).__name__}({shown})"
     assert pickle.loads(pickle.dumps(a)) == a
+    with pytest.raises(TypeError):  # one field too few
+        type(a)(*[getattr(a, name) for name in fields[:-1]])
 
 
 def test_records_of_different_types_are_unequal():
@@ -125,7 +123,7 @@ def test_support_from_ones_idempotent():
 
 
 def test_support_rejects_out_of_range():
-    with pytest.raises(ValueRangeError):
+    with pytest.raises(FormatError):
         SupportArray.from_ones(Shape(1, 3), [(0, 3)])  # bad value
     with pytest.raises(ShapeError):
         SupportArray.from_ones(Shape(1, 3), [(3, 0)])  # bad coordinate
@@ -141,7 +139,7 @@ def test_bools_are_not_coordinates_or_values():
         s.check_coords((True, 0))
     with pytest.raises(ShapeError):
         SupportArray.from_ones(s, [(True, False, 1)])
-    with pytest.raises(ValueRangeError):
+    with pytest.raises(FormatError):
         SupportArray.from_ones(s, [(1, 0, True)])
 
 
@@ -285,20 +283,23 @@ def test_parse_serialize_roundtrip():
 
 
 def test_parse_perm_error_kinds():
-    with pytest.raises(HeaderError):
-        parse_perm("x 3\n0 1 2\n")
-    with pytest.raises(HeaderError):
-        parse_perm("")
-    with pytest.raises(EntryCountError):
-        parse_perm("1 3\n0 1\n")
-    with pytest.raises(EntryCountError):
-        parse_perm("1 3\n0 1 2 0\n")
-    with pytest.raises(ValueRangeError):
-        parse_perm("1 3\n0 1 3\n")
-    with pytest.raises(LineConstraintError):
-        parse_perm("1 3\n0 1 1\n")
-    with pytest.raises(LineConstraintError):
-        parse_perm("2 2\n0 1\n0 1\n")
+    # one FormatError for every fault; the message says which fault it found
+    cases = [
+        ("x 3\n0 1 2\n", r"non-integer header fields \['x', '3'\]"),
+        ("", "header must carry two integers: d n"),
+        ("0 3\n", "d must be a positive integer, got 0"),
+        ("1 3\n0 1\n", "expected 3 values for d=1 n=3, got 2"),
+        ("1 3\n0 1 2 0\n", "expected 3 values for d=1 n=3, got 4"),
+        ("1 3\n0 1 3\n", r"value 3 out of range 0\.\.2"),
+        ("1 3\n0 1 a\n", "non-integer value 'a'"),
+        ("1 3\n0 1 1\n", r"line constraints violated \(1 violations; "
+                           r"first: repeat value 1 in direction 1 at \(\)\)"),
+        ("2 2\n0 1\n0 1\n", r"line constraints violated \(2 violations; "
+                               r"first: repeat value 0 in direction 1 at \(0,\)\)"),
+    ]
+    for text, message in cases:
+        with pytest.raises(FormatError, match=f"^(?:{message})$"):
+            parse_perm(text)
 
 
 def test_parse_perm_whitespace_tolerant():
