@@ -3,17 +3,19 @@
 One JSON object per invocation on stdout (construct/enumerate emit the plain
 text tensor format instead, and --csv switches tabular subcommands to CSV).
 Exit codes: 0 success, 1 domain error (with a JSON error object), 2 usage
-error; a result too large for a float is a domain error. Counts are decimal
-strings, never floats, except in shade: its "samples" total and the "counts"
-of shade hist are JSON integers. Reals, in JSON and CSV alike, carry at most
-15 significant digits. Identical invocations with identical seeds produce
-byte-identical output, and every --seed defaults to 0.
+error; a result too large for a float is a domain error. A reader that
+closes stdout early (such as head) ends the run with exit code 1 and
+nothing on stderr. Counts are decimal strings, never floats, except in
+shade: its "samples" total and the "counts" of shade hist are JSON
+integers. Reals, in JSON and CSV alike, carry at most 15 significant
+digits. Identical invocations with identical seeds produce byte-identical
+output, and every --seed defaults to 0.
 
 This module lays out every report, JSON fields and CSV columns alike: the
 other modules return numbers and records, and each report's fields are named
 once, here. It holds the parser, one handler per subcommand and the dispatch.
-Importing it loads only what count and enumerate run (argparse, json, sys,
-hdperm.core and hdperm.counting). Every other handler imports its own
+Importing it loads only what count and enumerate run (argparse, json, os,
+sys, hdperm.core and hdperm.counting). Every other handler imports its own
 modules when it runs: hdperm.bounds where f is evaluated,
 hdperm.constructions, hdperm.shade, hdperm.suites for verify, and csv for
 --csv output.
@@ -21,6 +23,7 @@ hdperm.constructions, hdperm.shade, hdperm.suites for verify, and csv for
 
 import argparse
 import json
+import os
 import sys
 
 from hdperm.core import (
@@ -414,6 +417,8 @@ def run(argv=None) -> int:
     args = _parse_args(argv)
     try:
         return _HANDLERS[args.subcommand](args)
+    except BrokenPipeError:
+        raise  # an OSError, but the error object has nowhere to go
     except tuple(k for k, _ in _ERROR_KINDS) as exc:
         for klass, kind in _ERROR_KINDS:
             if isinstance(exc, klass):
@@ -422,7 +427,15 @@ def run(argv=None) -> int:
 
 
 def main(argv=None) -> None:
-    sys.exit(run(argv))
+    try:
+        code = run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: exit quietly, with fd 1 on devnull so
+        # that the interpreter's flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,15 +1,15 @@
 """Exact d-permanent computation: the number of d-dimensional permutations
 supported by a 0-1 array.
 
-Both per_d and enumerate_perms work slab by slab. A slab is the hyperplane
-with the first coordinate fixed; every axis-0 line crosses each slab once,
-and no other line crosses two slabs, so all that slabs 0..k-1 pass on to
-the rest is the set of values each axis-0 line has used: the state, one int
-with n bits per line. Each slab takes one (d-1)-dimensional permutation, a
-filling, of its residual support: each cell's mask minus the values its
-axis-0 line has used. A slab's fillings are listed by the same walk one
-dimension down (a d = 1 slab is one cell, and its fillings are the bits of
-its mask).
+Both per_d and the enumerator, write_perms, work slab by slab. A slab is
+the hyperplane with the first coordinate fixed; every axis-0 line crosses
+each slab once, and no other line crosses two slabs, so all that slabs
+0..k-1 pass on to the rest is the set of values each axis-0 line has used:
+the state, one int with n bits per line. Each slab takes one
+(d-1)-dimensional permutation, a filling, of its residual support: each
+cell's mask minus the values its axis-0 line has used. A slab's fillings
+are listed by the same walk one dimension down (a d = 1 slab is one cell,
+and its fillings are the bits of its mask).
 
 The slab DP is one pass, _pass: over slabs taken in a given order, it
 keeps after each slab every state those slabs reach and the ways to reach
@@ -22,20 +22,21 @@ slab cell masks, so the work grows with the number of distinct states, not
 with the count. Counts are exact Python ints, and the result and the
 per-slab state counts are deterministic.
 
-enumerate_perms walks the first n-2 slabs depth first, in the order of the
+write_perms walks the first n-2 slabs depth first, in the order of the
 value tuples, and at each slab tries only the fillings of its residual
 support. Listings of small residual supports are kept per call and reused
 by every prefix that leaves the same residual; large ones run lazily and are
 not kept, so a short --limit never waits for a whole slab. The last slab is
 forced (every axis-0 line then misses one value), so the last two slabs
 depend only on the state after the first n-2: each call keeps a memo from
-that state to the texts or values of its completions. The walk hands out
-one block per prefix that reaches slab n-2: the prefix, formatted once, and
-the memo's tails. For d >= 2 and n >= 3 it prunes with the complement
+that state to the texts of its completions. The walk, _blocks, hands out
+one block per prefix that reaches slab n-2: the prefix's text, formatted
+once, and the memo's tails; the walk builds text only, in the
+serialize_perm layout. For d >= 2 and n >= 3 it prunes with the complement
 tables of _live, read from the same two passes: a prefix whose state's
 complement is not in them has no completion.
-per_d(a, backend="python") counts the tensors of enumerate_perms; that is
-the reference the tests and benchmarks cross-check the slab DP against.
+per_d(a, backend="python") counts the tensors of that walk; that is the
+reference the tests and benchmarks cross-check the slab DP against.
 """
 
 from functools import lru_cache
@@ -43,14 +44,14 @@ from math import prod
 from typing import Iterator, Optional
 
 from hdperm import kernels
-from hdperm.core import PermTensor, Shape, SupportArray, rows_text
+from hdperm.core import Shape, SupportArray, rows_text
 
-# entries one enumerate_perms call keeps in its listings, text cache and
+# entries one walk of the enumerator keeps in its listings, text cache and
 # memo together
 _MEMO_MAX = 1 << 16
 
-# the most value tuples or state-filling pairs the passes behind
-# enumerate_perms' live tables may list or step
+# the most value tuples or state-filling pairs the passes behind the
+# enumerator's live tables may list or step
 _LIVE_MAX = 1 << 18
 
 # blocks write_perms joins into one write
@@ -363,11 +364,11 @@ def per_d(
     and stats, when given, receives its work record: "algorithm" ("meet"),
     "states", the distinct states after each forward slab 0..h-1, and
     "states_back", the same after each backward slab n-1..h.
-    backend="python" instead counts the tensors of enumerate_perms' walk, the
-    reference path for tests and benchmarks; any other backend raises
-    RuntimeError. threads is accepted for compatibility and ignored: a
-    thread split only slowed the pure-Python count under the interpreter
-    lock, and it never changed the result.
+    backend="python" instead counts the tensors of the enumerator's walk
+    (_blocks), the reference path for tests and benchmarks; any other
+    backend raises RuntimeError. threads is accepted for compatibility and
+    ignored: a thread split only slowed the pure-Python count under the
+    interpreter lock, and it never changed the result.
     """
     if backend is None:
         n = a.shape.n
@@ -383,22 +384,20 @@ def per_d(
                          states_back=[len(t) for t in back[1:]])
         return count
     kernels.get(backend)
-    return sum(len(tails) for _, tails in _blocks(a, False))
+    return sum(len(tails) for _, tails in _blocks(a))
 
 
-def _blocks(
-    a: SupportArray, text: bool, stats: Optional[dict] = None, limit: Optional[int] = None
-):
+def _blocks(a: SupportArray, stats: Optional[dict] = None, limit: Optional[int] = None):
     """(head, tails) for every prefix of slabs 0..n-3 of a that has a
     completion, in the order of the value tuples; a tensor is head + tail
     for each tail, and the blocks list every tensor of a once. With a
     limit, which must be positive, they list the first limit tensors: the
     last block is cut short and the walk ends there.
 
-    As text, head is the header line plus the prefix rows and a tail the
-    rows of the last two slabs, in the serialize_perm layout; else both are
-    value tuples. Pieces of the prefix are formatted once per filling and
-    tails once per memo entry.
+    head is the header line plus the prefix rows and a tail the rows of the
+    last two slabs, so head + tail is the tensor's serialize_perm text.
+    Pieces of the prefix are formatted once per filling and tails once per
+    memo entry.
 
     The walk checks live tables (_live) for d >= 2 and n >= 3, except on
     the full supports where every state is live: those of d = 2, since
@@ -421,12 +420,12 @@ def _blocks(
     walker = _Walker(n)
     prefixes = entries = replays = 0
     try:
-        head = f"{d} {n}\n" if text else ()
+        head = f"{d} {n}\n"
         if n == 1:
             if a.masks[0] & 1:
-                yield head, ["0\n" if text else (0,)]
+                yield head, ["0\n"]
             return
-        if text and d == 1:
+        if d == 1:
             # the one row: a prefix value is followed by a space, the tail
             # ends the line
             def piece(f):
@@ -437,8 +436,7 @@ def _blocks(
         else:
             @walker.cached
             def piece(f):
-                values = _values(f, m, n)
-                return rows_text(values, n) if text else values
+                return rows_text(_values(f, m, n), n)
 
             def tail(f, forced):
                 return piece(f) + piece(forced)
@@ -482,36 +480,17 @@ def _blocks(
                          live_prunes=walker.pruned)
 
 
-def enumerate_perms(
-    a: SupportArray, limit: Optional[int] = None, stats: Optional[dict] = None
-) -> Iterator[PermTensor]:
-    """Yield the supported permutations in deterministic order: sorted by
-    the row-major value tuple. Without a limit it yields exactly per_d(a)
-    tensors; with one, the first limit of them.
-
-    stats, when given, receives the walk's work counters (see _blocks) once
-    the stream ends or the generator is closed.
-    """
-    shape = a.shape
-    blocks = _blocks(a, False, stats, limit)
-    try:
-        for head, tails in blocks:
-            for tail in tails:
-                yield PermTensor(shape, head + tail)
-    finally:
-        blocks.close()
-
-
 def write_perms(a: SupportArray, out, limit: Optional[int] = None) -> None:
-    """Write the tensors of enumerate_perms(a, limit) to out in the
-    serialize_perm form, a blank line between two.
+    """Write the supported permutations of a to out in the serialize_perm
+    form, a blank line between two, sorted by the row-major value tuple:
+    all per_d(a) of them, or the first limit.
 
     Each block of the walk goes out as H + ("\\n" + H).join(tails), H being
     its header and prefix text, and _WRITE_BLOCKS blocks make one write.
     """
     chunk = []
     sep = ""
-    for head, tails in _blocks(a, True, limit=limit):
+    for head, tails in _blocks(a, limit=limit):
         chunk.append(head + ("\n" + head).join(tails))
         if len(chunk) == _WRITE_BLOCKS:
             out.write(sep + "\n".join(chunk))

@@ -1,5 +1,5 @@
-"""The name of the one counting backend, the slab walk of
-counting.enumerate_perms. The module exists for the benchmark, which reads
+"""The name of the one counting backend, the enumerator's slab walk
+(counting._blocks). The module exists for the benchmark, which reads
 BACKEND and probes get(name) for each backend it knows."""
 
 import sys

@@ -274,6 +274,25 @@ def test_enumerate_limit_stays_lazy():
             assert parse_perm(block).shape == Shape(d, n)
 
 
+def test_closed_stdout_ends_quietly():
+    # a reader that stops after one line (head -1) closes the pipe while
+    # output far larger than the pipe buffer is still being written
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for argv in (["enumerate", "--d", "2", "--n", "5"],
+                 ["f", "--d", "2", "--rmax", "200000", "--csv"]):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hdperm.cli", *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1, argv
+        assert err == "", argv
+
+
 def test_bound(capsys):
     code, obj = run_json(capsys, ["bound", "--d", "2", "--n", "4"])
     assert code == 0

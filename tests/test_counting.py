@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hdperm import cli, counting
 from hdperm.core import (
+    PermTensor,
     Shape,
     SupportArray,
     all_ones_support,
@@ -20,7 +21,7 @@ from hdperm.core import (
     serialize_perm,
     validate_perm,
 )
-from hdperm.counting import enumerate_perms, per_d, write_perms
+from hdperm.counting import per_d, write_perms
 from hdperm.kernels import BACKEND, get
 
 from oracles import (
@@ -54,6 +55,24 @@ PLANTED_D2N6 = (
 )
 PLANTED_D2N6_STATS = {"prefixes": 220, "listings": 561, "memo_entries": 119,
                       "replays": 101, "live_prunes": 1832}
+
+
+def tensors(a, limit=None, stats=None):
+    """The enumerator's stream as PermTensors, read lazily from its text
+    blocks (counting._blocks)."""
+    blocks = counting._blocks(a, stats, limit)
+    try:
+        for head, tails in blocks:
+            for tail in tails:
+                yield PermTensor(a.shape, tuple(map(int, (head + tail).split()[2:])))
+    finally:
+        blocks.close()
+
+
+def texts(a, limit=None, stats=None):
+    """The enumerator's stream as a list of tensor texts: comparing them is
+    as strict as comparing value tuples, and skips parsing each tensor."""
+    return [head + tail for head, tails in counting._blocks(a, stats, limit) for tail in tails]
 
 
 def random_support(rng, d, n, density=None):
@@ -265,7 +284,7 @@ def test_text_and_json_round_trips(a):
     d, n = a.shape.d, a.shape.n
     ones = [list(entry) for entry in ones_of(a)]
     assert parse_support(json.dumps({"d": d, "n": n, "ones": ones})) == a
-    for p in enumerate_perms(a, limit=5):
+    for p in tensors(a, limit=5):
         assert parse_perm(serialize_perm(p)) == p
 
 
@@ -302,7 +321,7 @@ def test_enumerate_matches_count_and_validates():
     cases += [all_ones_support(Shape(1, n)) for n in range(4, 8)]
     cases += [random_support(rng, 1, n, density=0.8) for n in range(4, 8)]
     for a in cases:
-        perms = list(enumerate_perms(a))
+        perms = list(tensors(a))
         assert [p.values for p in perms] == sorted(enumerate_sets(a)), a
         assert len(perms) == per_d(a)
         assert len(set(p.values for p in perms)) == len(perms)
@@ -313,31 +332,31 @@ def test_enumerate_matches_count_and_validates():
 
 def test_enumerate_limit():
     a = all_ones_support(Shape(2, 4))
-    assert len(list(enumerate_perms(a, limit=10))) == 10
+    assert len(list(tensors(a, limit=10))) == 10
     with pytest.raises(ValueError):
-        list(enumerate_perms(a, limit=0))
+        list(tensors(a, limit=0))
 
 
 @settings(max_examples=100, deadline=None)
 @given(a=drawn_supports(), data=st.data())
 def test_enumerate_matches_oracle_property(a, data):
-    stream = [p.values for p in enumerate_perms(a)]
+    stream = [p.values for p in tensors(a)]
     assert stream == sorted(enumerate_sets(a))
     if stream:
         k = data.draw(st.integers(1, len(stream)), label="limit")
-        assert [p.values for p in enumerate_perms(a, limit=k)] == stream[:k]
+        assert [p.values for p in tensors(a, limit=k)] == stream[:k]
 
 
 def test_enumerate_limit_is_a_prefix_inside_replays():
     for a in (all_ones_support(Shape(2, 4)), all_ones_support(Shape(1, 6))):
-        stream = [p.values for p in enumerate_perms(a)]
+        stream = texts(a)
         for k in range(1, len(stream) + 1):
-            assert [p.values for p in enumerate_perms(a, limit=k)] == stream[:k]
+            assert texts(a, limit=k) == stream[:k]
     # on d=2 n=5 all but 2,040 of the 66,240 prefixes of slab 3 replay
     a = all_ones_support(Shape(2, 5))
-    stream = [p.values for p in enumerate_perms(a)]
+    stream = texts(a)
     for k in (1001, 1002, 1003, 50001, len(stream) - 1):
-        assert [p.values for p in enumerate_perms(a, limit=k)] == stream[:k]
+        assert texts(a, limit=k) == stream[:k]
 
 
 def test_memo_cap_keeps_the_stream(monkeypatch):
@@ -350,11 +369,11 @@ def test_memo_cap_keeps_the_stream(monkeypatch):
     cases += [random_support(rng, 3, 3, density=0.8) for _ in range(3)]
     pruned = [a for a in cases if any(live_sets(a) or ())]
     assert len(pruned) >= 7
-    want = [[p.values for p in enumerate_perms(a)] for a in cases]
+    want = [texts(a) for a in cases]
     monkeypatch.setattr(counting, "_MEMO_MAX", 1)
     monkeypatch.setattr(counting, "_LIVE_MAX", 1)
     assert all(live_sets(a) is None for a in pruned)
-    assert [[p.values for p in enumerate_perms(a)] for a in cases] == want
+    assert [texts(a) for a in cases] == want
 
 
 def live_sets(a):
@@ -377,12 +396,12 @@ def test_live_tables_outgrow_the_memo_budget(monkeypatch):
     assert live_sets(a) is not None
     assert counting._MEMO_MAX < max(pairs) <= counting._LIVE_MAX
     stats = {}
-    stream = [p.values for p in enumerate_perms(a, stats=stats)]
+    stream = texts(a, stats=stats)
     assert stats["live_prunes"] > 0
     assert len(stream) == count_rows_d2(a)
     monkeypatch.setattr(counting, "_LIVE_MAX", counting._MEMO_MAX)
     assert live_sets(a) is None
-    assert [p.values for p in enumerate_perms(a)] == stream
+    assert texts(a) == stream
 
 
 def states_after(values, shape, s):
@@ -449,7 +468,7 @@ def test_live_sets_give_up_before_listing(monkeypatch):
     slab_fills = counting._slab_fills
     monkeypatch.setattr(counting, "_slab_fills", counted)
     for d, n in ((2, 12), (3, 5), (3, 4), (2, 6)):
-        assert next(enumerate_perms(all_ones_support(Shape(d, n)))).shape == Shape(d, n)
+        assert next(tensors(all_ones_support(Shape(d, n)))).shape == Shape(d, n)
         assert listed == [], (d, n)
     # one value short in the last slab: the backward pass lists the last
     # slab, steps it, lists the full slab before it and stops, since 600
@@ -458,7 +477,7 @@ def test_live_sets_give_up_before_listing(monkeypatch):
     assert live_sets(a) is None
     assert len(listed) == 2
     listed.clear()
-    assert next(enumerate_perms(a)).values[:6] == (0, 1, 2, 3, 4, 5)
+    assert next(tensors(a)).values[:6] == (0, 1, 2, 3, 4, 5)
     assert len(listed) <= 2
     # nor does the walk list a whole slab before the first tensor: a slab
     # residual too large to keep is listed lazily, filling by filling
@@ -475,7 +494,7 @@ def test_live_sets_give_up_before_listing(monkeypatch):
     # a slab of these admits 12!, about 8e8 and 161,280 fillings
     for d, n in ((2, 12), (3, 6)):
         made.clear()
-        assert next(enumerate_perms(all_ones_support(Shape(d, n)))).shape == Shape(d, n)
+        assert next(tensors(all_ones_support(Shape(d, n)))).shape == Shape(d, n)
         assert 0 < made.count(d - 1) < 1000, (d, n, made.count(d - 1))
     made.clear()
     out = io.StringIO()
@@ -507,27 +526,27 @@ def test_full_order_3_supports_have_no_live_checks(monkeypatch):
     monkeypatch.setattr(counting, "_live", refused)
     for d in (2, 3, 4):
         a = all_ones_support(Shape(d, 3))
-        assert len(list(enumerate_perms(a))) == per_d(a)
+        assert len(texts(a)) == per_d(a)
 
 
 def test_enumerate_reports_work_counters():
     # full d=2 n=5: 66,240 prefixes reach slab 3 in 2,040 states, so all but
     # 2,040 of them replay a memo entry, and every state is live
     stats = {}
-    assert sum(1 for _ in enumerate_perms(all_ones_support(Shape(2, 5)), stats=stats)) == 161280
+    assert len(texts(all_ones_support(Shape(2, 5)), stats=stats)) == 161280
     assert stats == {"prefixes": 66240, "listings": 4299, "memo_entries": 2040,
                      "replays": 64200, "live_prunes": 0}
     # a planted d=2 n=6 support: the live sets cut 1,832 prefixes before
     # slab 4, and 101 of the 220 that reach it replay a memo entry
     a = SupportArray(Shape(2, 6), PLANTED_D2N6)
     stats = {}
-    assert sum(1 for _ in enumerate_perms(a, stats=stats)) == 258
+    assert len(texts(a, stats=stats)) == 258
     assert stats == PLANTED_D2N6_STATS
     # and it has an exact live set at every slab boundary 1..4
     assert checked_live_sets(a) == 4
     # the counters cover the walk up to where a limit stops it
     stats = {}
-    assert len(list(enumerate_perms(a, limit=1, stats=stats))) == 1
+    assert len(texts(a, limit=1, stats=stats)) == 1
     assert 0 < stats["prefixes"] < PLANTED_D2N6_STATS["prefixes"]
 
 
@@ -544,17 +563,17 @@ def test_walk_tables_stay_within_budget(monkeypatch):
 
     monkeypatch.setattr(counting._Walker, "keep", checked_keep)
     a = all_ones_support(Shape(2, 5))
-    want = [p.values for p in enumerate_perms(a)]
+    want = texts(a)
     assert max(worst) <= counting._MEMO_MAX
     for cap in (500, 5000):
         monkeypatch.setattr(counting, "_MEMO_MAX", cap)
         worst.clear()
-        assert [p.values for p in enumerate_perms(a)] == want
+        assert texts(a) == want
         assert cap // 2 < max(worst) <= cap
 
 
 def serialized(a, limit=None):
-    return "\n".join(map(serialize_perm, enumerate_perms(a, limit)))
+    return "\n".join(map(serialize_perm, tensors(a, limit)))
 
 
 def written(a, limit=None):
