@@ -43,7 +43,7 @@ from itertools import accumulate, islice, repeat
 from operator import add, floordiv, mul, sub, truediv
 from typing import NamedTuple, Optional
 
-from hdperm.core import Shape, SupportArray
+from hdperm.core import Shape, SupportArray, _is_int
 
 TOL_EXACT = 1e-12  # identities on f (the d=1 reference, E[log N]) hold to rounding error
 FRAC_BITS = 56  # each log k ≥ log 2 is a multiple of 2^-53, so it converts exactly
@@ -100,14 +100,14 @@ def _f_row(d: int, rmax: int):
         return rows[d]
 
 
-def _check_d(d):
-    if not isinstance(d, int) or d < 0:
-        raise ValueError(f"d must be an integer >= 0, got {d!r}")
+def _check_d(d, low=0):
+    if not _is_int(d) or d < low:
+        raise ValueError(f"d must be an integer >= {low}, got {d!r}")
 
 
-def _check_dr(d, r):
-    _check_d(d)
-    if not isinstance(r, int) or r < 1:
+def _check_dr(d, r, d_low=0):
+    _check_d(d, d_low)
+    if not _is_int(r) or r < 1:
         raise ValueError(f"r must be an integer >= 1, got {r!r}")
 
 
@@ -145,7 +145,7 @@ def bregman_d1_reference(row_sums) -> float:
     """
     sums = list(row_sums)
     for r in sums:
-        if not isinstance(r, int) or r < 1:
+        if not _is_int(r) or r < 1:
             raise ValueError(f"row sums must be integers >= 1, got {r!r}")
     return math.fsum(math.lgamma(r + 1) / r for r in sums)
 
@@ -203,7 +203,6 @@ class SweepReport(NamedTuple):
     checked: int
     violations: int
     min_margin: float
-    weak_checked: int
     weak_violations: int
     weak_min_margin: float
     c_d: float
@@ -261,12 +260,10 @@ def theorem5_check(d: int, r_max: int) -> SweepReport:
     Violations are counted in a second pass over every block, strong or
     weak, only when that minimum is negative.
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"d must be an integer >= 1, got {d!r}")
+    _check_dr(d, r_max, 1)
     r_start = math.ceil(math.e**d)
     if r_max < r_start:
         raise ValueError(f"r_max must be >= {r_start} for d={d}")
-    _check_dr(d, r_max)
     c = c_constant(d).c_d
     fd = float(d)
     row = _f_row(d, r_max)
@@ -303,7 +300,6 @@ def theorem5_check(d: int, r_max: int) -> SweepReport:
         checked=r_max - r_start + 1,
         violations=violations,
         min_margin=low,
-        weak_checked=r_max,
         weak_violations=weak_violations,
         weak_min_margin=weak_low,
         c_d=c,

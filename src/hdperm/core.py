@@ -11,13 +11,13 @@ Everything is 0-based. The canonical linearization of cells is row-major
 lexicographic order of the multi-index; file formats, iteration and counting
 all use it.
 
-The records here (Shape, SupportArray, PermTensor, Violation,
-ValidationReport) and those of constructions and shade derive from Record:
-fields in __slots__, set once by Record.__init__ in that order (a subclass
-that validates calls it last), compared and hashed by type and field
-values. Record stands in for frozen dataclasses because importing
-dataclasses pulls inspect, ast and dis into every process that imports the
-package. Malformed text or JSON input raises FormatError.
+The records here (Shape, SupportArray, PermTensor, Violation) and those of
+constructions and shade derive from Record: fields in __slots__, set once by
+Record.__init__ in that order (a subclass that validates calls it last),
+compared and hashed by type and field values. Record stands in for frozen
+dataclasses because importing dataclasses pulls inspect, ast and dis into
+every process that imports the package. Malformed text or JSON input raises
+FormatError.
 """
 
 import json
@@ -113,12 +113,6 @@ class Shape(Record):
             r = r * self.n + c
         return r
 
-    def unrank(self, rank: int) -> tuple:
-        coords = [0] * self.d
-        for k in range(self.d - 1, -1, -1):
-            rank, coords[k] = divmod(rank, self.n)
-        return tuple(coords)
-
     def check_coords(self, coords: Sequence[int]) -> tuple:
         coords = tuple(coords)
         if len(coords) != self.d:
@@ -174,7 +168,7 @@ class SupportArray(Record):
 
 class PermTensor(Record):
     """Value-form array, row-major. The constructor trusts its input; use
-    validate_perm or parse_perm for untrusted data."""
+    line_repeats or parse_perm for untrusted data."""
 
     __slots__ = ("shape", "values")
 
@@ -188,20 +182,11 @@ class PermTensor(Record):
 
 
 class Violation(Record):
-    """One offending (line, value) pair found by validate_perm.
+    """One value that a line repeats, found by line_repeats: direction is
+    the 1-based axis the line runs along, fixed its d-1 frozen coordinates
+    in axis order."""
 
-    kind is "repeat" or "missing" for line defects (direction is the 1-based
-    axis, fixed the d-1 frozen coordinates), or "range" for an out-of-range
-    entry (direction None, fixed = the full cell coordinates).
-    """
-
-    __slots__ = ("kind", "direction", "fixed", "value")
-
-
-class ValidationReport(Record):
-    """valid, and the tuple of Violations (empty when valid)."""
-
-    __slots__ = ("valid", "violations")
+    __slots__ = ("direction", "fixed", "value")
 
 
 def all_ones_support(shape: Shape) -> SupportArray:
@@ -209,16 +194,15 @@ def all_ones_support(shape: Shape) -> SupportArray:
     return SupportArray(shape, (shape.full_mask,) * shape.ncells)
 
 
-def validate_perm(values: Sequence, shape: Shape) -> ValidationReport:
-    """Check the value-form permutation property line by line.
+def line_repeats(values: Sequence, shape: Shape) -> tuple:
+    """The Violations of a value-form tensor: empty exactly when every line,
+    in every direction, holds each of 0..n-1 once.
 
-    values is a flat row-major sequence of n^d entries; a wrong entry count
-    is a structural ShapeError, not a report.
-    The report lists every line in every direction that is not a permutation
-    of {0,...,n-1}: one "repeat" entry per duplicated value, plus "missing"
-    entries when out-of-range cells leave a line short (otherwise missing
-    values are implied by the repeats). Out-of-range entries are reported
-    per cell with kind "range".
+    values is a flat row-major sequence of n^d entries, each an int in
+    0..n-1; a wrong entry count or any other entry raises ShapeError. With
+    every entry in range, a line is a permutation exactly when it repeats no
+    value, so the result lists one Violation per value a line repeats, by
+    axis, then line, then value.
 
     A line along axis k is the slice values[start : start + n*stride : stride]
     with stride n^(d-1-k); its starts, taken in the order of the fixed
@@ -230,12 +214,10 @@ def validate_perm(values: Sequence, shape: Shape) -> ValidationReport:
             f"got {len(values)}"
         )
     d, n = shape.d, shape.n
-    violations = [
-        Violation("range", None, shape.unrank(rank), v)
-        for rank, v in enumerate(values)
-        if not (_is_int(v) and 0 <= v < n)
-    ]
-    clean = not violations  # then a line of n distinct values is a permutation
+    for v in values:
+        if not (_is_int(v) and 0 <= v < n):
+            raise ShapeError(f"value {v!r} out of range 0..{n - 1}")
+    violations = []
     for k in range(d):
         stride = n ** (d - 1 - k)
         span = n * stride
@@ -246,20 +228,12 @@ def validate_perm(values: Sequence, shape: Shape) -> ValidationReport:
         )
         for fixed, start in zip(product(range(n), repeat=d - 1), starts):
             line = values[start : start + span : stride]
-            if clean and len(set(line)) == n:
-                continue
-            good = [v for v in line if _is_int(v) and 0 <= v < n]
-            counts = {}
-            for v in good:
-                counts[v] = counts.get(v, 0) + 1
-            for v, cnt in sorted(counts.items()):
-                if cnt > 1:
-                    violations.append(Violation("repeat", k + 1, fixed, v))
-            if len(good) < n:  # out-of-range cells left the line short
-                for v in range(n):
-                    if v not in counts:
-                        violations.append(Violation("missing", k + 1, fixed, v))
-    return ValidationReport(not violations, tuple(violations))
+            seen = set(line)
+            if len(seen) < n:
+                violations.extend(
+                    Violation(k + 1, fixed, v) for v in sorted(seen) if line.count(v) > 1
+                )
+    return tuple(violations)
 
 
 # -- text format: header "d n", then n^d row-major values, n per text line ----
@@ -291,12 +265,12 @@ def parse_perm(text: str) -> PermTensor:
         if not 0 <= v < n:
             raise FormatError(f"value {v} out of range 0..{n - 1}")
         values.append(v)
-    report = validate_perm(values, shape)
-    if not report.valid:
-        first = report.violations[0]
+    repeats = line_repeats(values, shape)
+    if repeats:
+        first = repeats[0]
         raise FormatError(
-            f"line constraints violated ({len(report.violations)} violations; "
-            f"first: {first.kind} value {first.value} in direction "
+            f"line constraints violated ({len(repeats)} violations; "
+            f"first: repeat value {first.value} in direction "
             f"{first.direction} at {first.fixed})"
         )
     return PermTensor(shape, tuple(values))

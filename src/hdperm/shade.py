@@ -26,7 +26,7 @@ import math
 import random
 from typing import NamedTuple, Optional, Tuple
 
-from hdperm.core import PermTensor, Record, Shape
+from hdperm.core import PermTensor, Record, Shape, _is_int
 from hdperm.constructions import modular_perm
 
 
@@ -41,8 +41,8 @@ class ShadeQuery(Record):
         target = shape.check_coords(target)
         w = frozenset(w)
         for v in w:
-            if not 0 <= v < shape.n:
-                raise ValueError(f"W value {v} out of range 0..{shape.n - 1}")
+            if not (_is_int(v) and 0 <= v < shape.n):
+                raise ValueError(f"W value {v!r} out of range 0..{shape.n - 1}")
         if x.value_at(target) not in w:
             raise ValueError("W must contain the tensor's value at the target cell")
         super().__init__(x, target, w)

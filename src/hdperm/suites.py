@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 from hdperm import bounds
 from hdperm.bounds import TOL_EXACT
-from hdperm.core import Shape, SupportArray, validate_perm
+from hdperm.core import Shape, SupportArray, line_repeats
 from hdperm.counting import per_d
 
 TOL_LOG = 1e-9  # bound-vs-exact-count comparisons
@@ -138,7 +138,7 @@ def suite_constructions(seed: int = 0) -> SuiteResult:
     seen = {}
     for bits in product((0, 1), repeat=4):
         p = constructions.block_lift(shape24, constructions.BlockChoice(shape24, bits))
-        if not validate_perm(p.values, shape24).valid:
+        if line_repeats(p.values, shape24):
             problems.append(f"invalid lift d=2 n=4 bits={bits}")
         if p.values in seen:
             problems.append(f"collision {bits} vs {seen[p.values]}")
@@ -150,12 +150,12 @@ def suite_constructions(seed: int = 0) -> SuiteResult:
     for _ in range(100):
         choice = constructions.BlockChoice.random(shape34, seed=rng.random())
         p = constructions.block_lift(shape34, choice)
-        if not validate_perm(p.values, shape34).valid:
+        if line_repeats(p.values, shape34):
             problems.append(f"invalid lift d=3 n=4 bits={choice.bits}")
             break
     # a [2]^2 block holding two values admits exactly 2 line-valid fillings
     valid_fillings = sum(
-        validate_perm(list(vals), Shape(2, 2)).valid
+        not line_repeats(vals, Shape(2, 2))
         for vals in product((0, 1), repeat=4)
     )
     if valid_fillings != 2:
@@ -163,7 +163,7 @@ def suite_constructions(seed: int = 0) -> SuiteResult:
     for d in range(1, 5):
         for n in range(1, 9):
             p = constructions.modular_perm(Shape(d, n))
-            if not validate_perm(p.values, p.shape).valid:
+            if line_repeats(p.values, p.shape):
                 problems.append(f"modular invalid at d={d} n={n}")
     return SuiteResult(
         "constructions",

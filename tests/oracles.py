@@ -17,7 +17,7 @@ the package ran before it counted them in closed form, and shade_count is
 the N of one ordering, set by set from the definition of the shade.
 Nothing here imports from hdperm.counting, whose slab walk is the
 package's own reference; hdperm.core supplies the support type and the
-validator's records, and the validator lists its lines itself.
+validator's record and error, and the validator lists its lines itself.
 """
 
 import math
@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from hdperm import bounds
-from hdperm.core import Shape, SupportArray, ValidationReport, Violation
+from hdperm.core import Shape, ShapeError, SupportArray, Violation
 
 
 def _allowed(a: SupportArray, coords: tuple) -> set:
@@ -268,7 +268,6 @@ def theorem5_sweep_stream(d: int, r_max: int):
         checked=r_max - r_start + 1,
         violations=violations,
         min_margin=low,
-        weak_checked=r_max,
         weak_violations=weak_violations,
         weak_min_margin=weak_low,
         c_d=c,
@@ -282,36 +281,26 @@ def _line_cells(shape: Shape, direction: int, fixed: tuple) -> list:
     return [fixed[:k] + (t,) + fixed[k:] for t in range(shape.n)]
 
 
-def validate_perm_cells(values, shape: Shape) -> ValidationReport:
-    """The line check of core.validate_perm, cell by cell: every line's cells
-    are listed as coordinate tuples and looked up by rank. values is flat,
-    row-major, with n^d entries."""
+def line_repeats_cells(values, shape: Shape) -> tuple:
+    """The line check of core.line_repeats, cell by cell: every line's cells
+    are listed as coordinate tuples and looked up by rank, and each line's
+    values are counted. values is flat, row-major, with n^d entries; an
+    entry that is not an int in 0..n-1 raises ShapeError."""
     assert len(values) == shape.ncells
-    violations = []
-    bad_cells = set()
-    for rank, v in enumerate(values):
+    for v in values:
         if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < shape.n:
-            coords = shape.unrank(rank)
-            bad_cells.add(coords)
-            violations.append(Violation("range", None, coords, v))
+            raise ShapeError(f"value {v!r} out of range 0..{shape.n - 1}")
+    violations = []
     for direction in range(1, shape.d + 1):
         for fixed in product(range(shape.n), repeat=shape.d - 1):
             counts = {}
-            has_bad = False
             for c in _line_cells(shape, direction, fixed):
-                if c in bad_cells:
-                    has_bad = True
-                    continue
                 v = values[shape.rank(c)]
                 counts[v] = counts.get(v, 0) + 1
             for v, cnt in sorted(counts.items()):
                 if cnt > 1:
-                    violations.append(Violation("repeat", direction, fixed, v))
-            if has_bad:
-                for v in range(shape.n):
-                    if v not in counts:
-                        violations.append(Violation("missing", direction, fixed, v))
-    return ValidationReport(not violations, tuple(violations))
+                    violations.append(Violation(direction, fixed, v))
+    return tuple(violations)
 
 
 def ordering_histogram(q) -> dict:

@@ -338,7 +338,7 @@ def test_theorem5_matches_numpy_sweep_over_longdouble_table():
             d, r_max, rep.c_d
         )
         assert (rep.checked, rep.violations) == (checked, bad), d
-        assert (rep.weak_checked, rep.weak_violations) == (weak_checked, weak_bad), d
+        assert (rep.r_max, rep.weak_violations) == (weak_checked, weak_bad), d
         assert rep.min_margin == pytest.approx(low, abs=1e-12), d
         assert rep.weak_min_margin == pytest.approx(weak_low, abs=1e-12), d
 
@@ -437,6 +437,20 @@ def test_theorem5_errors():
         theorem5_check(0, 100)
     with pytest.raises(ValueError):
         theorem5_check(3, 10)  # r_max below ceil(e^3)
+
+
+def test_bools_are_not_dimensions_or_sizes():
+    # True and False are ints to isinstance, but not values of d or r
+    for call in (
+        lambda: f_float(True, 3),
+        lambda: f_values(2, True),
+        lambda: c_constant(True),
+        lambda: c_cap(False),
+        lambda: theorem5_check(True, 10),
+        lambda: bregman_d1_reference([2, True]),
+    ):
+        with pytest.raises(ValueError, match="must be (an )?integers?"):
+            call()
 
 
 def test_sdn_log_bound_identity_at_d1():

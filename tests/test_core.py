@@ -11,19 +11,18 @@ from hdperm.core import (
     Shape,
     ShapeError,
     SupportArray,
-    ValidationReport,
     Violation,
     all_ones_support,
+    line_repeats,
     parse_perm,
     parse_support,
     serialize_perm,
-    validate_perm,
 )
 from hdperm.constructions import BlockChoice, modular_perm
 from hdperm.counting import _line_table, per_d
 from hdperm.shade import ShadeQuery
 
-from oracles import transpose_support, validate_perm_cells
+from oracles import line_repeats_cells, transpose_support
 
 
 def test_shape_basics():
@@ -32,14 +31,6 @@ def test_shape_basics():
     assert s.full_mask == 0b111
     assert list(s.cells())[:3] == [(0, 0), (0, 1), (0, 2)]
     assert s.rank((1, 2)) == 5
-    assert s.unrank(5) == (1, 2)
-
-
-def test_shape_rank_unrank_roundtrip():
-    for d, n in [(1, 5), (2, 4), (3, 3), (4, 2)]:
-        s = Shape(d, n)
-        for r in range(s.ncells):
-            assert s.rank(s.unrank(r)) == r
 
 
 def test_shape_rejects_bad_dims():
@@ -64,9 +55,7 @@ _RECORDS = [
     (lambda: Shape(2, 3), ("d", "n")),
     (lambda: SupportArray(_S13, (1, 6, 7)), ("shape", "masks")),
     (lambda: PermTensor(_S13, (2, 0, 1)), ("shape", "values")),
-    (lambda: Violation("repeat", 1, (0,), 2), ("kind", "direction", "fixed", "value")),
-    (lambda: ValidationReport(False, (Violation("range", None, (1,), 5),)),
-     ("valid", "violations")),
+    (lambda: Violation(1, (0,), 2), ("direction", "fixed", "value")),
     (lambda: BlockChoice(Shape(2, 4), (0, 1, 1, 0)), ("shape", "bits")),
     (lambda: ShadeQuery(modular_perm(Shape(2, 3)), (1, 2), {0, 2}), ("x", "target", "w")),
 ]
@@ -156,57 +145,39 @@ def test_support_masks_are_an_int_tuple():
 
 
 def test_validate_latin_square():
-    ok = validate_perm([0, 1, 2, 1, 2, 0, 2, 0, 1], Shape(2, 3))
-    assert ok.valid and ok.violations == ()
+    assert line_repeats([0, 1, 2, 1, 2, 0, 2, 0, 1], Shape(2, 3)) == ()
 
 
 def test_validate_flat_input():
-    assert validate_perm([0, 1, 1, 0], Shape(2, 2)).valid
+    assert not line_repeats([0, 1, 1, 0], Shape(2, 2))
 
 
 def test_validate_repeat_reporting():
     # rows are fine; each column repeats one value (direction 1 varies the
     # first coordinate, so its lines are the columns)
-    rep = validate_perm([0, 1, 0, 1], Shape(2, 2))
-    assert not rep.valid
-    kinds = [(v.kind, v.direction, v.fixed, v.value) for v in rep.violations]
-    assert ("repeat", 1, (0,), 0) in kinds
-    assert ("repeat", 1, (1,), 1) in kinds
-    assert len(rep.violations) == 2
+    assert line_repeats([0, 1, 0, 1], Shape(2, 2)) == (
+        Violation(1, (0,), 0), Violation(1, (1,), 1),
+    )
 
 
-def test_validate_range_and_missing():
-    rep = validate_perm([0, 1, 1, 7], Shape(2, 2))
-    assert not rep.valid
-    kinds = {v.kind for v in rep.violations}
-    assert "range" in kinds
-    range_v = [v for v in rep.violations if v.kind == "range"][0]
-    assert range_v.fixed == (1, 1) and range_v.value == 7
-    # the damaged column and row are short one value each
-    missing = [(v.direction, v.fixed, v.value) for v in rep.violations if v.kind == "missing"]
-    assert (1, (1,), 0) in missing  # column j=1 never shows 0
-    assert (2, (1,), 0) in missing  # row i=1 never shows 0
-
-
-def test_validate_rejects_bools():
-    # True and False are ints to isinstance, but not values of a tensor
-    rep = validate_perm([True, False], Shape(1, 2))
-    assert not rep.valid
-    assert [(v.kind, v.fixed, v.value) for v in rep.violations] == [
-        ("range", (0,), True), ("range", (1,), False),
-        ("missing", (), 0), ("missing", (), 1),
-    ]
-    assert rep == validate_perm_cells([True, False], Shape(1, 2))
-    rep = validate_perm([0, True], Shape(1, 2))
-    assert [(v.kind, v.value) for v in rep.violations] == [("range", True), ("missing", 1)]
-    assert rep == validate_perm_cells([0, True], Shape(1, 2))
+def test_validate_rejects_entries_out_of_range():
+    # line_repeats checks lines of values in 0..n-1 only; anything else,
+    # bools included (True and False are ints to isinstance), is structural
+    for values, shown in [
+        ([0, 1, 1, 7], "7"), ([0, -1, 1, 0], "-1"), ([0, 1, 1.0, 0], "1.0"),
+        ([0, None, 1, 0], "None"), ([0, "1", 1, 0], "'1'"), ([True, 0, 0, 1], "True"),
+    ]:
+        with pytest.raises(ShapeError, match=rf"^value {shown} out of range 0\.\.1$"):
+            line_repeats(values, Shape(2, 2))
+    with pytest.raises(ShapeError, match=r"^value False out of range 0\.\.1$"):
+        line_repeats([0, False], Shape(1, 2))
 
 
 @st.composite
 def candidate_tensors(draw):
     """A scrambled modular permutation (d <= 3, n <= 4), left valid, with
-    some cells changed to other in-range values, or with some cells out of
-    range or not integers at all."""
+    some cells changed to other in-range values, or with at least one cell
+    out of range or not an integer at all."""
     d = draw(st.integers(1, 3))
     n = draw(st.integers(1, 4))
     shape = Shape(d, n)
@@ -219,31 +190,40 @@ def candidate_tensors(draw):
     kind = draw(st.sampled_from(["valid", "corrupted", "out_of_range"]))
     if kind != "valid":
         junk = st.integers(0, n - 1)
-        if kind == "out_of_range":
-            junk = st.one_of(
-                junk, st.integers(-3, -1), st.integers(n, n + 3),
-                st.sampled_from([1.5, None, "1", True, False]),
-            )
         for _ in range(draw(st.integers(1, 4))):
             values[draw(st.integers(0, len(values) - 1))] = draw(junk)
-    return shape, values
+    if kind == "out_of_range":
+        bad = st.one_of(
+            st.integers(-3, -1), st.integers(n, n + 3),
+            st.sampled_from([1.5, None, "1", True, False]),
+        )
+        values[draw(st.integers(0, len(values) - 1))] = draw(bad)
+    return kind, shape, values
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=candidate_tensors())
 def test_validate_matches_cell_by_cell_oracle(case):
-    shape, values = case
-    got = validate_perm(values, shape)
-    want = validate_perm_cells(values, shape)
+    kind, shape, values = case
+    if kind == "out_of_range":
+        with pytest.raises(ShapeError):
+            line_repeats(values, shape)
+        with pytest.raises(ShapeError):
+            line_repeats_cells(values, shape)
+        return
+    got = line_repeats(values, shape)
+    want = line_repeats_cells(values, shape)
     assert got == want
     assert repr(got) == repr(want)  # same violations, same order, same values
+    if kind == "valid":
+        assert got == ()
 
 
 def test_validate_wrong_entry_count_is_structural():
     with pytest.raises(ShapeError):
-        validate_perm([0, 1, 2], Shape(2, 2))
+        line_repeats([0, 1, 2], Shape(2, 2))
     with pytest.raises(ShapeError):  # rows are not flattened
-        validate_perm([[0, 1], [1, 0]], Shape(2, 2))
+        line_repeats([[0, 1], [1, 0]], Shape(2, 2))
 
 
 def test_every_permutation_of_each_line_detected():
@@ -252,7 +232,7 @@ def test_every_permutation_of_each_line_detected():
     good = 0
     for rows in product(permutations(range(3)), repeat=3):
         flat = [v for row in rows for v in row]
-        if validate_perm(flat, s).valid:
+        if not line_repeats(flat, s):
             good += 1
     assert good == 12
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hdperm.bounds import f_float
 from hdperm.constructions import modular_perm
-from hdperm.core import PermTensor, Shape, validate_perm
+from hdperm.core import PermTensor, Shape, line_repeats
 from hdperm.shade import (
     ShadeQuery,
     mc_expectation_logN,
@@ -39,6 +39,16 @@ def test_query_validation():
         ShadeQuery(p, (1, 1), frozenset({2, 5}))  # out of range
     with pytest.raises(ValueError):
         ShadeQuery(p, (1, 3), frozenset({2}))  # bad cell
+
+
+def test_query_w_holds_only_ints():
+    # 1.5 would count as a value of W; True and False are ints to isinstance
+    p = modular_perm(Shape(1, 3))  # X(0) = 0
+    for junk in (1.5, True, "1"):
+        with pytest.raises(ValueError, match=rf"^W value {junk!r} out of range 0\.\.2$"):
+            ShadeQuery(p, (0,), {0, junk})
+    with pytest.raises(ValueError, match=r"^W value False out of range 0\.\.2$"):
+        ShadeQuery(p, (0,), {False})  # {0, False} would be {0}
 
 
 def test_shade_count_identity_ordering():
@@ -202,7 +212,7 @@ def test_random_valid_perm_is_valid_and_varies():
     seen = set()
     for _ in range(20):
         p = random_valid_perm(Shape(2, 4), rng)
-        assert validate_perm(p.values, p.shape).valid
+        assert not line_repeats(p.values, p.shape)
         seen.add(p.values)
     assert len(seen) > 5
 
