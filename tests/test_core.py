@@ -160,17 +160,31 @@ def test_validate_repeat_reporting():
     )
 
 
-def test_validate_rejects_entries_out_of_range():
-    # line_repeats checks lines of values in 0..n-1 only; anything else,
-    # bools included (True and False are ints to isinstance), is structural
+def test_validate_range_and_missing():
+    # line_repeats checks lines of values in 0..n-1 only; any other entry is
+    # structural, and the message shows it as repr shows it
     for values, shown in [
         ([0, 1, 1, 7], "7"), ([0, -1, 1, 0], "-1"), ([0, 1, 1.0, 0], "1.0"),
-        ([0, None, 1, 0], "None"), ([0, "1", 1, 0], "'1'"), ([True, 0, 0, 1], "True"),
+        ([0, None, 1, 0], "None"), ([0, "1", 1, 0], "'1'"),
     ]:
         with pytest.raises(ShapeError, match=rf"^value {shown} out of range 0\.\.1$"):
             line_repeats(values, Shape(2, 2))
-    with pytest.raises(ShapeError, match=r"^value False out of range 0\.\.1$"):
-        line_repeats([0, False], Shape(1, 2))
+    # a line short of a value repeats another, and is reported by that repeat:
+    # column j=1 and row i=1 both hold 1 twice and never show 0
+    assert line_repeats([0, 1, 1, 1], Shape(2, 2)) == (
+        Violation(1, (1,), 1), Violation(2, (1,), 1),
+    )
+
+
+def test_validate_rejects_bools():
+    # True and False are ints to isinstance, but not values of a tensor
+    with pytest.raises(ShapeError, match=r"^value True out of range 0\.\.1$"):
+        line_repeats([True, 0, 0, 1], Shape(2, 2))
+    for values in ([True, False], [0, True], [0, False]):
+        with pytest.raises(ShapeError, match=r"out of range 0\.\.1$"):
+            line_repeats(values, Shape(1, 2))
+        with pytest.raises(ShapeError):
+            line_repeats_cells(values, Shape(1, 2))
 
 
 @st.composite
