@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -291,6 +293,46 @@ def test_closed_stdout_ends_quietly():
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1, argv
         assert err == "", argv
+
+
+def test_process_writes_the_whole_stream():
+    # the pins above run in process through cli.run; here main, the process
+    # entry point, must hand the whole stream to the pipe before it exits
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def spawn(*argv):
+        return subprocess.run([sys.executable, "-m", "hdperm.cli", *argv],
+                              env=env, capture_output=True, timeout=120)
+
+    proc = spawn("enumerate", "--d", "2", "--n", "5")
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == ENUMERATE_SHA256["--d 2 --n 5"]
+    proc = spawn("count", "--d", "2")
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["kind"] == "domain"
+    proc = spawn("bogus")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+
+
+def test_only_main_freezes_the_start_up_heap(capsys):
+    # the process entry point moves the start-up heap out of the collector's
+    # reach; importing the module and run() leave the collector as it was
+    before = gc.get_freeze_count()
+    try:
+        spec = importlib.util.find_spec("hdperm.cli")
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
+        assert cli.run(["cd", "--d", "2"]) == 0
+        assert gc.get_freeze_count() == before
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cd", "--d", "2"])
+        assert exc.value.code == 0
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["status"] == "ok"
 
 
 def test_bound(capsys):
