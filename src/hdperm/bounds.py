@@ -132,9 +132,8 @@ def bregman_log_bound(a: SupportArray) -> float:
     rs = a.r_values()
     if 0 in rs:
         return float("-inf")
-    d = a.shape.d
-    _f_row(d, a.shape.n)  # one table build instead of n^d growth checks
-    return math.fsum(f_float(d, r) for r in rs)
+    row = _f_row(a.shape.d, a.shape.n)  # every r_i is at most n
+    return math.fsum(row[r - 1] for r in rs)
 
 
 def bregman_d1_reference(row_sums) -> float:
@@ -158,7 +157,6 @@ class BoundConstants(NamedTuple):
     xi = (d-1) e^{d-1}, gamma = ((d-1)/e)^{d-1}, r_d = e^d.
     """
 
-    d: int
     c_d: float
     xi: float
     gamma: float
@@ -171,7 +169,6 @@ def c_constant(d: int) -> BoundConstants:
     for k in range(1, d + 1):
         c = (1 + math.e ** (-(k - 1))) * c / k + k * (2 / k**k + (math.e / k) ** k)
     return BoundConstants(
-        d=d,
         c_d=c,
         xi=(d - 1) * math.e ** (d - 1),
         gamma=((d - 1) / math.e) ** (d - 1),
@@ -311,8 +308,6 @@ class SdnBound(NamedTuple):
     n^d f(d,n). ratio compares it to the crude n^d (log n − d) when the
     latter is positive; it decreases toward 1 as n grows."""
 
-    d: int
-    n: int
     log_bound: float
     ratio: Optional[float]
 
@@ -322,8 +317,6 @@ def sdn_log_upper_bound(shape: Shape) -> SdnBound:
     f = f_float(d, n)
     denom = math.log(n) - d
     return SdnBound(
-        d=d,
-        n=n,
         log_bound=shape.ncells * f,
         ratio=f / denom if denom > 0 else None,
     )

@@ -164,7 +164,7 @@ def _cmd_cd(args) -> int:
                     for d in range(args.d + 1))
         _write_csv(rows)
         return 0
-    payload = {k: _real(v) for k, v in c._asdict().items() if k != "d"}
+    payload = {k: _real(v) for k, v in c._asdict().items()}
     payload["cap"] = _real(bounds.c_cap(args.d))
     return _result("cd", {"d": args.d}, payload)
 
@@ -203,12 +203,14 @@ def _cmd_construct(args) -> int:
     if args.kind == "modular":
         p = constructions.modular_perm(shape)
     else:
-        choice = None  # block_lift's default: every bit 0
+        bits = None  # block_lift's default: every bit 0
         if args.bits == "random":
-            choice = constructions.BlockChoice.random(shape, seed=args.seed)
+            bits = constructions.random_bits(shape, seed=args.seed)
         elif args.bits is not None:
-            choice = constructions.BlockChoice.from_string(shape, args.bits)
-        p = constructions.block_lift(shape, choice)
+            # any character but 0 and 1 stays itself, which block_lift
+            # rejects after its order and length checks
+            bits = tuple({"0": 0, "1": 1}.get(ch, ch) for ch in args.bits.strip())
+        p = constructions.block_lift(shape, bits)
     sys.stdout.write(serialize_perm(p))
     return 0
 
@@ -357,8 +359,8 @@ def _build_parser(only=None) -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["modular", "block"])
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bits", help='block arrangement bits: 0/1 string or "random"'
-                                  " (default all zeros)")
+    p.add_argument("--bits", help="block arrangement bits: (n/2)^d characters, "
+                                  'each 0 or 1, or "random" (default all zeros)')
     p.add_argument("--seed", type=int, default=0, help="seed for --bits random")
 
     p = add("shade", help="shade-process statistics for a random query")

@@ -3,16 +3,17 @@ block-lift family.
 
 The block lift doubles an order-n/2 modular permutation: every base cell with
 value j becomes a [2]^d block holding the two values j and j + n/2, and each
-block independently picks one of its exactly two line-valid arrangements.
-That yields 2^{(n/2)^d} distinct permutations of order n, an exp(Ω(n^d))
-lower bound on the total count.
+block independently picks one of its exactly two line-valid arrangements by
+its bit, one bit per base cell in row-major order over [n/2]^d. That yields
+2^{(n/2)^d} distinct permutations of order n, an exp(Ω(n^d)) lower bound on
+the total count. block_lift(shape, bits) builds one; random_bits(shape, seed)
+draws its bits.
 """
 
 import random
 from itertools import product
-from typing import Optional
 
-from hdperm.core import PermTensor, Record, Shape
+from hdperm.core import PermTensor, Shape
 
 
 def modular_perm(shape: Shape) -> PermTensor:
@@ -23,55 +24,39 @@ def modular_perm(shape: Shape) -> PermTensor:
     return PermTensor(shape, values)
 
 
-class BlockChoice(Record):
-    """One bit per base cell (row-major over [n/2]^d), selecting the parity
-    of that cell's block arrangement."""
-
-    __slots__ = ("shape", "bits")
-
-    def __init__(self, shape: Shape, bits: tuple):
-        if shape.n % 2:
-            raise ValueError(f"block construction needs even n, got {shape.n}")
-        nblocks = (shape.n // 2) ** shape.d
-        if len(bits) != nblocks:
-            raise ValueError(f"need {nblocks} bits, got {len(bits)}")
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("bits must be 0 or 1")
-        super().__init__(shape, bits)
-
-    @classmethod
-    def from_string(cls, shape: Shape, text: str) -> "BlockChoice":
-        return cls(shape, tuple(int(ch) for ch in text.strip()))
-
-    @classmethod
-    def random(cls, shape: Shape, seed=None) -> "BlockChoice":
-        if shape.n % 2:  # fail before drawing (n//2)^d bits for nothing
-            raise ValueError(f"block construction needs even n, got {shape.n}")
-        rng = random.Random(seed)
-        nblocks = (shape.n // 2) ** shape.d
-        return cls(shape, tuple(rng.randrange(2) for _ in range(nblocks)))
+def _nblocks(shape: Shape) -> int:
+    """(n/2)^d, the number of blocks; an odd order has none."""
+    if shape.n % 2:
+        raise ValueError(f"block construction needs even n, got {shape.n}")
+    return (shape.n // 2) ** shape.d
 
 
-def block_lift(shape: Shape, choice: Optional[BlockChoice] = None) -> PermTensor:
+def random_bits(shape: Shape, seed=None) -> tuple:
+    """(n/2)^d arrangement bits drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    return tuple(rng.randrange(2) for _ in range(_nblocks(shape)))
+
+
+def block_lift(shape: Shape, bits=None) -> PermTensor:
     """Lift the order-n/2 modular permutation to order n.
 
     The block at base cell b with base value j holds
-    value(eps) = j + (n/2) * ((eps_1 + ... + eps_d + bit_b) mod 2)
+    value(eps) = j + (n/2) * ((eps_1 + ... + eps_d + bits[b]) mod 2)
     at in-block offset eps in {0,1}^d. Flipping the bit swaps the two values
-    everywhere in the block, which is the other valid arrangement. Without a
-    choice every bit is 0.
+    everywhere in the block, which is the other valid arrangement. Without
+    bits every bit is 0.
     """
-    d, n = shape.d, shape.n
-    half = n // 2
-    if choice is None:  # first, so an odd n gets BlockChoice's ValueError
-        choice = BlockChoice(shape, (0,) * half**d)
-    if choice.shape != shape:
-        raise ValueError(f"choice is for {choice.shape}, not {shape}")
-    base = Shape(d, half)
+    nblocks = _nblocks(shape)  # first, so n = 1 never reaches Shape(d, 0)
+    if bits is None:
+        bits = (0,) * nblocks
+    if len(bits) != nblocks:
+        raise ValueError(f"need {nblocks} bits, got {len(bits)}")
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError("bits must be 0 or 1")
+    d, half = shape.d, shape.n // 2
     values = [0] * shape.ncells
-    for brank, bcoords in enumerate(base.cells()):
+    for bcoords, bit in zip(Shape(d, half).cells(), bits):
         j = sum(bcoords) % half
-        bit = choice.bits[brank]
         for eps in product(range(2), repeat=d):
             coords = tuple(2 * bc + e for bc, e in zip(bcoords, eps))
             values[shape.rank(coords)] = j + half * ((sum(eps) + bit) % 2)
@@ -79,7 +64,5 @@ def block_lift(shape: Shape, choice: Optional[BlockChoice] = None) -> PermTensor
 
 
 def block_count(shape: Shape) -> int:
-    """Exactly 2^{(n/2)^d} tensors arise from block choices."""
-    if shape.n % 2:
-        raise ValueError(f"block construction needs even n, got {shape.n}")
-    return 2 ** ((shape.n // 2) ** shape.d)
+    """Exactly 2^{(n/2)^d} tensors arise from the choices of bits."""
+    return 2 ** _nblocks(shape)

@@ -2,9 +2,10 @@
 
 Each suite checks one family of the paper's claims on seeded inputs and
 returns a SuiteResult; the CLI's verify handler imports this module when it
-runs, so no other subcommand loads it or the modules it needs. The claim1
-and constructions suites import shade and constructions themselves, so the
-bound suites never load them.
+runs, so no other subcommand loads it or the modules it needs. Each suite
+imports bounds, shade or constructions itself, so the bound suites never
+load shade or constructions and the constructions suite never loads bounds
+or shade.
 """
 
 import math
@@ -12,8 +13,6 @@ import random
 from itertools import product
 from typing import NamedTuple, Optional
 
-from hdperm import bounds
-from hdperm.bounds import TOL_EXACT
 from hdperm.core import Shape, SupportArray, line_repeats
 from hdperm.counting import per_d
 
@@ -44,6 +43,8 @@ def _random_support(rng: random.Random, d: int, n: int) -> SupportArray:
 def suite_bounds(seed: int = 0) -> SuiteResult:
     """Exact counts never exceed their factorial-type bound, and the d=1
     bound matches the classical reference identically."""
+    from hdperm import bounds
+
     rng = random.Random(seed)
     min_margin = float("inf")
     violations = 0
@@ -71,7 +72,7 @@ def suite_bounds(seed: int = 0) -> SuiteResult:
             min_margin = min(min_margin, margin)
             if margin < -TOL_LOG:
                 violations += 1
-    passed = violations == 0 and max_delta <= TOL_EXACT
+    passed = violations == 0 and max_delta <= bounds.TOL_EXACT
     return SuiteResult(
         "bounds",
         passed,
@@ -85,6 +86,8 @@ def suite_theorem5(rmax: int = 100000, ds=None) -> SuiteResult:
     """Asymptotic-bound sweep for d = 1..5 plus the weak bound f ≤ log r
     through d = 6. worst is the least strong margin: the weak margin is
     exactly 0 at r = 1, so it only passes or fails."""
+    from hdperm import bounds
+
     ds = list(ds) if ds else [1, 2, 3, 4, 5]
     # the deepest row first, so the f table is built once to its full depth
     weak6 = bounds.weak_min_margin(6, rmax)
@@ -104,7 +107,7 @@ def suite_theorem5(rmax: int = 100000, ds=None) -> SuiteResult:
 
 def suite_claim1(seed: int = 0, cases=None) -> SuiteResult:
     """Exact expectation of log N equals f(d, |W|) for every query."""
-    from hdperm import shade
+    from hdperm import bounds, shade
 
     if cases is None:
         cases = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 3)]
@@ -122,7 +125,7 @@ def suite_claim1(seed: int = 0, cases=None) -> SuiteResult:
             checked += QUERIES
     return SuiteResult(
         "claim1",
-        max_delta <= TOL_EXACT,
+        max_delta <= bounds.TOL_EXACT,
         max_delta,
         f"{checked} queries over {cases}: max |E[log N] - f| = {max_delta:.3g}",
     )
@@ -137,7 +140,7 @@ def suite_constructions(seed: int = 0) -> SuiteResult:
     shape24 = Shape(2, 4)
     seen = {}
     for bits in product((0, 1), repeat=4):
-        p = constructions.block_lift(shape24, constructions.BlockChoice(shape24, bits))
+        p = constructions.block_lift(shape24, bits)
         if line_repeats(p.values, shape24):
             problems.append(f"invalid lift d=2 n=4 bits={bits}")
         if p.values in seen:
@@ -148,10 +151,10 @@ def suite_constructions(seed: int = 0) -> SuiteResult:
     rng = random.Random(seed)
     shape34 = Shape(3, 4)
     for _ in range(100):
-        choice = constructions.BlockChoice.random(shape34, seed=rng.random())
-        p = constructions.block_lift(shape34, choice)
+        bits = constructions.random_bits(shape34, seed=rng.random())
+        p = constructions.block_lift(shape34, bits)
         if line_repeats(p.values, shape34):
-            problems.append(f"invalid lift d=3 n=4 bits={choice.bits}")
+            problems.append(f"invalid lift d=3 n=4 bits={bits}")
             break
     # a [2]^2 block holding two values admits exactly 2 line-valid fillings
     valid_fillings = sum(

@@ -25,7 +25,7 @@ from hdperm.bounds import (
     sdn_log_upper_bound,
     theorem5_check,
 )
-from hdperm.constructions import BlockChoice, block_count, block_lift
+from hdperm.constructions import block_count, block_lift, random_bits
 from hdperm.core import Shape, SupportArray, all_ones_support, line_repeats
 from hdperm.counting import per_d
 from hdperm.shade import mc_expectation_logN, random_query, shade_histogram
@@ -233,13 +233,13 @@ def test_criterion_09_block_constructions():
     lifts = set()
     for i in range(16):
         bits = tuple((i >> k) & 1 for k in range(4))
-        p = block_lift(shape24, BlockChoice(shape24, bits))
+        p = block_lift(shape24, bits)
         assert not line_repeats(p.values, shape24), bits
         lifts.add(p.values)
     shape34 = Shape(3, 4)
     rng = random.Random(99)
     for _ in range(100):
-        p = block_lift(shape34, BlockChoice.random(shape34, seed=rng.random()))
+        p = block_lift(shape34, random_bits(shape34, seed=rng.random()))
         assert not line_repeats(p.values, shape34)
     from itertools import product as iproduct
 

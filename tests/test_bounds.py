@@ -349,7 +349,7 @@ def test_theorem5_counts_violations_like_numpy_sweep(monkeypatch):
     for c in (0.0, 1.0, 3.0):
 
         def shrunk(d, c=c):
-            return BoundConstants(d, c, 0.0, 0.0, 0.0)
+            return BoundConstants(c, 0.0, 0.0, 0.0)
 
         monkeypatch.setattr(bounds, "c_constant", shrunk)
         for d in (1, 2, 3):
@@ -377,7 +377,7 @@ def test_theorem5_matches_streamed_sweep_bit_for_bit(monkeypatch):
     for c in (0.0, 1.0, 3.0):
 
         def shrunk(d, c=c):
-            return BoundConstants(d, c, 0.0, 0.0, 0.0)
+            return BoundConstants(c, 0.0, 0.0, 0.0)
 
         monkeypatch.setattr(bounds, "c_constant", shrunk)
         for d in (1, 2, 3):

@@ -119,6 +119,17 @@ def test_count_threads_env(capsys, monkeypatch):
     assert obj["params"]["threads"] == 2
 
 
+def _fresh_python(script, timeout=60):
+    """Run script in a new interpreter that imports the package from src,
+    so sys.modules holds only what the script loads."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=timeout,
+    )
+
+
 def test_counting_subcommands_do_not_import_numpy():
     # count and enumerate start with the parser, core and counting alone,
     # and only enumerate's search of a d >= 2 support that is not a full
@@ -169,11 +180,7 @@ def test_counting_subcommands_do_not_import_numpy():
         assert hdperm.cli.run(["f", "--d", "2", "--r", "5"]) == 0
         """
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
+    proc = _fresh_python(script)
     assert proc.returncode == 0, proc.stderr
     f_line = json.loads(proc.stdout.splitlines()[-1])
     assert f_line["f"] == pytest.approx(f_float(2, 5), abs=1e-12)
@@ -202,11 +209,7 @@ def test_no_subcommand_imports_numpy():
             assert "numpy" not in sys.modules, argv
         """
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = _fresh_python(script, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -249,11 +252,23 @@ def test_bound_suites_do_not_import_shade_or_constructions():
         assert loaded == [], loaded
         """
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    proc = _fresh_python(script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_constructions_suite_does_not_import_bounds_or_shade():
+    script = textwrap.dedent(
+        """
+        import sys
+        import hdperm.cli
+
+        assert hdperm.cli.run(["verify", "--suite", "constructions"]) == 0
+        unused = ["hdperm.bounds", "hdperm.shade"]
+        loaded = [name for name in unused if name in sys.modules]
+        assert loaded == [], loaded
+        """
     )
+    proc = _fresh_python(script)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -515,6 +530,22 @@ def test_construct_block(capsys):
     )
     assert code == 1
     assert obj["status"] == "error"
+
+    # every character but 0 and 1 is refused: letters, inner spaces and
+    # digits of other scripts alike (surrounding whitespace is stripped)
+    for text in ("01a0", "01 0", "\uff10\uff11\uff11\uff10", "0120"):
+        code, obj = run_json(
+            capsys, ["construct", "block", "--d", "2", "--n", "4", "--bits", text]
+        )
+        assert code == 1, text
+        assert obj["error"] == {"kind": "domain", "message": "bits must be 0 or 1"}, text
+    code, out = run_text(
+        capsys, ["construct", "block", "--d", "2", "--n", "4", "--bits", " 0110\n"]
+    )
+    assert code == 0
+    assert out == run_text(
+        capsys, ["construct", "block", "--d", "2", "--n", "4", "--bits", "0110"]
+    )[1]
 
 
 def test_construct_block_random_seeded(capsys):

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from hdperm.constructions import BlockChoice, block_count, block_lift, modular_perm
+from hdperm.constructions import block_count, block_lift, modular_perm, random_bits
 from hdperm.core import Shape, all_ones_support, line_repeats
 from hdperm.counting import per_d
 
@@ -20,15 +20,20 @@ def test_modular_d2_is_cyclic_latin_square():
     assert p.values == (0, 1, 2, 1, 2, 0, 2, 0, 1)
 
 
-def test_block_choice_validation():
+def test_block_lift_checks_its_bits():
     s = Shape(2, 4)
-    BlockChoice(s, (0, 1, 1, 0))
-    with pytest.raises(ValueError):
-        BlockChoice(s, (0, 1))  # wrong length, needs (n/2)^d = 4
-    with pytest.raises(ValueError):
-        BlockChoice(s, (0, 1, 2, 0))  # not 0/1
-    with pytest.raises(ValueError):
-        BlockChoice(Shape(2, 3), (0,))  # odd order has no block structure
+    assert block_lift(s, (0, 0, 0, 0)) == block_lift(s)  # no bits: every bit 0
+    with pytest.raises(ValueError, match=r"^need 4 bits, got 2$"):
+        block_lift(s, (0, 1))  # (n/2)^d = 4
+    for bad in ((0, 1, 2, 0), (0, 1, -1, 0), (0, 1, "1", 0)):
+        with pytest.raises(ValueError, match="^bits must be 0 or 1$"):
+            block_lift(s, bad)
+    # the order comes first: an odd n has no blocks to count bits against
+    for bits in ((0,), (0, 1), (0, 1, 2)):
+        with pytest.raises(ValueError, match="^block construction needs even n, got 3$"):
+            block_lift(Shape(2, 3), bits)
+    with pytest.raises(ValueError, match="^need 4 bits, got 3$"):
+        block_lift(s, (0, 1, 2))  # the length comes before the values
 
 
 def test_block_lift_rejects_odd_order():
@@ -39,22 +44,22 @@ def test_block_lift_rejects_odd_order():
         assert exc.type is ValueError
 
 
-def test_block_choice_from_string_and_random():
+def test_random_bits_is_seeded():
     s = Shape(2, 4)
-    assert BlockChoice.from_string(s, "0110").bits == (0, 1, 1, 0)
-    with pytest.raises(ValueError):
-        BlockChoice.from_string(s, "01a0")
-    a = BlockChoice.random(s, seed=5)
-    b = BlockChoice.random(s, seed=5)
-    assert a == b
-    assert len(a.bits) == 4
+    a = random_bits(s, seed=5)
+    assert a == random_bits(s, seed=5)
+    assert len(a) == 4 and set(a) <= {0, 1}
+    # the draws of random.Random(seed).randrange(2), one per block
+    assert random_bits(Shape(3, 4), seed=5) == (1, 1, 0, 1, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match="^block construction needs even n, got 5$"):
+        random_bits(Shape(3, 5), seed=5)
 
 
 def test_all_lifts_valid_and_distinct_d2_n4():
     s = Shape(2, 4)
     seen = set()
     for bits in product((0, 1), repeat=4):
-        p = block_lift(s, BlockChoice(s, bits))
+        p = block_lift(s, bits)
         assert not line_repeats(p.values, s), bits
         seen.add(p.values)
     assert len(seen) == 16  # the lift is injective in the choice bits
@@ -64,18 +69,18 @@ def test_lifts_valid_d1_and_d3():
     for n in (2, 4, 6):
         s = Shape(1, n)
         for bits in product((0, 1), repeat=n // 2):
-            p = block_lift(s, BlockChoice(s, bits))
+            p = block_lift(s, bits)
             assert not line_repeats(p.values, s)
     s = Shape(3, 4)
     for seed in range(100):
-        p = block_lift(s, BlockChoice.random(s, seed=seed))
+        p = block_lift(s, random_bits(s, seed=seed))
         assert not line_repeats(p.values, s)
 
 
 def test_block_cell_values_come_from_its_pair():
     # cell (2b + eps) holds j or j + n/2 where j is the base value at b
     s = Shape(2, 4)
-    p = block_lift(s, BlockChoice(s, (1, 0, 0, 1)))
+    p = block_lift(s, (1, 0, 0, 1))
     half = 2
     base = modular_perm(Shape(2, half))
     for b in base.shape.cells():

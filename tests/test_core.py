@@ -18,7 +18,7 @@ from hdperm.core import (
     parse_support,
     serialize_perm,
 )
-from hdperm.constructions import BlockChoice, modular_perm
+from hdperm.constructions import modular_perm
 from hdperm.counting import _line_table, per_d
 from hdperm.shade import ShadeQuery
 
@@ -56,7 +56,6 @@ _RECORDS = [
     (lambda: SupportArray(_S13, (1, 6, 7)), ("shape", "masks")),
     (lambda: PermTensor(_S13, (2, 0, 1)), ("shape", "values")),
     (lambda: Violation(1, (0,), 2), ("direction", "fixed", "value")),
-    (lambda: BlockChoice(Shape(2, 4), (0, 1, 1, 0)), ("shape", "bits")),
     (lambda: ShadeQuery(modular_perm(Shape(2, 3)), (1, 2), {0, 2}), ("x", "target", "w")),
 ]
 
