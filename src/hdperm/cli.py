@@ -17,8 +17,8 @@ once, here. It holds the parser, one handler per subcommand and the dispatch.
 Importing it loads only what count and enumerate run (argparse, json, os,
 sys, hdperm.core and hdperm.counting). Every other handler imports its own
 modules when it runs: hdperm.bounds where f is evaluated,
-hdperm.constructions, hdperm.shade, hdperm.suites for verify, and csv for
---csv output.
+hdperm.constructions, hdperm.shade and hdperm.suites for verify. --csv
+output is written line by line, without the csv module.
 
 main, the process entry point of python -m hdperm.cli and of the hdperm
 script, freezes the start-up heap (gc.freeze()) before it runs the
@@ -89,11 +89,11 @@ def _load_support(args) -> SupportArray:
 
 
 def _write_csv(rows) -> None:
-    import csv
-
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+    """One line per row, floats to 15 significant digits. No field needs
+    quoting: every field is an int, a float or an identifier header."""
     for row in rows:
-        writer.writerow(format(v, ".15g") if isinstance(v, float) else v for v in row)
+        fields = (format(v, ".15g") if isinstance(v, float) else str(v) for v in row)
+        sys.stdout.write(",".join(fields) + "\n")
 
 
 def _threads(args) -> int:
@@ -316,9 +316,9 @@ def _build_parser(only=None) -> argparse.ArgumentParser:
             return sub.add_parser(name, **kwargs)
         return _Unbuilt()
 
-    def shape_flags(p, required=False):
-        p.add_argument("--d", type=int, required=required, help="dimension")
-        p.add_argument("--n", type=int, required=required, help="order")
+    def shape_flags(p):
+        p.add_argument("--d", type=int, help="dimension")
+        p.add_argument("--n", type=int, help="order")
 
     p = add("count", help="exact number of supported permutations")
     shape_flags(p)

@@ -13,7 +13,7 @@ draws its bits.
 import random
 from itertools import product
 
-from hdperm.core import PermTensor, Shape
+from hdperm.core import PermTensor, Shape, _is_int
 
 
 def modular_perm(shape: Shape) -> PermTensor:
@@ -51,7 +51,7 @@ def block_lift(shape: Shape, bits=None) -> PermTensor:
         bits = (0,) * nblocks
     if len(bits) != nblocks:
         raise ValueError(f"need {nblocks} bits, got {len(bits)}")
-    if any(b not in (0, 1) for b in bits):
+    if not all(_is_int(b) and b in (0, 1) for b in bits):
         raise ValueError("bits must be 0 or 1")
     d, half = shape.d, shape.n // 2
     values = [0] * shape.ncells

@@ -32,9 +32,9 @@ depend only on the state after the first n-2: each call keeps a memo from
 that state to the texts of its completions. The walk, _blocks, hands out
 one block per prefix that reaches slab n-2: the prefix's text, formatted
 once, and the memo's tails; the walk builds text only, in the
-serialize_perm layout. For d >= 2 and n >= 3 it prunes with the complement
-tables of _live, read from the same two passes: a prefix whose state's
-complement is not in them has no completion.
+serialize_perm layout. On a support of d >= 2 that is not full it prunes
+with the complement tables of _live, read from the same two passes: a
+prefix whose state's complement is not in them has no completion.
 per_d(a, backend="python") counts the tensors of that walk; that is the
 reference the tests and benchmarks cross-check the slab DP against.
 """
@@ -43,7 +43,6 @@ from functools import lru_cache
 from math import prod
 from typing import Iterator, Optional
 
-from hdperm import kernels
 from hdperm.core import Shape, SupportArray, rows_text
 
 # entries one walk of the enumerator keeps in its listings, text cache and
@@ -325,10 +324,11 @@ def _live(a: SupportArray, fills) -> Optional[list]:
     fwd[t], since full ^ (S ^ f) = (full ^ S) | f.
 
     Returns None, so that nothing is checked, for n < 3, which has no slab
-    boundary to check, and where a pass or a step of the walk back would
-    pass _LIVE_MAX: a search that stops after a few tensors never waits for
-    them. The backward pass, n - h >= h slabs long, goes first, so it meets
-    the cap sooner.
+    boundary to check, and where a pass meets a slab whose cell sizes
+    multiply to more than _LIVE_MAX, or a step of a pass or of the walk back
+    would pair more than _LIVE_MAX states and fillings: a search that stops
+    after a few tensors never waits for them. The backward pass, n - h >= h
+    slabs long, goes first, so it meets the cap sooner.
     """
     n = a.shape.n
     if n < 3:
@@ -383,6 +383,8 @@ def per_d(
             stats.update(algorithm="meet", states=[len(t) for t in fwd[1:]],
                          states_back=[len(t) for t in back[1:]])
         return count
+    from hdperm import kernels
+
     kernels.get(backend)
     return sum(len(tails) for _, tails in _blocks(a))
 
@@ -399,12 +401,13 @@ def _blocks(a: SupportArray, stats: Optional[dict] = None, limit: Optional[int] 
     Pieces of the prefix are formatted once per filling and tails once per
     memo entry.
 
-    The walk checks live tables (_live) for d >= 2 and n >= 3, except on
-    the full supports where every state is live: those of d = 2, since
-    every Latin rectangle completes to a Latin square (M. Hall, 1945), and
-    those of order 3, since a first slab L completes by L + 1 and L + 2
-    mod 3. d = 1 builds none either: a slab is one cell, and the tables
-    cost more than the walk they would prune.
+    The walk checks live tables (_live) on the supports of d >= 2 that are
+    not full. On a full support every state is live for d = 2 (every Latin
+    rectangle completes to a Latin square, M. Hall, 1945) and for order 3
+    (a first slab L completes by L + 1 and L + 2 mod 3), and for d >= 3 and
+    n >= 4 _live returns None: a slab's cell sizes multiply to n^(n^(d-1))
+    >= 4^16 > _LIVE_MAX. d = 1 builds none either: a slab is one cell, and
+    the tables cost more than the walk they would prune.
 
     stats, when given, receives the work counters when the walk ends or is
     closed: "prefixes" that reached slab n-2, "listings" of residual
@@ -448,7 +451,7 @@ def _blocks(a: SupportArray, stats: Optional[dict] = None, limit: Optional[int] 
         mid = n - 2
         forbid = full ^ parts[-1]
         live = None
-        if d >= 2 and (masks.count(shape.full_mask) < len(masks) or d > 2 and n > 3):
+        if d >= 2 and masks.count(shape.full_mask) < len(masks):
             live = _live(a, _fill_lister(a))
         memo = walker.table()
         get = memo.get

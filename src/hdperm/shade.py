@@ -24,6 +24,7 @@ sample; means are reproducible for a fixed seed.
 
 import math
 import random
+from itertools import product
 from typing import NamedTuple, Optional, Tuple
 
 from hdperm.core import PermTensor, Record, Shape, _is_int
@@ -49,23 +50,17 @@ class ShadeQuery(Record):
 
 
 def _axis_values(q: ShadeQuery) -> list:
-    """values[k][t] = X at the target cell with coordinate k replaced by t."""
+    """values[k][t] = X at the target cell with coordinate k replaced by t:
+    the line along axis k through the target, read as one slice of the
+    row-major values, stride n^(d-1-k), from the target's one rank."""
     shape = q.x.shape
+    n, at = shape.n, shape.rank(q.target)
     out = []
-    for k in range(shape.d):
-        row = []
-        for t in range(shape.n):
-            coords = q.target[:k] + (t,) + q.target[k + 1 :]
-            row.append(q.x.values[shape.rank(coords)])
-        out.append(row)
+    for k, c in enumerate(q.target):
+        stride = n ** (shape.d - 1 - k)
+        start = at - c * stride
+        out.append(q.x.values[start : start + n * stride : stride])
     return out
-
-
-def _w_mask(q: ShadeQuery) -> int:
-    m = 0
-    for v in q.w:
-        m |= 1 << v
-    return m
 
 
 class ShadeDistribution(NamedTuple):
@@ -134,7 +129,7 @@ def mc_expectation_logN(
     n, d = shape.n, shape.d
     rng = random.Random(seed)
     axis_vals = _axis_values(q)
-    wmask = _w_mask(q)
+    wmask = sum(1 << v for v in q.w)
     target = q.target
     counts = [0] * (n + 2)
     base = list(range(n))
@@ -159,20 +154,20 @@ def mc_expectation_logN(
 
 def random_valid_perm(shape: Shape, rng: random.Random) -> PermTensor:
     """A scrambled modular permutation: relabel values and permute each axis's
-    coordinates independently. Stays valid, varies broadly with the rng."""
-    base = modular_perm(shape)
-    relabel = list(range(shape.n))
+    coordinates independently. Stays valid, varies broadly with the rng.
+    Axis k's map m becomes the rank offsets m[c] * n^(d-1-k), and the cells,
+    in row-major order, gather the modular values at one offset per axis."""
+    d, n = shape.d, shape.n
+    base = modular_perm(shape).values
+    relabel = list(range(n))
     rng.shuffle(relabel)
-    axis_maps = []
-    for _ in range(shape.d):
-        m = list(range(shape.n))
+    offsets = []
+    for k in range(d):
+        m = list(range(n))
         rng.shuffle(m)
-        axis_maps.append(m)
-    values = [0] * shape.ncells
-    for coords in shape.cells():
-        src = tuple(axis_maps[k][c] for k, c in enumerate(coords))
-        values[shape.rank(coords)] = relabel[base.values[shape.rank(src)]]
-    return PermTensor(shape, tuple(values))
+        stride = n ** (d - 1 - k)
+        offsets.append([m[c] * stride for c in range(n)])
+    return PermTensor(shape, tuple(relabel[base[sum(o)]] for o in product(*offsets)))
 
 
 def random_query(

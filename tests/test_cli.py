@@ -132,8 +132,8 @@ def _fresh_python(script, timeout=60):
 
 def test_counting_subcommands_do_not_import_numpy():
     # count and enumerate start with the parser, core and counting alone,
-    # and only enumerate's search of a d >= 2 support that is not a full
-    # square builds live sets;
+    # and only enumerate's search of a d >= 2 support that is not full
+    # builds live sets, so none of these full supports does;
     # construct and cd load their own modules, and no subcommand loads numpy
     script = textwrap.dedent(
         """
@@ -156,19 +156,15 @@ def test_counting_subcommands_do_not_import_numpy():
             ["count", "--d", "2", "--n", "5"],
             ["enumerate", "--d", "1", "--n", "5", "--limit", "2"],
             ["enumerate", "--d", "2", "--n", "5", "--limit", "2"],
-        ):
-            assert hdperm.cli.run(argv) == 0, argv
-        assert built == [], built
-        assert hdperm.cli.run(["enumerate", "--d", "3", "--n", "4", "--limit", "2"]) == 0
-        assert len(built) == 1, built
-        for argv in (
+            ["enumerate", "--d", "3", "--n", "4", "--limit", "2"],
             ["count", "--d", "2", "--n", "3"],
             ["enumerate", "--d", "2", "--n", "3", "--limit", "2"],
         ):
             assert hdperm.cli.run(argv) == 0, argv
+        assert built == [], built
         unused = ["dataclasses", "inspect", "fractions", "decimal", "csv",
                   "hdperm.bounds", "hdperm.shade", "hdperm.constructions",
-                  "hdperm.suites"]
+                  "hdperm.suites", "hdperm.kernels"]
         assert loaded(unused) == [], loaded(unused)
         for argv in (
             ["construct", "modular", "--d", "2", "--n", "3"],
@@ -211,6 +207,26 @@ def test_no_subcommand_imports_numpy():
     )
     proc = _fresh_python(script, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_csv_output_does_not_import_csv():
+    script = textwrap.dedent(
+        """
+        import sys
+        import hdperm.cli
+
+        for argv in (
+            ["f", "--d", "3", "--rmax", "50", "--csv"],
+            ["cd", "--d", "5", "--csv"],
+            ["theorem5", "--d", "2", "--rmax", "500", "--csv"],
+        ):
+            assert hdperm.cli.run(argv) == 0, argv
+        assert "csv" not in sys.modules
+        """
+    )
+    proc = _fresh_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("d,r,f_float\n3,1,0\n"), proc.stdout[:40]
 
 
 def test_enumerate_text(capsys):

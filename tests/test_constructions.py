@@ -25,7 +25,9 @@ def test_block_lift_checks_its_bits():
     assert block_lift(s, (0, 0, 0, 0)) == block_lift(s)  # no bits: every bit 0
     with pytest.raises(ValueError, match=r"^need 4 bits, got 2$"):
         block_lift(s, (0, 1))  # (n/2)^d = 4
-    for bad in ((0, 1, 2, 0), (0, 1, -1, 0), (0, 1, "1", 0)):
+    bad_bits = ((0, 1, 2, 0), (0, 1, -1, 0), (0, 1, "1", 0),
+                (True, 0, 1, 0), (0, False, 1, 0), (1.0, 0, 1, 0), (0, 0.0, 1, 0))
+    for bad in bad_bits:  # a bool or a float is not a bit, whatever it equals
         with pytest.raises(ValueError, match="^bits must be 0 or 1$"):
             block_lift(s, bad)
     # the order comes first: an odd n has no blocks to count bits against

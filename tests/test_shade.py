@@ -12,6 +12,7 @@ from hdperm.constructions import modular_perm
 from hdperm.core import PermTensor, Shape, line_repeats
 from hdperm.shade import (
     ShadeQuery,
+    _axis_values,
     mc_expectation_logN,
     random_query,
     random_valid_perm,
@@ -215,6 +216,26 @@ def test_random_valid_perm_is_valid_and_varies():
         assert not line_repeats(p.values, p.shape)
         seen.add(p.values)
     assert len(seen) > 5
+
+
+def test_random_valid_perm_is_pinned():
+    # the relabel shuffle comes first, then one shuffle per axis
+    p = random_valid_perm(Shape(2, 4), random.Random(5))
+    assert p.values == (2, 0, 1, 3, 0, 1, 3, 2, 3, 2, 0, 1, 1, 3, 2, 0)
+
+
+def test_axis_values_are_the_lines_through_the_target():
+    for d in range(1, 5):
+        for n in range(1, 7):
+            for seed in range(3):
+                q = random_query(Shape(d, n), seed=seed)
+                rows = _axis_values(q)
+                assert len(rows) == d
+                for k, row in enumerate(rows):
+                    assert len(row) == n
+                    for t, v in enumerate(row):
+                        cell = q.target[:k] + (t,) + q.target[k + 1 :]
+                        assert v == q.x.value_at(cell), (d, n, seed, k, t)
 
 
 def test_random_query_reproducible():
