@@ -17,8 +17,9 @@ it. Every line takes each value once, so a state S after slabs 0..t-1 has
 a completion exactly when full ^ S is a state the pass over slabs n-1..t
 reaches. per_d meets in the middle: it joins the pass over slabs 0..h-1
 (h = n // 2) with the pass over slabs n-1..h, and the count is the sum of
-F[S] * B[full ^ S]. A call lists slab fillings once per distinct tuple of
-slab cell masks, so the work grows with the number of distinct states, not
+F[S] * B[full ^ S]. One walker per call (_fill_lister) lists slab fillings
+once per distinct tuple of slab cell masks, and refuses, under a cap, a slab
+too large to list; the work grows with the number of distinct states, not
 with the count. Counts are exact Python ints, and the result and the
 per-slab state counts are deterministic.
 
@@ -249,25 +250,25 @@ class _Walker:
                 s -= 1
 
 
-def _slab_fills(shape: Shape, cells: tuple) -> list:
-    """Every permutation a slab with cell masks cells admits, as a state:
-    the value of slab cell p sets bit p*n + value."""
-    n = shape.n
-    return list(_Walker(n).fillings(shape.d - 1, _pack(cells, n)))
-
-
 def _fill_lister(a: SupportArray):
-    """fills(s): the fillings slab s of a admits, listed by _slab_fills once
-    per distinct tuple of cell masks, so the slabs of a full support (and
-    any slabs with equal masks) share one list."""
-    m = a.shape.n ** (a.shape.d - 1)
+    """fills(s, cap=None): the fillings slab s of a admits, as states (slab
+    cell p's value v sets bit p*n + v), listed by one walker once per
+    distinct tuple of cell masks: slabs with equal masks share one list, and
+    all slabs share the walker's inner listings (a row's cells, a square's
+    rows). With a cap, fills returns None, before listing, for a new slab
+    whose cell sizes multiply to more than cap."""
+    d, n = a.shape.d, a.shape.n
+    m = n ** (d - 1)
+    walker = _Walker(n)
     listed = {}
 
-    def fills(s: int) -> list:
+    def fills(s: int, cap: Optional[int] = None) -> Optional[list]:
         cells = a.masks[s * m : (s + 1) * m]
         found = listed.get(cells)
         if found is None:
-            found = listed[cells] = _slab_fills(a.shape, cells)
+            if cap is not None and prod(map(int.bit_count, cells)) > cap:
+                return None
+            found = listed[cells] = list(walker.fillings(d - 1, _pack(cells, n)))
         return found
 
     return fills
@@ -289,25 +290,23 @@ def _step(dp: dict, fills: list, cap: Optional[int] = None) -> Optional[dict]:
     return nxt
 
 
-def _pass(a: SupportArray, fills, order, cap: Optional[int] = None) -> list:
-    """The slab DP of a over the slabs order lists: tables[j] maps each
-    state that the first j of them reach to the ways they reach it.
+def _pass(fills, order, cap: Optional[int] = None) -> list:
+    """The slab DP over the slabs order lists, fills(s, cap) listing slab
+    s: tables[j] maps each state the first j of them reach to its ways.
 
     A state packs the values used on every axis-0 line into one int, n bits
     per line, lines in the row-major order of the slab's cells.
 
-    With a cap, the pass stops, and returns the tables it has, before it
-    lists a slab whose cells admit more than cap value tuples or steps more
-    than cap state-filling pairs, so the tables stay small.
+    With a cap, the pass stops, and returns the tables it has, where fills
+    refuses a slab or a step would pair more than cap states and fillings,
+    so the tables stay small.
     """
-    m = a.shape.n ** (a.shape.d - 1)
     tables = [{0: 1}]
     for s in order:
-        if cap is not None and prod(map(int.bit_count, a.masks[s * m : (s + 1) * m])) > cap:
-            break  # refused before listing
-        nxt = _step(tables[-1], fills(s), cap)
+        slab = fills(s, cap)
+        nxt = None if slab is None else _step(tables[-1], slab, cap)
         if nxt is None:
-            break
+            break  # refused before listing or stepping
         tables.append(nxt)
     return tables
 
@@ -334,10 +333,10 @@ def _live(a: SupportArray, fills) -> Optional[list]:
     if n < 3:
         return None  # no slab boundary to check
     h = n // 2
-    back = _pass(a, fills, range(n - 1, h - 1, -1), _LIVE_MAX)
+    back = _pass(fills, range(n - 1, h - 1, -1), _LIVE_MAX)
     if len(back) <= n - h:
         return None
-    fwd = _pass(a, fills, range(h), _LIVE_MAX)
+    fwd = _pass(fills, range(h), _LIVE_MAX)
     if len(fwd) <= h:
         return None
     full = (1 << n * n ** (a.shape.d - 1)) - 1
@@ -375,8 +374,8 @@ def per_d(
         h = n // 2
         full = (1 << n * n ** (a.shape.d - 1)) - 1
         fills = _fill_lister(a)
-        back = _pass(a, fills, range(n - 1, h - 1, -1))
-        fwd = _pass(a, fills, range(h))
+        back = _pass(fills, range(n - 1, h - 1, -1))
+        fwd = _pass(fills, range(h))
         get = back[-1].get
         count = sum(c * get(full ^ state, 0) for state, c in fwd[-1].items())
         if stats is not None:

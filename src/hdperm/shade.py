@@ -31,9 +31,24 @@ from hdperm.core import PermTensor, Record, Shape, _is_int
 from hdperm.constructions import modular_perm
 
 
+def _axis_values(x: PermTensor, target: tuple) -> list:
+    """values[k][t] = x at the target cell with coordinate k replaced by t:
+    the line along axis k through the target, read as one slice of the
+    row-major values, stride n^(d-1-k), from the target's one rank."""
+    shape = x.shape
+    n, at = shape.n, shape.rank(target)
+    out = []
+    for k, c in enumerate(target):
+        stride = n ** (shape.d - 1 - k)
+        start = at - c * stride
+        out.append(x.values[start : start + n * stride : stride])
+    return out
+
+
 class ShadeQuery(Record):
     """A tensor x, a target cell and a value set W that holds x's value at
-    the target; target is stored as a checked tuple and W as a frozenset."""
+    the target, no line of x through the target repeating a value; target
+    is stored as a checked tuple and W as a frozenset."""
 
     __slots__ = ("x", "target", "w")
 
@@ -46,21 +61,10 @@ class ShadeQuery(Record):
                 raise ValueError(f"W value {v!r} out of range 0..{shape.n - 1}")
         if x.value_at(target) not in w:
             raise ValueError("W must contain the tensor's value at the target cell")
+        for k, vals in enumerate(_axis_values(x, target)):
+            if sorted(vals) != list(range(shape.n)):
+                raise ValueError(f"axis {k + 1} through the target repeats a value")
         super().__init__(x, target, w)
-
-
-def _axis_values(q: ShadeQuery) -> list:
-    """values[k][t] = X at the target cell with coordinate k replaced by t:
-    the line along axis k through the target, read as one slice of the
-    row-major values, stride n^(d-1-k), from the target's one rank."""
-    shape = q.x.shape
-    n, at = shape.n, shape.rank(q.target)
-    out = []
-    for k, c in enumerate(q.target):
-        stride = n ** (shape.d - 1 - k)
-        start = at - c * stride
-        out.append(q.x.values[start : start + n * stride : stride])
-    return out
 
 
 class ShadeDistribution(NamedTuple):
@@ -98,11 +102,7 @@ def shade_histogram(q: ShadeQuery) -> ShadeDistribution:
 
     orderings: exact ints, O(r^2) terms, whatever d.
     """
-    shape = q.x.shape
-    n, d = shape.n, shape.d
-    for k, vals in enumerate(_axis_values(q)):
-        if sorted(vals) != list(range(n)):
-            raise ValueError(f"axis {k + 1} through the target repeats a value")
+    n, d = q.x.shape.n, q.x.shape.d
     m = len(q.w) - 1
     fact = math.factorial(n)
     escape = [(fact // (u + 1)) ** d for u in range(m + 1)]
@@ -125,10 +125,9 @@ def mc_expectation_logN(
     """
     if not isinstance(samples, int) or samples < 2:
         raise ValueError(f"samples must be an integer >= 2, got {samples!r}")
-    shape = q.x.shape
-    n, d = shape.n, shape.d
+    n, d = q.x.shape.n, q.x.shape.d
     rng = random.Random(seed)
-    axis_vals = _axis_values(q)
+    axis_vals = _axis_values(q.x, q.target)
     wmask = sum(1 << v for v in q.w)
     target = q.target
     counts = [0] * (n + 2)

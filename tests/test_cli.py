@@ -657,6 +657,17 @@ def test_missing_shape_is_domain_error(capsys):
     assert obj["error"]["kind"] == "domain"
 
 
+def test_missing_inputs_are_domain_errors(capsys):
+    cases = [
+        (["f", "--d", "2"], "need --r for a single value or --rmax for a table"),
+        (["shade", "exact", "--d", "2"], "need --perm FILE or both --d and --n"),
+    ]
+    for argv, message in cases:
+        code, obj = run_json(capsys, argv)
+        assert code == 1, argv
+        assert obj["error"] == {"kind": "domain", "message": message}, argv
+
+
 def test_bad_shape_is_shape_error(capsys):
     code, obj = run_json(capsys, ["count", "--d", "0", "--n", "3"])
     assert code == 1

@@ -307,11 +307,23 @@ def test_parse_support():
 
 
 def test_parse_support_errors():
-    with pytest.raises(FormatError):
-        parse_support('{"n": 3, "ones": []}')
-    with pytest.raises(FormatError):
-        parse_support('{"d": 1, "n": 3}')
-    with pytest.raises(FormatError):
-        parse_support('{"d": 1, "n": 3, "ones": [[0, 5]]}')
-    with pytest.raises(FormatError):
-        parse_support("not json")
+    # one FormatError for every fault; the message says which fault it found
+    cases = [
+        ("not json", "invalid JSON: .*"),
+        ("[1, 3]", "support must be a JSON object"),
+        ('{"n": 3, "ones": []}', "missing field 'd'"),
+        ('{"d": "1", "n": 3, "all_ones": true}', "field 'd' must be an integer"),
+        ('{"d": true, "n": 3, "all_ones": true}', "field 'd' must be an integer"),
+        ('{"d": 1, "n": 65, "all_ones": true}', "n must be an integer in 1..64, got 65"),
+        ('{"d": 1, "n": 3}', 'support needs "all_ones": true or an "ones" array'),
+        ('{"d": 1, "n": 3, "ones": 5}', '"ones" must be an array of integer arrays'),
+        ('{"d": 1, "n": 3, "ones": [[0, "1"]]}',
+         r"one-entry must be an integer array, got \[0, '1'\]"),
+        ('{"d": 1, "n": 3, "ones": [[0, 1, 2]]}',
+         r"one-entry must have 2 integers, got \(0, 1, 2\)"),
+        ('{"d": 1, "n": 3, "ones": [[3, 0]]}', r"coordinate 3 out of range 0\.\.2"),
+        ('{"d": 1, "n": 3, "ones": [[0, 5]]}', r"value 5 out of range 0\.\.2"),
+    ]
+    for text, message in cases:
+        with pytest.raises(FormatError, match=f"^(?:{message})$"):
+            parse_support(text)

@@ -425,7 +425,7 @@ def checked_live_sets(a):
     if checked:
         n = a.shape.n
         full = (1 << n**a.shape.d) - 1
-        fwd = counting._pass(a, counting._fill_lister(a), range(n - 2))
+        fwd = counting._pass(counting._fill_lister(a), range(n - 2))
         tensors = list(enumerate_sets(a))
         for t, table in checked:
             live = {states_after(v, a.shape, t) for v in tensors}
@@ -459,14 +459,21 @@ def test_live_sets_give_up_before_listing(monkeypatch):
     # listing a slab (or stepping a table) past _LIVE_MAX is refused before
     # it starts, so a short --limit never waits for the tables; a full
     # support of d = 2 builds none at all
-    listed = []
+    listed = []  # every slab list a fill lister made, once
+    fill_lister = counting._fill_lister
 
-    def counted(shape, cells):
-        listed.append(cells)
-        return slab_fills(shape, cells)
+    def counted(a):
+        fills = fill_lister(a)
 
-    slab_fills = counting._slab_fills
-    monkeypatch.setattr(counting, "_slab_fills", counted)
+        def counted_fills(s, cap=None):
+            found = fills(s, cap)
+            if found is not None and not any(found is f for f in listed):
+                listed.append(found)
+            return found
+
+        return counted_fills
+
+    monkeypatch.setattr(counting, "_fill_lister", counted)
     for d, n in ((2, 12), (3, 5), (3, 4), (2, 6)):
         assert next(tensors(all_ones_support(Shape(d, n)))).shape == Shape(d, n)
         assert listed == [], (d, n)
@@ -505,6 +512,26 @@ def test_live_sets_give_up_before_listing(monkeypatch):
     assert listed == []
 
 
+def test_live_sets_give_up_past_the_cap(monkeypatch):
+    # full d=2 n=4 but for two cells of slab 2 that miss value 3: the
+    # backward pass steps at most 288 state-filling pairs, the forward pass
+    # 576 and the walk back 1,800, so a cap of 400 gives up in the forward
+    # pass and one of 1,000 in the walk back; either way the walk runs
+    # without live sets and writes the stream they prune
+    a = with_cell(with_cell(all_ones_support(Shape(2, 4)), 8, 0b0111), 9, 0b0111)
+    stats = {}
+    stream = texts(a, stats=stats)
+    assert stats["live_prunes"] > 0
+    fills = counting._fill_lister(a)
+    for cap, forward_fits in ((400, False), (1000, True)):
+        monkeypatch.setattr(counting, "_LIVE_MAX", cap)
+        assert len(counting._pass(fills, (3, 2), cap)) == 3
+        assert (len(counting._pass(fills, (0, 1), cap)) == 3) == forward_fits
+        assert live_sets(a) is None
+        assert texts(a, stats=stats) == stream
+        assert stats["live_prunes"] == 0
+
+
 def test_full_order_3_supports_have_no_live_checks(monkeypatch):
     # a first slab L completes by L + 1 and L + 2 mod 3, so every state is
     # live: each table holds the complement of every state the forward DP
@@ -515,7 +542,7 @@ def test_full_order_3_supports_have_no_live_checks(monkeypatch):
         comp = live_sets(a)
         assert (comp is None) == (d == 4), d
         if comp is not None:
-            fwd = counting._pass(a, counting._fill_lister(a), range(1))
+            fwd = counting._pass(counting._fill_lister(a), range(1))
             full = (1 << 3**d) - 1
             # order 3: one boundary
             assert [{full ^ T for T in table} for table in comp[1:]] == [fwd[1].keys()], d

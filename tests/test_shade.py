@@ -181,10 +181,17 @@ def test_exact_reaches_past_the_old_budget():
 
 
 def test_histogram_rejects_a_repeat_on_the_target_lines():
-    # a row that repeats 0 through the target cell breaks the closed form
+    # rows 0 and 2 repeat a value, so a target there has no query: both the
+    # closed form and the Monte Carlo mean assume the lines through it hold
+    # every value once
     p = PermTensor(Shape(2, 3), (0, 0, 2, 1, 2, 0, 2, 1, 1))
-    with pytest.raises(ValueError):
-        shade_histogram(ShadeQuery(p, (0, 0), frozenset({0, 2})))
+    message = r"^axis 2 through the target repeats a value$"
+    for target in ((0, 0), (2, 1)):
+        with pytest.raises(ValueError, match=message):
+            ShadeQuery(p, target, frozenset({0, 1, 2}))
+    assert ShadeQuery(p, (1, 1), frozenset({2})).target == (1, 1)
+    with pytest.raises(ValueError, match=message):
+        random_query(Shape(2, 3), seed=1, perm=p)
 
 
 def test_mc_deterministic_and_converges():
@@ -229,7 +236,7 @@ def test_axis_values_are_the_lines_through_the_target():
         for n in range(1, 7):
             for seed in range(3):
                 q = random_query(Shape(d, n), seed=seed)
-                rows = _axis_values(q)
+                rows = _axis_values(q.x, q.target)
                 assert len(rows) == d
                 for k, row in enumerate(rows):
                     assert len(row) == n
@@ -245,6 +252,9 @@ def test_random_query_reproducible():
     assert len(a.w) == 3 and a.x.value_at(a.target) in a.w
     with pytest.raises(ValueError):
         random_query(Shape(2, 3), r=4, seed=0)
+    with pytest.raises(ValueError, match=r"^tensor is for Shape\(d=2, n=4\), not "
+                                         r"Shape\(d=2, n=3\)$"):
+        random_query(Shape(2, 3), perm=modular_perm(Shape(2, 4)))
 
 
 def test_histogram_total_is_ordering_count():
