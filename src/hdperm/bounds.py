@@ -165,15 +165,14 @@ class BoundConstants(NamedTuple):
 
 def c_constant(d: int) -> BoundConstants:
     _check_d(d)
+    # gamma overflows from d = 173 on: fail before the loop's big-int work
+    xi = (d - 1) * math.e ** (d - 1)
+    gamma = ((d - 1) / math.e) ** (d - 1)
+    r_d = math.e**d
     c = 0.0
     for k in range(1, d + 1):
         c = (1 + math.e ** (-(k - 1))) * c / k + k * (2 / k**k + (math.e / k) ** k)
-    return BoundConstants(
-        c_d=c,
-        xi=(d - 1) * math.e ** (d - 1),
-        gamma=((d - 1) / math.e) ** (d - 1),
-        r_d=math.e**d,
-    )
+    return BoundConstants(c_d=c, xi=xi, gamma=gamma, r_d=r_d)
 
 
 def c_cap(d: int) -> float:

@@ -267,7 +267,7 @@ def verify_suite(args) -> int:
             results.append(suites.suite_theorem5(rmax=args.rmax, ds=ds))
         elif name == "claim1":
             cases = None if args.d is None else [(args.d, args.n)]
-            results.append(suites.suite_claim1(seed=args.seed, cases=cases))
+            results.append(suites.suite_claim1(cases=cases))
         elif name == "constructions":
             results.append(suites.suite_constructions(seed=args.seed))
     for res in results:
@@ -379,7 +379,7 @@ def _build_parser(only=None) -> argparse.ArgumentParser:
     )
     shape_flags(p)
     p.add_argument("--rmax", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seeds bounds and constructions")
 
     return top
 
@@ -428,10 +428,11 @@ def run(argv=None) -> int:
     except BrokenPipeError:
         raise  # an OSError, but the error object has nowhere to go
     except tuple(k for k, _ in _ERROR_KINDS) as exc:
-        for klass, kind in _ERROR_KINDS:
-            if isinstance(exc, klass):
-                return _fail(args.subcommand, kind, str(exc))
-        raise
+        kind = next(kind for klass, kind in _ERROR_KINDS if isinstance(exc, klass))
+        # an OverflowError's own text can be an errno tuple, "(34, '...')"
+        overflow = isinstance(exc, OverflowError)
+        return _fail(args.subcommand, kind,
+                     "result too large for a float" if overflow else str(exc))
 
 
 def main(argv=None) -> None:

@@ -316,6 +316,8 @@ def test_c_cap_holds_for_3_to_30():
 def test_c_errors():
     with pytest.raises(ValueError):
         c_constant(-1)
+    with pytest.raises(OverflowError):  # gamma, before the loop over k <= d
+        c_constant(20000)
     with pytest.raises(ValueError):
         c_cap(-2)
 

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from hdperm import bounds, cli, suites
+from hdperm import bounds, cli, constructions, suites
 from hdperm.bounds import f_float
-from hdperm.core import Shape, line_repeats, parse_perm
+from hdperm.core import PermTensor, Shape, line_repeats, parse_perm
 
 # a planted d=2 n=6 support (two Latin squares plus random values, 3.6 per
 # cell): 258 tensors, and at slab 4 most prefixes reach a state seen before
@@ -465,6 +465,7 @@ def test_json_stdout_is_pinned(capsys):
 
 @pytest.mark.parametrize("args", ["cd --d 173",
                                   "cd --d 173 --csv",
+                                  "cd --d 20000",
                                   "theorem5 --d 710 --rmax 10",
                                   "verify --suite theorem5 --d 710 --rmax 10",
                                   "sdn-bound --d 1100 --n 2"])
@@ -476,7 +477,7 @@ def test_float_overflow_is_domain_error(capsys, monkeypatch, args):
     code, obj = run_json(capsys, args.split())
     assert code == 1
     assert obj["status"] == "error"
-    assert obj["error"]["kind"] == "domain"
+    assert obj["error"] == {"kind": "domain", "message": "result too large for a float"}
 
 
 def test_cd_is_finite_past_the_largest_factorial(capsys):
@@ -788,6 +789,44 @@ def test_verify_reports_failure(capsys, monkeypatch):
     assert code == 1
     assert out.startswith("FAIL constructions:")
     assert json.loads(out.strip().split("\n")[-1])["status"] == "error"
+
+
+# each suite, fed a fault in what it checks, fails and names the fault
+
+def test_bounds_suite_fails_on_a_count_above_its_bound(monkeypatch):
+    monkeypatch.setattr(suites, "per_d", lambda a: 10**9)
+    res = suites.suite_bounds()
+    assert res.passed is False
+    assert res.worst < -10
+
+
+def test_theorem5_suite_fails_on_a_weak_bound_violation(monkeypatch):
+    monkeypatch.setattr(bounds, "weak_min_margin", lambda d, rmax: -1.0)
+    res = suites.suite_theorem5(rmax=200)
+    assert res.passed is False
+    assert "1 violations" in res.detail and "weak d=6 margin -1" in res.detail
+
+
+def test_claim1_suite_fails_on_a_shifted_f(monkeypatch):
+    monkeypatch.setattr(bounds, "f_float", lambda d, r: f_float(d, r) + 1e-9)
+    res = suites.suite_claim1()
+    assert res.passed is False
+    assert res.worst == pytest.approx(1e-9)
+
+
+@pytest.mark.parametrize("fn, faults", [
+    ("modular_perm", ["modular invalid at d=1 n=2"]),
+    ("block_lift", ["invalid lift d=2 n=4", "collision", "invalid lift d=3 n=4"]),
+])
+def test_constructions_suite_fails_on_a_constant_tensor(monkeypatch, fn, faults):
+    def constant(shape, *args):
+        return PermTensor(shape, (0,) * shape.ncells)
+
+    monkeypatch.setattr(constructions, fn, constant)
+    res = suites.suite_constructions()
+    assert res.passed is False
+    for fault in faults:
+        assert fault in res.detail, fault
 
 
 def test_real_values_capped_at_15_digits(capsys):

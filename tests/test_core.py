@@ -46,6 +46,10 @@ def test_shape_rejects_bad_dims():
         Shape(2, False)
     with pytest.raises(ShapeError):
         Shape(1, 64).check_coords((64,))
+    with pytest.raises(ShapeError):
+        Shape(2, 3).check_coords((1,))  # one coordinate too few
+    with pytest.raises(ShapeError):
+        PermTensor(Shape(2, 3), (0, 1, 2))  # values for 3 of the 9 cells
 
 
 # per record type, a builder that returns a new, equal instance on each call,
@@ -72,6 +76,8 @@ def test_record_semantics(make, fields):
     for name in fields:
         with pytest.raises(AttributeError):
             setattr(a, name, getattr(b, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
     assert a == b
     shown = ", ".join(f"{name}={getattr(a, name)!r}" for name in fields)
     assert repr(a) == f"{type(a).__name__}({shown})"
@@ -117,6 +123,8 @@ def test_support_rejects_out_of_range():
         SupportArray.from_ones(Shape(1, 3), [(3, 0)])  # bad coordinate
     with pytest.raises(ShapeError):
         SupportArray(Shape(1, 3), (0b111,))  # wrong mask count
+    with pytest.raises(ShapeError):
+        SupportArray(Shape(1, 3), (0b1000, 0, 0))  # a mask bit past n
 
 
 def test_bools_are_not_coordinates_or_values():
