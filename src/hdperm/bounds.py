@@ -41,9 +41,8 @@ import threading
 from array import array
 from itertools import accumulate, islice, repeat
 from operator import add, floordiv, mul, sub, truediv
-from typing import NamedTuple, Optional
 
-from hdperm.core import Shape, SupportArray, _is_int
+from hdperm.core import Record, Shape, SupportArray, _is_int
 
 TOL_EXACT = 1e-12  # identities on f (the d=1 reference, E[log N]) hold to rounding error
 FRAC_BITS = 56  # each log k ≥ log 2 is a multiple of 2^-53, so it converts exactly
@@ -149,7 +148,7 @@ def bregman_d1_reference(row_sums) -> float:
     return math.fsum(math.lgamma(r + 1) / r for r in sums)
 
 
-class BoundConstants(NamedTuple):
+class BoundConstants(Record):
     """Constants of the asymptotic bound at dimension d.
 
     c_d follows the recursion c_0 = 0,
@@ -157,10 +156,7 @@ class BoundConstants(NamedTuple):
     xi = (d-1) e^{d-1}, gamma = ((d-1)/e)^{d-1}, r_d = e^d.
     """
 
-    c_d: float
-    xi: float
-    gamma: float
-    r_d: float
+    __slots__ = ("c_d", "xi", "gamma", "r_d")
 
 
 def c_constant(d: int) -> BoundConstants:
@@ -172,7 +168,7 @@ def c_constant(d: int) -> BoundConstants:
     c = 0.0
     for k in range(1, d + 1):
         c = (1 + math.e ** (-(k - 1))) * c / k + k * (2 / k**k + (math.e / k) ** k)
-    return BoundConstants(c_d=c, xi=xi, gamma=gamma, r_d=r_d)
+    return BoundConstants(c, xi, gamma, r_d)
 
 
 def c_cap(d: int) -> float:
@@ -189,19 +185,12 @@ def c_cap(d: int) -> float:
     return math.exp(3 * math.log(d) + d * math.log(1.1) - math.lgamma(d + 1))
 
 
-class SweepReport(NamedTuple):
+class SweepReport(Record):
     """Result of a numeric inequality sweep; margin = bound - f, so negative
     minima are violations (there should be none)."""
 
-    d: int
-    r_start: int
-    r_max: int
-    checked: int
-    violations: int
-    min_margin: float
-    weak_violations: int
-    weak_min_margin: float
-    c_d: float
+    __slots__ = ("d", "r_start", "r_max", "checked", "violations", "min_margin",
+                 "weak_violations", "weak_min_margin", "c_d")
 
     @property
     def passed(self) -> bool:
@@ -289,33 +278,21 @@ def theorem5_check(d: int, r_max: int) -> SweepReport:
             sum(m < 0 for m in _strong_margins(*sliced(lo), lo, fd, c)) for lo in blocks
         )
     weak_violations = sum(m < 0 for m in _weak_margins(d, r_max)) if weak_low < 0 else 0
-    return SweepReport(
-        d=d,
-        r_start=r_start,
-        r_max=r_max,
-        checked=r_max - r_start + 1,
-        violations=violations,
-        min_margin=low,
-        weak_violations=weak_violations,
-        weak_min_margin=weak_low,
-        c_d=c,
-    )
+    return SweepReport(d, r_start, r_max, r_max - r_start + 1, violations, low,
+                       weak_violations, weak_low, c)
 
 
-class SdnBound(NamedTuple):
+class SdnBound(Record):
     """Log upper bound on the number of order-n d-dimensional permutations:
     n^d f(d,n). ratio compares it to the crude n^d (log n − d) when the
-    latter is positive; it decreases toward 1 as n grows."""
+    latter is positive, and is None otherwise; it decreases toward 1 as n
+    grows."""
 
-    log_bound: float
-    ratio: Optional[float]
+    __slots__ = ("log_bound", "ratio")
 
 
 def sdn_log_upper_bound(shape: Shape) -> SdnBound:
     d, n = shape.d, shape.n
     f = f_float(d, n)
     denom = math.log(n) - d
-    return SdnBound(
-        log_bound=shape.ncells * f,
-        ratio=f / denom if denom > 0 else None,
-    )
+    return SdnBound(shape.ncells * f, f / denom if denom > 0 else None)

@@ -13,7 +13,8 @@ output, and every --seed defaults to 0.
 
 This module lays out every report, JSON fields and CSV columns alike: the
 other modules return numbers and records, and each report's fields are named
-once, here. It holds the parser, one handler per subcommand and the dispatch.
+once: here, or, where cd and theorem5 print a whole record, as its fields.
+It holds the parser, one handler per subcommand and the dispatch.
 Importing it loads only what count and enumerate run (argparse, json, os,
 sys, hdperm.core and hdperm.counting). Every other handler imports its own
 modules when it runs: hdperm.bounds where f is evaluated,
@@ -164,25 +165,22 @@ def _cmd_cd(args) -> int:
                     for d in range(args.d + 1))
         _write_csv(rows)
         return 0
-    payload = {k: _real(v) for k, v in c._asdict().items()}
+    payload = {k: _real(getattr(c, k)) for k in c.__slots__}
     payload["cap"] = _real(bounds.c_cap(args.d))
     return _result("cd", {"d": args.d}, payload)
-
-
-_THEOREM5_COLUMNS = ("d", "r_start", "r_max", "checked", "violations", "min_margin",
-                     "weak_violations", "weak_min_margin", "c_d")
 
 
 def _cmd_theorem5(args) -> int:
     from hdperm import bounds
 
     rep = bounds.theorem5_check(args.d, args.rmax)
-    row = [getattr(rep, c) for c in _THEOREM5_COLUMNS]
+    columns = rep.__slots__  # the CSV header, in the report's field order
+    row = [getattr(rep, c) for c in columns]
     if args.csv:
-        _write_csv([_THEOREM5_COLUMNS, row])
+        _write_csv([columns, row])
         return 0
     payload = {c: _real(v) if isinstance(v, float) else v
-               for c, v in zip(_THEOREM5_COLUMNS, row) if c not in ("d", "r_max")}
+               for c, v in zip(columns, row) if c not in ("d", "r_max")}
     payload["pass"] = rep.passed
     return _result("theorem5", {"d": args.d, "rmax": args.rmax}, payload)
 

@@ -11,18 +11,21 @@ Everything is 0-based. The canonical linearization of cells is row-major
 lexicographic order of the multi-index; file formats, iteration and counting
 all use it.
 
-The records here (Shape, SupportArray, PermTensor, Violation) and those of
-constructions and shade derive from Record: fields in __slots__, set once by
-Record.__init__ in that order (a subclass that validates calls it last),
-compared and hashed by type and field values. Record stands in for frozen
-dataclasses because importing dataclasses pulls inspect, ast and dis into
-every process that imports the package. Malformed text or JSON input raises
-FormatError.
+Record is the package's one record base: every record, here (Shape,
+SupportArray, PermTensor, Violation) and in bounds, shade and suites,
+derives from it. Its fields are its __slots__, set once by Record.__init__
+in that order (a subclass that validates calls it last), compared and
+hashed by type and field values. It replaced frozen dataclasses, whose
+import pulls inspect, ast and dis into every process that imports the
+package, and then typing.NamedTuple, for the same reason: typing costs a
+few milliseconds of every short run, and no module here imports it. A
+record is not a tuple: it is built positionally and cannot be indexed or
+unpacked. Malformed text or JSON input raises FormatError.
 """
 
 import json
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import product
-from typing import Iterable, Iterator, Sequence
 
 
 class FormatError(ValueError):

@@ -40,9 +40,9 @@ per_d(a, backend="python") counts the tensors of that walk; that is the
 reference the tests and benchmarks cross-check the slab DP against.
 """
 
+from collections.abc import Iterator
 from functools import lru_cache
 from math import prod
-from typing import Iterator, Optional
 
 from hdperm.core import Shape, SupportArray, rows_text
 
@@ -262,7 +262,7 @@ def _fill_lister(a: SupportArray):
     walker = _Walker(n)
     listed = {}
 
-    def fills(s: int, cap: Optional[int] = None) -> Optional[list]:
+    def fills(s: int, cap: int | None = None) -> list | None:
         cells = a.masks[s * m : (s + 1) * m]
         found = listed.get(cells)
         if found is None:
@@ -274,7 +274,7 @@ def _fill_lister(a: SupportArray):
     return fills
 
 
-def _step(dp: dict, fills: list, cap: Optional[int] = None) -> Optional[dict]:
+def _step(dp: dict, fills: list, cap: int | None = None) -> dict | None:
     """One slab of the DP: every state extended by every filling it shares no
     bit with, the ways to reach each new state summed; None, before any
     work, when that is more than cap state-filling pairs."""
@@ -290,7 +290,7 @@ def _step(dp: dict, fills: list, cap: Optional[int] = None) -> Optional[dict]:
     return nxt
 
 
-def _pass(fills, order, cap: Optional[int] = None) -> list:
+def _pass(fills, order, cap: int | None = None) -> list:
     """The slab DP over the slabs order lists, fills(s, cap) listing slab
     s: tables[j] maps each state the first j of them reach to its ways.
 
@@ -311,7 +311,7 @@ def _pass(fills, order, cap: Optional[int] = None) -> list:
     return tables
 
 
-def _live(a: SupportArray, fills) -> Optional[list]:
+def _live(a: SupportArray, fills) -> list | None:
     """comp[t] for t = 1..n-2 (comp[0] is None): for every state S that
     slabs 0..t-1 reach, some filling of slabs t..n-1 completes S exactly
     when full ^ S is in comp[t].
@@ -353,8 +353,8 @@ def _live(a: SupportArray, fills) -> Optional[list]:
 def per_d(
     a: SupportArray,
     threads: int = 1,
-    backend: Optional[str] = None,
-    stats: Optional[dict] = None,
+    backend: str | None = None,
+    stats: dict | None = None,
 ) -> int:
     """Exact count of supported d-dimensional permutations.
 
@@ -388,7 +388,7 @@ def per_d(
     return sum(len(tails) for _, tails in _blocks(a))
 
 
-def _blocks(a: SupportArray, stats: Optional[dict] = None, limit: Optional[int] = None):
+def _blocks(a: SupportArray, stats: dict | None = None, limit: int | None = None):
     """(head, tails) for every prefix of slabs 0..n-3 of a that has a
     completion, in the order of the value tuples; a tensor is head + tail
     for each tail, and the blocks list every tensor of a once. With a
@@ -482,7 +482,7 @@ def _blocks(a: SupportArray, stats: Optional[dict] = None, limit: Optional[int] 
                          live_prunes=walker.pruned)
 
 
-def write_perms(a: SupportArray, out, limit: Optional[int] = None) -> None:
+def write_perms(a: SupportArray, out, limit: int | None = None) -> None:
     """Write the supported permutations of a to out in the serialize_perm
     form, a blank line between two, sorted by the row-major value tuple:
     all per_d(a) of them, or the first limit.

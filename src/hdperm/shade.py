@@ -25,7 +25,6 @@ sample; means are reproducible for a fixed seed.
 import math
 import random
 from itertools import product
-from typing import NamedTuple, Optional, Tuple
 
 from hdperm.core import PermTensor, Record, Shape, _is_int
 from hdperm.constructions import modular_perm
@@ -67,11 +66,11 @@ class ShadeQuery(Record):
         super().__init__(x, target, w)
 
 
-class ShadeDistribution(NamedTuple):
-    """Exact PMF of N: integer counts over all (n!)^d orderings."""
+class ShadeDistribution(Record):
+    """Exact PMF of N: counts maps each N to the number of the total (n!)^d
+    orderings that give it, both exact ints."""
 
-    counts: dict
-    total: int
+    __slots__ = ("counts", "total")
 
     def pmf(self) -> dict:
         from fractions import Fraction
@@ -114,9 +113,7 @@ def shade_histogram(q: ShadeQuery) -> ShadeDistribution:
     return ShadeDistribution(counts, fact**d)
 
 
-def mc_expectation_logN(
-    q: ShadeQuery, samples: int, seed=None
-) -> Tuple[float, float]:
+def mc_expectation_logN(q: ShadeQuery, samples: int, seed=None) -> tuple[float, float]:
     """Sample mean and standard error of log N over uniform orderings.
 
     Each sample draws d independent uniform permutations (one shuffle per
@@ -171,9 +168,9 @@ def random_valid_perm(shape: Shape, rng: random.Random) -> PermTensor:
 
 def random_query(
     shape: Shape,
-    r: Optional[int] = None,
+    r: int | None = None,
     seed=None,
-    perm: Optional[PermTensor] = None,
+    perm: PermTensor | None = None,
 ) -> ShadeQuery:
     """A reproducible random query: scrambled-modular X (unless given), a
     uniform target cell, and a uniform W of size r containing X(target)."""

@@ -12,20 +12,19 @@ constructions and the constructions suite never loads bounds or shade.
 import math
 import random
 from itertools import product
-from typing import NamedTuple, Optional
 
-from hdperm.core import Shape, SupportArray, line_repeats
+from hdperm.core import Record, Shape, SupportArray, line_repeats
 from hdperm.counting import per_d
 
 TOL_LOG = 1e-9  # bound-vs-exact-count comparisons
 ARRAYS = 100  # random supports per dimension in suite_bounds
 
 
-class SuiteResult(NamedTuple):
-    name: str
-    passed: bool
-    worst: Optional[float]  # the tightest margin or largest deviation seen
-    detail: str
+class SuiteResult(Record):
+    """One suite's outcome: worst is the tightest margin or largest
+    deviation seen, or None where the suite measures none."""
+
+    __slots__ = ("name", "passed", "worst", "detail")
 
 
 def _random_support(rng: random.Random, d: int, n: int) -> SupportArray:

@@ -261,17 +261,8 @@ def theorem5_sweep_stream(d: int, r_max: int):
 
     low, violations = min_and_violations(strong)
     weak_low, weak_violations = min_and_violations(weak)
-    return bounds.SweepReport(
-        d=d,
-        r_start=r_start,
-        r_max=r_max,
-        checked=r_max - r_start + 1,
-        violations=violations,
-        min_margin=low,
-        weak_violations=weak_violations,
-        weak_min_margin=weak_low,
-        c_d=c,
-    )
+    return bounds.SweepReport(d, r_start, r_max, r_max - r_start + 1, violations, low,
+                              weak_violations, weak_low, c)
 
 
 def _line_cells(shape: Shape, direction: int, fixed: tuple) -> list:

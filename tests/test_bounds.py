@@ -24,7 +24,9 @@ from hdperm.bounds import (
     theorem5_check,
     weak_min_margin,
 )
+from hdperm.constructions import block_lift
 from hdperm.core import Shape, SupportArray, all_ones_support
+from hdperm.counting import per_d
 
 from oracles import (
     EXACT_R_LIMIT,
@@ -275,6 +277,28 @@ def test_bregman_full_support_is_log_factorial_at_d1():
     for n in (1, 2, 5, 8):
         a = all_ones_support(Shape(1, n))
         assert bregman_log_bound(a) == pytest.approx(math.lgamma(n + 1), abs=1e-12)
+
+
+def test_bregman_full_d2_is_row_by_row_bregman():
+    # f(2,n) = (1/n) Σ_k log(k!)/k, so the n^2 full cells bound log L(n) by
+    # Σ_k (n/k) log k!: Brègman's bound taken row by row
+    for n in range(2, 9):
+        rows = math.fsum(n / k * math.lgamma(k + 1) for k in range(1, n + 1))
+        assert abs(bregman_log_bound(all_ones_support(Shape(2, n))) - rows) <= 1e-12, n
+
+
+def test_bregman_is_attained_on_the_block_lift_support():
+    # each cell allows block_lift's value j and j + n/2: the support holds
+    # exactly the 2^((n/2)^d) lifts, and with f(d,2) = log 2 / 2^d the bound
+    # is log of that count
+    for d, n in ((1, 4), (1, 8), (2, 4), (2, 6), (2, 8), (3, 4)):
+        shape = Shape(d, n)
+        half = n // 2
+        masks = [(1 << v % half) | (1 << v % half + half) for v in block_lift(shape).values]
+        a = SupportArray(shape, tuple(masks))
+        blocks = half**d
+        assert per_d(a) == 2**blocks, (d, n)
+        assert abs(bregman_log_bound(a) - blocks * math.log(2)) <= 1e-12, (d, n)
 
 
 def test_bregman_matches_d1_reference():

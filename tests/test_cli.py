@@ -119,14 +119,14 @@ def test_count_threads_env(capsys, monkeypatch):
     assert obj["params"]["threads"] == 2
 
 
-def _fresh_python(script, timeout=60):
-    """Run script in a new interpreter that imports the package from src,
-    so sys.modules holds only what the script loads."""
+def _fresh_python(script, timeout=60, flags=()):
+    """Run script in a new interpreter, given flags, that imports the
+    package from src, so sys.modules holds only what the script loads."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
-        timeout=timeout,
+        [sys.executable, *flags, "-c", script], env=env, capture_output=True,
+        text=True, timeout=timeout,
     )
 
 
@@ -227,6 +227,40 @@ def test_csv_output_does_not_import_csv():
     proc = _fresh_python(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("d,r,f_float\n3,1,0\n"), proc.stdout[:40]
+
+
+def test_no_subcommand_imports_typing():
+    # every record derives from core.Record, so no subcommand pays for
+    # typing or for dataclasses and the inspect module it pulls in; -S keeps
+    # site, which may load typing itself, out of the interpreter
+    script = textwrap.dedent(
+        """
+        import sys
+        import hdperm.cli
+
+        for argv in (
+            ["count", "--d", "2", "--n", "4"],
+            ["enumerate", "--d", "2", "--n", "3", "--limit", "2"],
+            ["bound", "--d", "2", "--n", "4"],
+            ["f", "--d", "2", "--r", "5"],
+            ["f", "--d", "3", "--rmax", "50", "--csv"],
+            ["cd", "--d", "3"],
+            ["theorem5", "--d", "2", "--rmax", "500"],
+            ["sdn-bound", "--d", "3", "--n", "6"],
+            ["construct", "block", "--d", "2", "--n", "4", "--bits", "random"],
+            ["shade", "exact", "--d", "2", "--n", "3", "--seed", "7"],
+            ["shade", "mc", "--d", "2", "--n", "3", "--samples", "200", "--seed", "1"],
+            ["shade", "hist", "--d", "3", "--n", "3", "--seed", "1"],
+            ["verify", "--suite", "all", "--rmax", "2000"],
+        ):
+            assert hdperm.cli.run(argv) == 0, argv
+        heavy = ["typing", "dataclasses", "inspect"]
+        loaded = [name for name in heavy if name in sys.modules]
+        assert loaded == [], loaded
+        """
+    )
+    proc = _fresh_python(script, timeout=120, flags=["-S"])
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_enumerate_text(capsys):
@@ -453,6 +487,7 @@ JSON_SHA256 = {
     "theorem5 --d 2 --rmax 1000": "4cfbc8b63e96caf63e3816fa7d410a31e6f56417ed05c597f1750e72419b5414",
     "cd --d 4": "0e000f0e46208cc540b21fb26b42b6444cc94780907cffe464cc059119174bc9",
     "cd --d 0": "06056252ad8289cd4889ea0128ccdc85d8429a5a1f9de85d9e8c4ceb8e9847ed",
+    "sdn-bound --d 3 --n 6": "552166f5fdd03ceceb95757824db9efc11b60ec939d7fd5d66df57fb5fce0df5",
 }
 
 
