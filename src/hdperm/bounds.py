@@ -26,14 +26,15 @@ its length (a cold f_values(6, 10^5) peaks under 1.3 times the finished
 table). The table is as deep and long as a call needs; a call needing more
 builds a new one under a lock and swaps it in, so concurrent callers always
 read a complete table. Rows that must grow longer grow at least twice as
-long, and only rows 0..d of that call are built: deeper ones are dropped
-until a call needs them. weak_min_margin streams from its rows;
-theorem5_check reads them in blocks of _BLOCK values of r and skips the
-strong margins of a block whose lower bound (its least weak margin - d +
-c_d log^d(r)/r at the block's last r, since log^d(x)/x decreases for
-x >= e^d), less a rounding slack, is above the least margin found so far:
-at r_max = 10^5 it evaluates one or two of about 200 blocks per d, and it
-returns what a full sweep returns.
+long, up to _R_CAP = 10^7 entries, and only rows 0..d of that call are
+built: deeper ones are dropped until a call needs them. A request for an r
+or r_max above _R_CAP is a ValueError, raised before anything is built.
+weak_min_margin streams from its rows; theorem5_check reads them in blocks
+of _BLOCK values of r and skips the strong margins of a block whose lower
+bound (its least weak margin - d + c_d log^d(r)/r at the block's last r,
+since log^d(x)/x decreases for x >= e^d), less a rounding slack, is above
+the least margin found so far: at r_max = 10^5 it evaluates one or two of
+about 200 blocks per d, and it returns what a full sweep returns.
 """
 
 import math
@@ -50,6 +51,9 @@ _UNIT = float(1 << FRAC_BITS)
 _CHUNK = 1 << 14  # entries of each row built per pass
 _BLOCK = 512  # values of r theorem5_check slices and bounds at once
 _SLACK = 2.0**-32  # theorem5_check's pruning slack, relative to the summands
+# the longest row the f table builds: a row of 10^7 doubles takes seconds and
+# hundreds of MB to build, and a longer request is refused before any of it
+_R_CAP = 10**7
 
 _rows: list = []  # _rows[d][r-1] = f(d, r); never mutated once published
 _rmax: int = 0  # length of every row in _rows
@@ -79,7 +83,7 @@ def _f_row(d: int, rmax: int):
     with _rows_lock:
         if d < len(_rows) and rmax <= _rmax:
             return _rows[d]
-        size = _rmax if rmax <= _rmax else max(rmax, 2 * _rmax)
+        size = _rmax if rmax <= _rmax else min(max(rmax, 2 * _rmax), _R_CAP)
         # row 0 feeds every sweep; as a list it hands out its floats without
         # boxing them again on each read
         rows = [list(map(math.log, range(1, size + 1)))]
@@ -108,6 +112,8 @@ def _check_dr(d, r, d_low=0):
     _check_d(d, d_low)
     if not _is_int(r) or r < 1:
         raise ValueError(f"r must be an integer >= 1, got {r!r}")
+    if r > _R_CAP:
+        raise ValueError(f"r must be at most {_R_CAP}, the f table's cap, got {r}")
 
 
 def f_float(d: int, r: int) -> float:

@@ -14,9 +14,13 @@ output, and every --seed defaults to 0.
 This module lays out every report, JSON fields and CSV columns alike: the
 other modules return numbers and records, and each report's fields are named
 once: here, or, where cd and theorem5 print a whole record, as its fields.
-It holds the parser, one handler per subcommand and the dispatch.
-Importing it loads only what count and enumerate run (argparse, json, os,
-sys, hdperm.core and hdperm.counting). Every other handler imports its own
+It holds the argument table, one handler per subcommand and the dispatch.
+Every subcommand's arguments are declared once, in _COMMANDS. _parse_args
+reads argv against that table, and loads argparse, to build the full
+parser from the same table, only for the help, usage errors and argv the
+table does not take (see _table_args). Importing this module loads only
+what count runs (json, os, sys, hdperm.core and hdperm.counting).
+enumerate adds hdperm.enumeration, and every other handler imports its own
 modules when it runs: hdperm.bounds where f is evaluated,
 hdperm.constructions, hdperm.shade and hdperm.suites for verify. --csv
 output is written line by line, without the csv module.
@@ -28,10 +32,10 @@ interpreter's shutdown spends several milliseconds collecting the modules
 imported above. run, which tests and library callers use, never freezes.
 """
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from hdperm.core import (
     FormatError,
@@ -43,7 +47,7 @@ from hdperm.core import (
     parse_support,
     serialize_perm,
 )
-from hdperm.counting import per_d, write_perms
+from hdperm.counting import per_d
 
 
 def _real(x: float):
@@ -118,6 +122,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from hdperm.enumeration import write_perms
+
     a = _load_support(args)
     write_perms(a, sys.stdout, limit=args.limit)
     return 0
@@ -288,97 +294,92 @@ def verify_suite(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-# -- parser --------------------------------------------------------------------
+# -- arguments -----------------------------------------------------------------
 
-class _Unbuilt:
-    """Takes the arguments of a subcommand whose parser is not built."""
+# Every subcommand's help line and arguments, in the order --help lists them.
+# An argument is (name, type, default, required, choices, metavar, help): a
+# name without a leading "-" is the subcommand's one positional, type is
+# int, str or bool (a store-true flag), and None leaves an entry unset.
+_D = ("--d", int, None, False, None, None, "dimension")
+_N = ("--n", int, None, False, None, None, "order")
+_D_REQUIRED = ("--d", int, None, True, None, None, None)
+_N_REQUIRED = ("--n", int, None, True, None, None, None)
+_SUPPORT = ("--support", str, None, False, None, "FILE", None)
+_CSV = ("--csv", bool, None, False, None, None, None)
+_RMAX = ("--rmax", int, 100000, False, None, None, None)
 
-    def add_argument(self, *args, **kwargs):
-        pass
+_COMMANDS = {
+    "count": ("exact number of supported permutations", (
+        _D, _N,
+        ("--support", str, None, False, None, "FILE", "support JSON file"),
+        ("--threads", int, 1, False, None, None,
+         "accepted and echoed; the count does not use threads"),
+    )),
+    "enumerate": ("stream supported permutations as text", (
+        _D, _N, _SUPPORT,
+        ("--limit", int, None, False, None, None, "stop after this many"),
+    )),
+    "bound": ("log of the factorial-type upper bound", (_D, _N, _SUPPORT)),
+    "f": ("the recursive bound function f(d,r)", (
+        _D_REQUIRED,
+        ("--r", int, None, False, None, None, None),
+        ("--rmax", int, None, False, None, None, "emit a table for r=1..rmax"),
+        _CSV,
+    )),
+    "cd": ("asymptotic-bound constants at dimension d", (
+        _D_REQUIRED,
+        ("--csv", bool, None, False, None, None, "table for 0..d"),
+    )),
+    "theorem5": ("sweep the asymptotic bound on f", (_D_REQUIRED, _RMAX, _CSV)),
+    "sdn-bound": ("log upper bound on the count of all order-n d-dimensional "
+                  "permutations", (_D_REQUIRED, _N_REQUIRED)),
+    "construct": ("emit an explicit permutation (text format)", (
+        ("kind", str, None, False, ("modular", "block"), None, None),
+        _D_REQUIRED, _N_REQUIRED,
+        ("--bits", str, None, False, None, None,
+         'block arrangement bits: (n/2)^d characters, each 0 or 1, or "random" '
+         "(default all zeros)"),
+        ("--seed", int, 0, False, None, None, "seed for --bits random"),
+    )),
+    "shade": ("shade-process statistics for a random query", (
+        ("mode", str, None, False, ("exact", "mc", "hist"), None, None),
+        _D, _N,
+        ("--r", int, None, False, None, None, "|W| (default n)"),
+        ("--seed", int, 0, False, None, None, None),
+        ("--samples", int, 10000, False, None, None, None),
+        ("--perm", str, None, False, None, "FILE", "tensor text file for X"),
+    )),
+    "verify": ("run the invariant suites", (
+        ("--suite", str, "all", False,
+         ("all", "bounds", "theorem5", "claim1", "constructions"), None, None),
+        _D, _N, _RMAX,
+        ("--seed", int, 0, False, None, None, "seeds bounds and constructions"),
+    )),
+}
 
 
-def _build_parser(only=None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or with only the parser of subcommand
-    only built: a subcommand's parser does not depend on the others. The
-    top-level usage line lists them all, so _parse_args falls back to the
-    full parser for any error the top level reports."""
+def _build_parser():
+    """The argparse parser of every subcommand, built from _COMMANDS. It
+    reads every argv _parse_args does not take, and this is the one place
+    that imports argparse."""
+    import argparse
+
     top = argparse.ArgumentParser(
         prog="hdperm",
         description="Exact counting and bound verification for d-dimensional "
         "permutations (Latin hypercubes).",
     )
     sub = top.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, **kwargs):
-        if only is None or name == only:
-            return sub.add_parser(name, **kwargs)
-        return _Unbuilt()
-
-    def shape_flags(p):
-        p.add_argument("--d", type=int, help="dimension")
-        p.add_argument("--n", type=int, help="order")
-
-    p = add("count", help="exact number of supported permutations")
-    shape_flags(p)
-    p.add_argument("--support", metavar="FILE", help="support JSON file")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and echoed; the count does not use threads")
-
-    p = add("enumerate", help="stream supported permutations as text")
-    shape_flags(p)
-    p.add_argument("--support", metavar="FILE")
-    p.add_argument("--limit", type=int, help="stop after this many")
-
-    p = add("bound", help="log of the factorial-type upper bound")
-    shape_flags(p)
-    p.add_argument("--support", metavar="FILE")
-
-    p = add("f", help="the recursive bound function f(d,r)")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int)
-    p.add_argument("--rmax", type=int, help="emit a table for r=1..rmax")
-    p.add_argument("--csv", action="store_true")
-
-    p = add("cd", help="asymptotic-bound constants at dimension d")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--csv", action="store_true", help="table for 0..d")
-
-    p = add("theorem5", help="sweep the asymptotic bound on f")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--rmax", type=int, default=100000)
-    p.add_argument("--csv", action="store_true")
-
-    p = add("sdn-bound", help="log upper bound on the count of all order-n "
-                              "d-dimensional permutations")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("construct", help="emit an explicit permutation (text format)")
-    p.add_argument("kind", choices=["modular", "block"])
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bits", help="block arrangement bits: (n/2)^d characters, "
-                                  'each 0 or 1, or "random" (default all zeros)')
-    p.add_argument("--seed", type=int, default=0, help="seed for --bits random")
-
-    p = add("shade", help="shade-process statistics for a random query")
-    p.add_argument("mode", choices=["exact", "mc", "hist"])
-    shape_flags(p)
-    p.add_argument("--r", type=int, help="|W| (default n)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--perm", metavar="FILE", help="tensor text file for X")
-
-    p = add("verify", help="run the invariant suites")
-    p.add_argument(
-        "--suite",
-        choices=["all", "bounds", "theorem5", "claim1", "constructions"],
-        default="all",
-    )
-    shape_flags(p)
-    p.add_argument("--rmax", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0, help="seeds bounds and constructions")
-
+    keys = ("default", "required", "choices", "metavar", "help")
+    for command, (summary, specs) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, kind, *entries in specs:
+            kwargs = {k: v for k, v in zip(keys, entries) if v is not None and v is not False}
+            if kind is bool:
+                kwargs["action"] = "store_true"
+            elif kind is int:
+                kwargs["type"] = int
+            p.add_argument(name, **kwargs)
     return top
 
 
@@ -404,17 +405,66 @@ _ERROR_KINDS = (
 )
 
 
-def _parse_args(argv=None) -> argparse.Namespace:
-    """_build_parser().parse_args(argv), building only the subcommand argv
-    names first where that gives the same result."""
+def _table_args(argv):
+    """The namespace _build_parser().parse_args(argv) returns, read from
+    _COMMANDS; None unless argv has only this form: a subcommand, its exact
+    long flags, each but a store-true flag followed by a separate value
+    that does not start with "-", ints that int() reads, choices from their
+    list, at most one positional and every required argument."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    args = {"subcommand": argv[0]}
+    flags, positional, needed = {}, [], set()
+    for spec in command[1]:
+        name, kind, default, required = spec[:4]
+        args[name.lstrip("-")] = False if kind is bool else default
+        if name[0] == "-":
+            flags[name] = spec
+        else:
+            positional.append(spec)
+            required = True
+        if required:
+            needed.add(name)
+    words = iter(argv[1:])
+    for word in words:
+        if word.startswith("-"):
+            spec = flags.get(word)
+            if spec is None:
+                return None
+            if spec[1] is not bool:
+                word = next(words, "-")
+        elif positional:
+            spec = positional.pop()
+        else:
+            return None
+        name, kind, _, _, choices = spec[:5]
+        if kind is bool:
+            value = True
+        elif word.startswith("-"):
+            return None
+        elif kind is int:
+            try:
+                value = int(word)
+            except ValueError:
+                return None
+        else:
+            value = word
+        if choices is not None and value not in choices:
+            return None
+        args[name.lstrip("-")] = value
+        needed.discard(name)
+    return None if needed else SimpleNamespace(**args)
+
+
+def _parse_args(argv=None):
+    """_build_parser().parse_args(argv), read without argparse where
+    _table_args takes argv: any other argv, the help, -h, --flag=value,
+    abbreviations and every usage error among them, goes to argparse."""
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in _HANDLERS:
-        args, extra = _build_parser(argv[0]).parse_known_args(argv)
-        if not extra:
-            return args
-    # the top level's usage errors list every subcommand
-    return _build_parser().parse_args(argv)
+    args = _table_args(argv)
+    return _build_parser().parse_args(argv) if args is None else args
 
 
 def run(argv=None) -> int:

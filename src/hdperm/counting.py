@@ -1,11 +1,11 @@
 """Exact d-permanent computation: the number of d-dimensional permutations
 supported by a 0-1 array.
 
-Both per_d and the enumerator, write_perms, work slab by slab. A slab is
-the hyperplane with the first coordinate fixed; every axis-0 line crosses
-each slab once, and no other line crosses two slabs, so all that slabs
-0..k-1 pass on to the rest is the set of values each axis-0 line has used:
-the state, one int with n bits per line. Each slab takes one
+per_d works slab by slab. A slab is the hyperplane with the first
+coordinate fixed; every axis-0 line crosses each slab once, and no other
+line crosses two slabs, so all that slabs 0..k-1 pass on to the rest is the
+set of values each axis-0 line has used: the state, one int with n bits per
+line. Each slab takes one
 (d-1)-dimensional permutation, a filling, of its residual support: each
 cell's mask minus the values its axis-0 line has used. A slab's fillings
 are listed by the same walk one dimension down (a d = 1 slab is one cell,
@@ -23,39 +23,22 @@ too large to list; the work grows with the number of distinct states, not
 with the count. Counts are exact Python ints, and the result and the
 per-slab state counts are deterministic.
 
-write_perms walks the first n-2 slabs depth first, in the order of the
-value tuples, and at each slab tries only the fillings of its residual
-support. Listings of small residual supports are kept per call and reused
-by every prefix that leaves the same residual; large ones run lazily and are
-not kept, so a short --limit never waits for a whole slab. The last slab is
-forced (every axis-0 line then misses one value), so the last two slabs
-depend only on the state after the first n-2: each call keeps a memo from
-that state to the texts of its completions. The walk, _blocks, hands out
-one block per prefix that reaches slab n-2: the prefix's text, formatted
-once, and the memo's tails; the walk builds text only, in the
-serialize_perm layout. On a support of d >= 2 that is not full it prunes
-with the complement tables of _live, read from the same two passes: a
-prefix whose state's complement is not in them has no completion.
-per_d(a, backend="python") counts the tensors of that walk; that is the
-reference the tests and benchmarks cross-check the slab DP against.
+The enumerator, write_perms, lives in hdperm.enumeration: it walks the same
+slabs with the same walker (_Walker), and prunes with tables read from the
+same passes. per_d(a, backend="python") counts the tensors of its walk, the
+reference the tests and benchmarks cross-check the slab DP against; only
+that branch imports it, so a count never compiles the enumerator.
 """
 
 from collections.abc import Iterator
 from functools import lru_cache
 from math import prod
 
-from hdperm.core import Shape, SupportArray, rows_text
+from hdperm.core import Shape, SupportArray
 
-# entries one walk of the enumerator keeps in its listings, text cache and
-# memo together
+# entries one walker keeps in its tables together (for the enumerator: its
+# listings, text cache and memo)
 _MEMO_MAX = 1 << 16
-
-# the most value tuples or state-filling pairs the passes behind the
-# enumerator's live tables may list or step
-_LIVE_MAX = 1 << 18
-
-# blocks write_perms joins into one write
-_WRITE_BLOCKS = 1024
 
 
 @lru_cache(maxsize=None)
@@ -91,12 +74,6 @@ def _pack(masks, n: int) -> int:
     return packed
 
 
-def _values(packed: int, cells: int, n: int) -> tuple:
-    """The values of a packed filling of cells cells."""
-    full = (1 << n) - 1
-    return tuple([(packed >> i & full).bit_length() - 1 for i in range(0, cells * n, n)])
-
-
 class _Walker:
     """The slab walk for supports of order n, and the tables one call keeps.
 
@@ -130,20 +107,6 @@ class _Walker:
                 t.clear()
             self.stored = size
         table[key] = value
-
-    def cached(self, fn):
-        """fn, its results kept per argument within the budget."""
-        table = self.table()
-        get = table.get
-
-        def lookup(key):
-            got = get(key)
-            if got is None:
-                got = fn(key)
-                self.keep(table, key, got, 1)
-            return got
-
-        return lookup
 
     def lister(self, k: int, piece):
         """listing(R): the (f, piece(f)) pairs of the k-dimensional
@@ -216,9 +179,9 @@ class _Walker:
 
         Slab s takes the pairs (f, piece) of lists[s] on its residual
         support, and head is the given start plus the pieces of the prefix.
-        comp, where not None, is _live's tables: a prefix whose state S after
-        s slabs has full ^ S outside comp[s] has no completion and is
-        dropped.
+        comp, where not None, is the enumerator's live tables
+        (hdperm.enumeration._live): a prefix whose state S after s slabs has
+        full ^ S outside comp[s] has no completion and is dropped.
         """
         mid = len(parts) - 2
         if mid == 0:
@@ -311,45 +274,6 @@ def _pass(fills, order, cap: int | None = None) -> list:
     return tables
 
 
-def _live(a: SupportArray, fills) -> list | None:
-    """comp[t] for t = 1..n-2 (comp[0] is None): for every state S that
-    slabs 0..t-1 reach, some filling of slabs t..n-1 completes S exactly
-    when full ^ S is in comp[t].
-
-    With back the pass over slabs n-1..h (h = n // 2) and fwd the pass over
-    slabs 0..h-1, comp[t] for t > h is back[n - t] itself, and comp[h] is
-    the meet: the T in back[n - h] with full ^ T in fwd[h]. Below h,
-    comp[t] is comp[t + 1] stepped by slab t, kept if full ^ T is in
-    fwd[t], since full ^ (S ^ f) = (full ^ S) | f.
-
-    Returns None, so that nothing is checked, for n < 3, which has no slab
-    boundary to check, and where a pass meets a slab whose cell sizes
-    multiply to more than _LIVE_MAX, or a step of a pass or of the walk back
-    would pair more than _LIVE_MAX states and fillings: a search that stops
-    after a few tensors never waits for them. The backward pass, n - h >= h
-    slabs long, goes first, so it meets the cap sooner.
-    """
-    n = a.shape.n
-    if n < 3:
-        return None  # no slab boundary to check
-    h = n // 2
-    back = _pass(fills, range(n - 1, h - 1, -1), _LIVE_MAX)
-    if len(back) <= n - h:
-        return None
-    fwd = _pass(fills, range(h), _LIVE_MAX)
-    if len(fwd) <= h:
-        return None
-    full = (1 << n * n ** (a.shape.d - 1)) - 1
-    comp = [None] * h + back[n - h : 1 : -1]
-    comp[h] = {T: c for T, c in back[n - h].items() if full ^ T in fwd[h]}
-    for t in range(h - 1, 0, -1):
-        nxt = _step(comp[t + 1], fills(t), _LIVE_MAX)
-        if nxt is None:
-            return None
-        comp[t] = {T: c for T, c in nxt.items() if full ^ T in fwd[t]}
-    return comp
-
-
 def per_d(
     a: SupportArray,
     threads: int = 1,
@@ -364,10 +288,11 @@ def per_d(
     "states", the distinct states after each forward slab 0..h-1, and
     "states_back", the same after each backward slab n-1..h.
     backend="python" instead counts the tensors of the enumerator's walk
-    (_blocks), the reference path for tests and benchmarks; any other
-    backend raises RuntimeError. threads is accepted for compatibility and
-    ignored: a thread split only slowed the pure-Python count under the
-    interpreter lock, and it never changed the result.
+    (hdperm.enumeration._blocks), the reference path for tests and
+    benchmarks; any other backend raises RuntimeError. threads is accepted
+    for compatibility and ignored: a thread split only slowed the
+    pure-Python count under the interpreter lock, and it never changed the
+    result.
     """
     if backend is None:
         n = a.shape.n
@@ -383,120 +308,7 @@ def per_d(
                          states_back=[len(t) for t in back[1:]])
         return count
     from hdperm import kernels
+    from hdperm.enumeration import _blocks
 
     kernels.get(backend)
     return sum(len(tails) for _, tails in _blocks(a))
-
-
-def _blocks(a: SupportArray, stats: dict | None = None, limit: int | None = None):
-    """(head, tails) for every prefix of slabs 0..n-3 of a that has a
-    completion, in the order of the value tuples; a tensor is head + tail
-    for each tail, and the blocks list every tensor of a once. With a
-    limit, which must be positive, they list the first limit tensors: the
-    last block is cut short and the walk ends there.
-
-    head is the header line plus the prefix rows and a tail the rows of the
-    last two slabs, so head + tail is the tensor's serialize_perm text.
-    Pieces of the prefix are formatted once per filling and tails once per
-    memo entry.
-
-    The walk checks live tables (_live) on the supports of d >= 2 that are
-    not full. On a full support every state is live for d = 2 (every Latin
-    rectangle completes to a Latin square, M. Hall, 1945) and for order 3
-    (a first slab L completes by L + 1 and L + 2 mod 3), and for d >= 3 and
-    n >= 4 _live returns None: a slab's cell sizes multiply to n^(n^(d-1))
-    >= 4^16 > _LIVE_MAX. d = 1 builds none either: a slab is one cell, and
-    the tables cost more than the walk they would prune.
-
-    stats, when given, receives the work counters when the walk ends or is
-    closed: "prefixes" that reached slab n-2, "listings" of residual
-    supports made rather than read back, "memo_entries" made, "replays" of
-    memo entries and "live_prunes".
-    """
-    if limit is not None and limit <= 0:
-        raise ValueError("limit must be positive")
-    shape = a.shape
-    d, n = shape.d, shape.n
-    m = n ** (d - 1)  # cells per slab, one per axis-0 line
-    w = m * n  # bits per slab
-    walker = _Walker(n)
-    prefixes = entries = replays = 0
-    try:
-        head = f"{d} {n}\n"
-        if n == 1:
-            if a.masks[0] & 1:
-                yield head, ["0\n"]
-            return
-        if d == 1:
-            # the one row: a prefix value is followed by a space, the tail
-            # ends the line
-            def piece(f):
-                return f"{f.bit_length() - 1} "
-
-            def tail(f, forced):
-                return f"{f.bit_length() - 1} {forced.bit_length() - 1}\n"
-        else:
-            @walker.cached
-            def piece(f):
-                return rows_text(_values(f, m, n), n)
-
-            def tail(f, forced):
-                return piece(f) + piece(forced)
-
-        top = walker.lister(d - 1, piece)
-        masks = a.masks
-        parts = [_pack(masks[i : i + m], n) for i in range(0, n * m, m)]
-        full = (1 << w) - 1
-        mid = n - 2
-        forbid = full ^ parts[-1]
-        live = None
-        if d >= 2 and masks.count(shape.full_mask) < len(masks):
-            live = _live(a, _fill_lister(a))
-        memo = walker.table()
-        get = memo.get
-        for h, S in walker.walk(parts, [top] * mid, head, live, full):
-            prefixes += 1
-            tails = get(S)
-            if tails is None:
-                entries += 1
-                tails = []
-                walker.listings += 1
-                for f in walker.fillings(d - 1, parts[mid] & ~S):
-                    forced = full ^ S ^ f
-                    if not forced & forbid:
-                        tails.append(tail(f, forced))
-                walker.keep(memo, S, tails, 1 + len(tails))
-            else:
-                replays += 1
-            if tails:
-                if limit is not None:
-                    if len(tails) >= limit:
-                        yield h, tails[:limit]
-                        return
-                    limit -= len(tails)
-                yield h, tails
-    finally:
-        if stats is not None:
-            stats.update(prefixes=prefixes, listings=walker.listings,
-                         memo_entries=entries, replays=replays,
-                         live_prunes=walker.pruned)
-
-
-def write_perms(a: SupportArray, out, limit: int | None = None) -> None:
-    """Write the supported permutations of a to out in the serialize_perm
-    form, a blank line between two, sorted by the row-major value tuple:
-    all per_d(a) of them, or the first limit.
-
-    Each block of the walk goes out as H + ("\\n" + H).join(tails), H being
-    its header and prefix text, and _WRITE_BLOCKS blocks make one write.
-    """
-    chunk = []
-    sep = ""
-    for head, tails in _blocks(a, limit=limit):
-        chunk.append(head + ("\n" + head).join(tails))
-        if len(chunk) == _WRITE_BLOCKS:
-            out.write(sep + "\n".join(chunk))
-            sep = "\n"
-            chunk.clear()
-    if chunk:
-        out.write(sep + "\n".join(chunk))

@@ -270,6 +270,12 @@ def test_f_domain_errors():
         f_float(1, 0)
     with pytest.raises(ValueError):
         f_exact(1, EXACT_R_LIMIT + 1)
+    # no row of the table is longer than 10^7
+    for call in (lambda: f_float(1, 10**7 + 1), lambda: f_values(2, 10**13),
+                 lambda: weak_min_margin(6, 10**7 + 1),
+                 lambda: theorem5_check(2, 10**7 + 1)):
+        with pytest.raises(ValueError, match="at most 10000000"):
+            call()
 
 
 def test_bregman_full_support_is_log_factorial_at_d1():

@@ -130,42 +130,64 @@ def _fresh_python(script, timeout=60, flags=()):
     )
 
 
-def test_counting_subcommands_do_not_import_numpy():
-    # count and enumerate start with the parser, core and counting alone,
-    # and only enumerate's search of a d >= 2 support that is not full
-    # builds live sets, so none of these full supports does;
-    # construct and cd load their own modules, and no subcommand loads numpy
+def test_counting_subcommands_do_not_import_numpy(tmp_path):
+    # count and enumerate start with core and counting alone: their argv is
+    # read from the table, so argparse loads only for the help and usage
+    # errors, and count never loads the enumerator; only enumerate's search
+    # of a d >= 2 support that is not full builds live sets, so none of
+    # these full supports does; construct and cd load their own modules,
+    # and no subcommand loads numpy
+    full = tmp_path / "full.json"
+    full.write_text('{"d": 2, "n": 4, "all_ones": true}')
     script = textwrap.dedent(
-        """
+        f"""
         import sys
         import hdperm.cli
-        from hdperm import counting
 
         def loaded(names):
             return sorted(name for name in names if name in sys.modules)
 
+        assert loaded(["argparse", "hdperm.enumeration"]) == []
+        for argv in (
+            ["count", "--d", "2", "--n", "5"],
+            ["count", "--support", {str(full)!r}, "--threads", "2"],
+            ["count", "--d", "2", "--n", "3"],
+        ):
+            assert hdperm.cli.run(argv) == 0, argv
+        assert loaded(["argparse", "hdperm.enumeration"]) == []
+
+        from hdperm import enumeration
+
         built = []
-        live = counting._live
+        live = enumeration._live
 
         def counted(a, fills):
             built.append(a.shape)
             return live(a, fills)
 
-        counting._live = counted
+        enumeration._live = counted
         for argv in (
-            ["count", "--d", "2", "--n", "5"],
             ["enumerate", "--d", "1", "--n", "5", "--limit", "2"],
             ["enumerate", "--d", "2", "--n", "5", "--limit", "2"],
             ["enumerate", "--d", "3", "--n", "4", "--limit", "2"],
-            ["count", "--d", "2", "--n", "3"],
+            ["enumerate", "--support", {str(full)!r}, "--limit", "2"],
             ["enumerate", "--d", "2", "--n", "3", "--limit", "2"],
         ):
             assert hdperm.cli.run(argv) == 0, argv
         assert built == [], built
-        unused = ["dataclasses", "inspect", "fractions", "decimal", "csv",
-                  "hdperm.bounds", "hdperm.shade", "hdperm.constructions",
+        unused = ["argparse", "dataclasses", "inspect", "fractions", "decimal",
+                  "csv", "hdperm.bounds", "hdperm.shade", "hdperm.constructions",
                   "hdperm.suites", "hdperm.kernels"]
         assert loaded(unused) == [], loaded(unused)
+        # the help and a usage error go through argparse
+        for argv, code in ((["count", "--help"], 0), (["count", "--d", "x"], 2)):
+            try:
+                hdperm.cli.run(argv)
+            except SystemExit as exc:
+                assert exc.code == code, (argv, exc.code)
+            else:
+                raise AssertionError(argv)
+        assert loaded(["argparse"]) == ["argparse"]
         for argv in (
             ["construct", "modular", "--d", "2", "--n", "3"],
             ["cd", "--d", "3"],
@@ -178,6 +200,8 @@ def test_counting_subcommands_do_not_import_numpy():
     )
     proc = _fresh_python(script)
     assert proc.returncode == 0, proc.stderr
+    assert "usage: hdperm count" in proc.stdout
+    assert "argument --d: invalid int value: 'x'" in proc.stderr
     f_line = json.loads(proc.stdout.splitlines()[-1])
     assert f_line["f"] == pytest.approx(f_float(2, 5), abs=1e-12)
 
@@ -465,6 +489,23 @@ def test_f_and_cd_reject_alike_as_json_and_csv(capsys, argv):
     assert errors[0] == errors[1]
 
 
+@pytest.mark.parametrize("argv", [["f", "--d", "2", "--r", "10000000000000"],
+                                  ["f", "--d", "1", "--rmax", "10000001", "--csv"],
+                                  ["theorem5", "--d", "2", "--rmax", "10000001"],
+                                  ["verify", "--suite", "theorem5", "--rmax", "10000001"]])
+def test_f_table_refuses_rows_past_its_cap(capsys, monkeypatch, argv):
+    # an r or r_max above 10^7 is a domain error naming the cap, raised
+    # before any of the table is built
+    def refused(d, rmax):
+        raise AssertionError(f"f table built to r={rmax}")
+
+    monkeypatch.setattr(bounds, "_f_row", refused)
+    code, obj = run_json(capsys, argv)
+    assert code == 1
+    assert obj["error"]["kind"] == "domain"
+    assert "r must be at most 10000000, the f table's cap" in obj["error"]["message"]
+
+
 # sha256 of the CSV tables, taken while the bounds module formatted their reals
 CSV_SHA256 = {
     "f --d 3 --rmax 50 --csv": "ac853f399041d637bb356a3d0ed8d27d4f765ed06f10d002dfa7d63002e2aba1",
@@ -740,12 +781,46 @@ def test_usage_errors_exit_2():
         ["construct", "nope", "--d", "2", "--n", "3"],
         ["verify", "--samples", "5"],
         ["shade", "mc", "--d", "2", "--n", "3"],
+        # every subcommand in its usual form
+        ["count", "--d", "2", "--n", "5", "--threads", "2"],
+        ["count", "--support", "FILE"],
+        ["enumerate", "--support", "FILE"],
+        ["bound", "--support", "FILE"],
+        ["bound", "--d", "2", "--n", "4"],
+        ["f", "--d", "2", "--r", "5"],
+        ["f", "--d", "3", "--rmax", "50", "--csv"],
+        ["cd", "--d", "3"],
+        ["cd", "--d", "5", "--csv"],
+        ["theorem5", "--d", "2", "--rmax", "500", "--csv"],
+        ["sdn-bound", "--d", "3", "--n", "6"],
+        ["construct", "modular", "--d", "2", "--n", "3"],
+        ["construct", "--d", "2", "--n", "4", "block", "--bits", "random", "--seed", "3"],
+        ["shade", "exact", "--perm", "FILE", "--r", "2", "--seed", "1"],
+        ["shade", "hist", "--d", "3", "--n", "3", "--samples", "200"],
+        ["verify"],
+        ["verify", "--suite", "claim1", "--d", "2", "--n", "3", "--rmax", "2000", "--seed", "4"],
+        # forms only argparse reads
+        ["count", "--sup", "FILE"],
+        ["count", "--d=2"],
+        ["count", "--d", "-1", "--n", "3"],
+        ["count", "--d", "2", "--d", "3"],
+        ["cd", "--d", "3", "--csv", "--csv"],
+        ["construct", "modular", "block"],
+        ["count", "--", "--d", "2"],
+        ["count", "--support", "--d"],
+        ["count", "--support"],
+        ["-h"],
+        ["count", "-h"],
+        ["verify", "--suite", "nope"],
+        ["sdn-bound", "--d", "3"],
+        ["construct", "--d", "2", "--n", "3"],
+        ["f", "--d", "2", "--r", "5", "--csv", "yes"],
     ],
 )
 def test_one_subcommand_parser_matches_the_full_parser(capsys, argv):
-    # a job builds only its own subcommand's parser; the help, the usage
-    # errors, the exit codes and the parsed arguments stay those of the
-    # parser of all ten
+    # argv read from the argument table, without argparse, gives the
+    # namespace of the full argparse parser; argv the table does not take
+    # goes to that parser, with its help, usage errors and exit codes
     def outcome(parse):
         try:
             args, code = vars(parse(list(argv))), None
@@ -757,6 +832,27 @@ def test_one_subcommand_parser_matches_the_full_parser(capsys, argv):
     want = outcome(lambda a: cli._build_parser().parse_args(a))
     assert outcome(cli._parse_args) == want
     assert want[1] in (None, 0, 2)
+
+
+def test_benchmark_argv_is_read_from_the_table():
+    # every argv the benchmark's generator makes, for each workload, seeds
+    # 0-2 and every pass of a 20 s run, is read without argparse
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import gen
+    finally:
+        sys.path.pop(0)
+    parser = cli._build_parser()
+    jobs = gen.floor_jobs()
+    for workload in gen.WORKLOADS:
+        for seed in range(3):
+            for p in range(gen.passes(workload, 20)):
+                jobs += gen.make_pass(workload, seed, p)
+    assert len(jobs) > 300
+    for job in jobs:
+        args = cli._table_args(job["argv"])
+        assert args is not None, job["argv"]
+        assert vars(args) == vars(parser.parse_args(job["argv"])), job["argv"]
 
 
 def test_json_is_key_sorted_and_repeatable(capsys):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdperm import cli, counting
+from hdperm import cli, counting, enumeration
 from hdperm.core import (
     PermTensor,
     Shape,
@@ -21,7 +21,8 @@ from hdperm.core import (
     parse_support,
     serialize_perm,
 )
-from hdperm.counting import per_d, write_perms
+from hdperm.counting import per_d
+from hdperm.enumeration import write_perms
 from hdperm.kernels import BACKEND, get
 
 from oracles import (
@@ -59,8 +60,8 @@ PLANTED_D2N6_STATS = {"prefixes": 220, "listings": 561, "memo_entries": 119,
 
 def tensors(a, limit=None, stats=None):
     """The enumerator's stream as PermTensors, read lazily from its text
-    blocks (counting._blocks)."""
-    blocks = counting._blocks(a, stats, limit)
+    blocks (enumeration._blocks)."""
+    blocks = enumeration._blocks(a, stats, limit)
     try:
         for head, tails in blocks:
             for tail in tails:
@@ -72,7 +73,7 @@ def tensors(a, limit=None, stats=None):
 def texts(a, limit=None, stats=None):
     """The enumerator's stream as a list of tensor texts: comparing them is
     as strict as comparing value tuples, and skips parsing each tensor."""
-    return [head + tail for head, tails in counting._blocks(a, stats, limit) for tail in tails]
+    return [head + tail for head, tails in enumeration._blocks(a, stats, limit) for tail in tails]
 
 
 def random_support(rng, d, n, density=None):
@@ -371,13 +372,13 @@ def test_memo_cap_keeps_the_stream(monkeypatch):
     assert len(pruned) >= 7
     want = [texts(a) for a in cases]
     monkeypatch.setattr(counting, "_MEMO_MAX", 1)
-    monkeypatch.setattr(counting, "_LIVE_MAX", 1)
+    monkeypatch.setattr(enumeration, "_LIVE_MAX", 1)
     assert all(live_sets(a) is None for a in pruned)
     assert [texts(a) for a in cases] == want
 
 
 def live_sets(a):
-    return counting._live(a, counting._fill_lister(a))
+    return enumeration._live(a, enumeration._fill_lister(a))
 
 
 def test_live_tables_outgrow_the_memo_budget(monkeypatch):
@@ -392,14 +393,15 @@ def test_live_tables_outgrow_the_memo_budget(monkeypatch):
         pairs.append(len(dp) * len(fills))
         return step(dp, fills, cap)
 
-    monkeypatch.setattr(counting, "_step", recorded)
+    monkeypatch.setattr(counting, "_step", recorded)  # the passes
+    monkeypatch.setattr(enumeration, "_step", recorded)  # the walk back
     assert live_sets(a) is not None
-    assert counting._MEMO_MAX < max(pairs) <= counting._LIVE_MAX
+    assert counting._MEMO_MAX < max(pairs) <= enumeration._LIVE_MAX
     stats = {}
     stream = texts(a, stats=stats)
     assert stats["live_prunes"] > 0
     assert len(stream) == count_rows_d2(a)
-    monkeypatch.setattr(counting, "_LIVE_MAX", counting._MEMO_MAX)
+    monkeypatch.setattr(enumeration, "_LIVE_MAX", counting._MEMO_MAX)
     assert live_sets(a) is None
     assert texts(a) == stream
 
@@ -416,7 +418,7 @@ def states_after(values, shape, s):
 
 
 def checked_live_sets(a):
-    """Assert that at every slab boundary t where counting._live builds a
+    """Assert that at every slab boundary t where enumeration._live builds a
     table comp[t] for a, a state S the forward DP reaches there has
     full ^ S in comp[t] exactly when some tensor of the oracle passes
     through S; return how many tables there were."""
@@ -473,7 +475,7 @@ def test_live_sets_give_up_before_listing(monkeypatch):
 
         return counted_fills
 
-    monkeypatch.setattr(counting, "_fill_lister", counted)
+    monkeypatch.setattr(enumeration, "_fill_lister", counted)
     for d, n in ((2, 12), (3, 5), (3, 4), (2, 6)):
         assert next(tensors(all_ones_support(Shape(d, n)))).shape == Shape(d, n)
         assert listed == [], (d, n)
@@ -524,7 +526,7 @@ def test_live_sets_give_up_past_the_cap(monkeypatch):
     assert stats["live_prunes"] > 0
     fills = counting._fill_lister(a)
     for cap, forward_fits in ((400, False), (1000, True)):
-        monkeypatch.setattr(counting, "_LIVE_MAX", cap)
+        monkeypatch.setattr(enumeration, "_LIVE_MAX", cap)
         assert len(counting._pass(fills, (3, 2), cap)) == 3
         assert (len(counting._pass(fills, (0, 1), cap)) == 3) == forward_fits
         assert live_sets(a) is None
@@ -550,7 +552,7 @@ def test_full_order_3_supports_have_no_live_checks(monkeypatch):
     def refused(a, fills):
         raise AssertionError("live sets built")
 
-    monkeypatch.setattr(counting, "_live", refused)
+    monkeypatch.setattr(enumeration, "_live", refused)
     for d in (2, 3, 4):
         a = all_ones_support(Shape(d, 3))
         assert len(texts(a)) == per_d(a)
@@ -619,7 +621,7 @@ def test_write_perms_matches_serialize_perm(monkeypatch):
     for cap in (1 << 16, 1):
         monkeypatch.setattr(counting, "_MEMO_MAX", cap)
         for blocks in (1, 2, 1024):
-            monkeypatch.setattr(counting, "_WRITE_BLOCKS", blocks)
+            monkeypatch.setattr(enumeration, "_WRITE_BLOCKS", blocks)
             for a in cases:
                 assert written(a) == serialized(a), a
     a = all_ones_support(Shape(2, 4))
