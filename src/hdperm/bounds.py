@@ -27,8 +27,12 @@ table). The table is as deep and long as a call needs; a call needing more
 builds a new one under a lock and swaps it in, so concurrent callers always
 read a complete table. Rows that must grow longer grow at least twice as
 long, up to _R_CAP = 10^7 entries, and only rows 0..d of that call are
-built: deeper ones are dropped until a call needs them. A request for an r
-or r_max above _R_CAP is a ValueError, raised before anything is built.
+built: deeper ones are dropped until a call needs them. A table built
+deeper keeps its rows' length only as far as it then holds no more entries
+than the table it replaces. A request for rows 0..d of length r is a
+ValueError, raised before anything is built, when r is above _R_CAP, d
+above _D_CAP = 10^4 or (d + 1) r above _ENTRY_CAP = 10^8, and no table
+built holds more than _ENTRY_CAP entries.
 weak_min_margin streams from its rows; theorem5_check reads them in blocks
 of _BLOCK values of r and skips the strong margins of a block whose lower
 bound (its least weak margin - d + c_d log^d(r)/r at the block's last r,
@@ -51,9 +55,12 @@ _UNIT = float(1 << FRAC_BITS)
 _CHUNK = 1 << 14  # entries of each row built per pass
 _BLOCK = 512  # values of r theorem5_check slices and bounds at once
 _SLACK = 2.0**-32  # theorem5_check's pruning slack, relative to the summands
-# the longest row the f table builds: a row of 10^7 doubles takes seconds and
-# hundreds of MB to build, and a longer request is refused before any of it
+# the f table's caps, on its row length, its rows and its entries: a row of
+# 10^7 doubles takes seconds and hundreds of MB to build, and so do 10^6 short
+# rows; a request past a cap is refused before any of the table is built
 _R_CAP = 10**7
+_D_CAP = 10**4
+_ENTRY_CAP = 10**8
 
 _rows: list = []  # _rows[d][r-1] = f(d, r); never mutated once published
 _rmax: int = 0  # length of every row in _rows
@@ -73,17 +80,35 @@ def _floats(ints):
     return map(truediv, ints, repeat(_UNIT))
 
 
+def _check_size(d: int, r: int) -> None:
+    """Refuse an f table of rows 0..d of length r past one of its caps."""
+    if r > _R_CAP:
+        raise ValueError(f"r must be at most {_R_CAP}, the f table's cap, got {r}")
+    if d > _D_CAP:
+        raise ValueError(f"d must be at most {_D_CAP}, the f table's cap, got {d}")
+    if (d + 1) * r > _ENTRY_CAP:
+        raise ValueError(f"(d + 1) * r must be at most {_ENTRY_CAP}, the f table's "
+                         f"cap, got {(d + 1) * r}")
+
+
 def _f_row(d: int, rmax: int):
     global _rows, _rmax
     rows = _rows
     if d < len(rows) and rmax <= len(rows[d]):
         return rows[d]
+    _check_size(d, rmax)
     # build a new table and publish it whole, so that readers holding the
     # old list keep a consistent one
     with _rows_lock:
         if d < len(_rows) and rmax <= _rmax:
             return _rows[d]
-        size = _rmax if rmax <= _rmax else min(max(rmax, 2 * _rmax), _R_CAP)
+        if rmax > _rmax:
+            # longer rows grow at least twice as long, within the caps
+            size = min(max(rmax, 2 * _rmax), _R_CAP, _ENTRY_CAP // (d + 1))
+        else:
+            # deeper rows keep their length only as far as the table then
+            # holds no more entries than the one it replaces
+            size = max(rmax, len(_rows) * _rmax // (d + 1))
         # row 0 feeds every sweep; as a list it hands out its floats without
         # boxing them again on each read
         rows = [list(map(math.log, range(1, size + 1)))]
@@ -112,8 +137,7 @@ def _check_dr(d, r, d_low=0):
     _check_d(d, d_low)
     if not _is_int(r) or r < 1:
         raise ValueError(f"r must be an integer >= 1, got {r!r}")
-    if r > _R_CAP:
-        raise ValueError(f"r must be at most {_R_CAP}, the f table's cap, got {r}")
+    _check_size(d, r)
 
 
 def f_float(d: int, r: int) -> float:

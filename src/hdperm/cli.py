@@ -114,7 +114,7 @@ def _cmd_count(args) -> int:
     a = _load_support(args)
     threads = _threads(args)
     stats = {}
-    c = per_d(a, threads=threads, stats=stats)
+    c = per_d(a, stats=stats)
     params = {"d": a.shape.d, "n": a.shape.n, "threads": threads}
     if args.support:
         params["support"] = args.support

@@ -15,19 +15,16 @@ The slab DP is one pass, _pass: over slabs taken in a given order, it
 keeps after each slab every state those slabs reach and the ways to reach
 it. Every line takes each value once, so a state S after slabs 0..t-1 has
 a completion exactly when full ^ S is a state the pass over slabs n-1..t
-reaches. per_d meets in the middle: it joins the pass over slabs 0..h-1
-(h = n // 2) with the pass over slabs n-1..h, and the count is the sum of
-F[S] * B[full ^ S]. One walker per call (_fill_lister) lists slab fillings
-once per distinct tuple of slab cell masks, and refuses, under a cap, a slab
-too large to list; the work grows with the number of distinct states, not
-with the count. Counts are exact Python ints, and the result and the
-per-slab state counts are deterministic.
+reaches. _meet runs the two passes per_d joins, and the count is the sum
+of F[S] * B[full ^ S]. One walker per call (_fill_lister) lists slab
+fillings once per distinct tuple of slab cell masks, and refuses, under a
+cap, a slab too large to list; the work grows with the number of distinct
+states, not with the count. Counts are exact Python ints, and the result
+and the per-slab state counts are deterministic.
 
-The enumerator, write_perms, lives in hdperm.enumeration: it walks the same
-slabs with the same walker (_Walker), and prunes with tables read from the
-same passes. per_d(a, backend="python") counts the tensors of its walk, the
-reference the tests and benchmarks cross-check the slab DP against; only
-that branch imports it, so a count never compiles the enumerator.
+The enumerator, write_perms, walks the same slabs with the same walker
+(_Walker) and prunes with tables read from the same two passes; this module
+never imports it.
 """
 
 from collections.abc import Iterator
@@ -179,9 +176,9 @@ class _Walker:
 
         Slab s takes the pairs (f, piece) of lists[s] on its residual
         support, and head is the given start plus the pieces of the prefix.
-        comp, where not None, is the enumerator's live tables
-        (hdperm.enumeration._live): a prefix whose state S after s slabs has
-        full ^ S outside comp[s] has no completion and is dropped.
+        comp, where not None, is the enumerator's live tables: a prefix
+        whose state S after s slabs has full ^ S outside comp[s] has no
+        completion and is dropped.
         """
         mid = len(parts) - 2
         if mid == 0:
@@ -274,41 +271,46 @@ def _pass(fills, order, cap: int | None = None) -> list:
     return tables
 
 
+def _meet(fills, n: int, cap: int | None = None):
+    """(h, back, fwd), the two passes per_d joins, h = n // 2: back over
+    slabs n-1..h and fwd over slabs 0..h-1. back, n - h >= h slabs long,
+    runs first, so with a cap it meets the cap sooner; None where the cap
+    cuts either pass short."""
+    h = n // 2
+    back = _pass(fills, range(n - 1, h - 1, -1), cap)
+    if len(back) <= n - h:
+        return None
+    fwd = _pass(fills, range(h), cap)
+    if len(fwd) <= h:
+        return None
+    return h, back, fwd
+
+
 def per_d(
     a: SupportArray,
     threads: int = 1,
     backend: str | None = None,
     stats: dict | None = None,
 ) -> int:
-    """Exact count of supported d-dimensional permutations.
+    """Exact count of supported d-dimensional permutations: the join of the
+    slab DP's two passes (_meet).
 
-    By default the count joins the slab DP's forward pass over slabs
-    0..h-1 (h = n // 2) with its backward pass over slabs n-1..h (_pass),
-    and stats, when given, receives its work record: "algorithm" ("meet"),
+    stats, when given, receives its work record: "algorithm" ("meet"),
     "states", the distinct states after each forward slab 0..h-1, and
-    "states_back", the same after each backward slab n-1..h.
-    backend="python" instead counts the tensors of the enumerator's walk
-    (hdperm.enumeration._blocks), the reference path for tests and
-    benchmarks; any other backend raises RuntimeError. threads is accepted
-    for compatibility and ignored: a thread split only slowed the
-    pure-Python count under the interpreter lock, and it never changed the
-    result.
+    "states_back", the same after each backward slab n-1..h. backend
+    names a kernels backend: "python", the one there is, counts the same
+    way, and any other raises RuntimeError. threads is accepted and
+    ignored; it never changed the result.
     """
-    if backend is None:
-        n = a.shape.n
-        h = n // 2
-        full = (1 << n * n ** (a.shape.d - 1)) - 1
-        fills = _fill_lister(a)
-        back = _pass(fills, range(n - 1, h - 1, -1))
-        fwd = _pass(fills, range(h))
-        get = back[-1].get
-        count = sum(c * get(full ^ state, 0) for state, c in fwd[-1].items())
-        if stats is not None:
-            stats.update(algorithm="meet", states=[len(t) for t in fwd[1:]],
-                         states_back=[len(t) for t in back[1:]])
-        return count
-    from hdperm import kernels
-    from hdperm.enumeration import _blocks
+    if backend is not None:
+        from hdperm import kernels
 
-    kernels.get(backend)
-    return sum(len(tails) for _, tails in _blocks(a))
+        kernels.get(backend)
+    _, back, fwd = _meet(_fill_lister(a), a.shape.n)
+    full = (1 << a.shape.n ** a.shape.d) - 1
+    get = back[-1].get
+    count = sum(c * get(full ^ state, 0) for state, c in fwd[-1].items())
+    if stats is not None:
+        stats.update(algorithm="meet", states=[len(t) for t in fwd[1:]],
+                     states_back=[len(t) for t in back[1:]])
+    return count

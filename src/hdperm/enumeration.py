@@ -10,19 +10,14 @@ slab is forced (every axis-0 line then misses one value), so the last two
 slabs depend only on the state after the first n-2: each call keeps a memo
 from that state to the texts of its completions. The walk, _blocks, hands
 out one block per prefix that reaches slab n-2: the prefix's text,
-formatted once, and the memo's tails; the walk builds text only, in the
-serialize_perm layout. On a support of d >= 2 that is not full it prunes
-with the complement tables of _live, read from the two passes per_d joins:
-a prefix whose state's complement is not in them has no completion.
-per_d(a, backend="python") counts the tensors of that walk; that is the
-reference the tests and benchmarks cross-check the slab DP against.
-
-count never imports this module: the CLI loads it when enumerate runs, and
-per_d when its backend="python" branch does.
+formatted once, and the memo's tails. On a support of d >= 2 that is not
+full it prunes with the complement tables of _live, read from the two
+passes per_d joins: a prefix whose state's complement is not in them has no
+completion. Only the CLI's enumerate loads this module.
 """
 
 from hdperm.core import SupportArray, rows_text
-from hdperm.counting import _fill_lister, _pack, _pass, _step, _Walker
+from hdperm.counting import _fill_lister, _meet, _pack, _step, _Walker
 
 # the most value tuples or state-filling pairs the passes behind the
 # enumerator's live tables may list or step
@@ -58,9 +53,9 @@ def _live(a: SupportArray, fills) -> list | None:
     slabs 0..t-1 reach, some filling of slabs t..n-1 completes S exactly
     when full ^ S is in comp[t].
 
-    With back the pass over slabs n-1..h (h = n // 2) and fwd the pass over
-    slabs 0..h-1, comp[t] for t > h is back[n - t] itself, and comp[h] is
-    the meet: the T in back[n - h] with full ^ T in fwd[h]. Below h,
+    With back and fwd the two passes of the count's meet plan (_meet, which
+    meets at slab h), comp[t] for t > h is back[n - t] itself, and comp[h]
+    is the meet: the T in back[n - h] with full ^ T in fwd[h]. Below h,
     comp[t] is comp[t + 1] stepped by slab t, kept if full ^ T is in
     fwd[t], since full ^ (S ^ f) = (full ^ S) | f.
 
@@ -68,20 +63,16 @@ def _live(a: SupportArray, fills) -> list | None:
     boundary to check, and where a pass meets a slab whose cell sizes
     multiply to more than _LIVE_MAX, or a step of a pass or of the walk back
     would pair more than _LIVE_MAX states and fillings: a search that stops
-    after a few tensors never waits for them. The backward pass, n - h >= h
-    slabs long, goes first, so it meets the cap sooner.
+    after a few tensors never waits for them.
     """
     n = a.shape.n
     if n < 3:
         return None  # no slab boundary to check
-    h = n // 2
-    back = _pass(fills, range(n - 1, h - 1, -1), _LIVE_MAX)
-    if len(back) <= n - h:
+    plan = _meet(fills, n, _LIVE_MAX)
+    if plan is None:
         return None
-    fwd = _pass(fills, range(h), _LIVE_MAX)
-    if len(fwd) <= h:
-        return None
-    full = (1 << n * n ** (a.shape.d - 1)) - 1
+    h, back, fwd = plan
+    full = (1 << n**a.shape.d) - 1
     comp = [None] * h + back[n - h : 1 : -1]
     comp[h] = {T: c for T, c in back[n - h].items() if full ^ T in fwd[h]}
     for t in range(h - 1, 0, -1):

@@ -1,6 +1,6 @@
-"""The name of the one counting backend, the enumerator's slab walk
-(counting._blocks). The module exists for the benchmark, which reads
-BACKEND and probes get(name) for each backend it knows."""
+"""The name of the one counting backend, "python": per_d's slab DP. The
+module exists for the benchmark, which reads BACKEND and probes get(name)
+for each backend it knows; per_d checks its backend argument with get."""
 
 import sys
 

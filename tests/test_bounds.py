@@ -278,6 +278,46 @@ def test_f_domain_errors():
             call()
 
 
+def test_f_table_refuses_too_many_rows_or_entries(monkeypatch):
+    # past 10^4 + 1 rows or 10^8 entries a request is refused before any row
+    # is built, also where no argument check runs first (the bound)
+    def refused(*args):
+        raise AssertionError("an f table row was built")
+
+    _cold_table(monkeypatch)
+    monkeypatch.setattr(bounds, "array", refused)
+    deep = all_ones_support(Shape(10**4 + 1, 1))
+    for call in (lambda: f_float(10**4 + 1, 1), lambda: bregman_log_bound(deep),
+                 lambda: sdn_log_upper_bound(Shape(10**6, 2))):
+        with pytest.raises(ValueError, match="d must be at most 10000, the f table's cap"):
+            call()
+    for call in (lambda: f_values(10, 10**7), lambda: weak_min_margin(5000, 20000),
+                 lambda: bounds._f_row(10**4, 10**4)):
+        with pytest.raises(ValueError, match=r"\(d \+ 1\) \* r must be at most 100000000"):
+            call()
+    # the edges of the caps are admitted
+    bounds._check_size(10**4, 9999)
+    bounds._check_size(9, 10**7)
+
+
+def test_f_table_grows_within_its_entries(monkeypatch):
+    # a deeper table keeps its rows' length only as far as it holds no more
+    # entries than the one it replaces: f(100, 2) after rows 0..1 of 10^5
+    # builds 101 rows of 1,980, not of 10^5 (80 MB)
+    _cold_table(monkeypatch)
+    f_values(1, 10**5)
+    f_float(100, 2)
+    assert (len(bounds._rows), bounds._rmax) == (101, 2 * 10**5 // 101)
+    # and longer rows double only up to the entry cap: 4 rows of 300 would
+    # be 1,200 entries, over a cap of 1,000
+    _cold_table(monkeypatch)
+    monkeypatch.setattr(bounds, "_ENTRY_CAP", 1000)
+    f_values(3, 150)
+    f_values(3, 200)
+    assert (len(bounds._rows), bounds._rmax) == (4, 250)
+    assert [list(row) for row in bounds._rows] == f_rows_one_shot(3, 250)
+
+
 def test_bregman_full_support_is_log_factorial_at_d1():
     # every row full: the bound is exactly log n!
     for n in (1, 2, 5, 8):

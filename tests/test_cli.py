@@ -206,6 +206,30 @@ def test_counting_subcommands_do_not_import_numpy(tmp_path):
     assert f_line["f"] == pytest.approx(f_float(2, 5), abs=1e-12)
 
 
+def test_counting_never_loads_the_enumerator():
+    # the counter has one path, the slab DP: neither importing it, nor a
+    # count through any backend name it takes, nor the count subcommand
+    # loads the enumerator
+    script = textwrap.dedent(
+        """
+        import sys
+        from hdperm.core import Shape, all_ones_support
+        from hdperm.counting import per_d
+
+        assert "hdperm.enumeration" not in sys.modules
+        a = all_ones_support(Shape(2, 4))
+        assert per_d(a) == per_d(a, backend="python") == 576
+        import hdperm.cli
+
+        assert hdperm.cli.run(["count", "--d", "3", "--n", "3", "--threads", "2"]) == 0
+        assert "hdperm.enumeration" not in sys.modules
+        """
+    )
+    proc = _fresh_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["count"] == "24"
+
+
 def test_no_subcommand_imports_numpy():
     # f, the bounds and the sweeps run on the package's own integer table;
     # numpy is a test-only dependency
@@ -504,6 +528,32 @@ def test_f_table_refuses_rows_past_its_cap(capsys, monkeypatch, argv):
     assert code == 1
     assert obj["error"]["kind"] == "domain"
     assert "r must be at most 10000000, the f table's cap" in obj["error"]["message"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["f", "--d", "1000000", "--r", "2"], "d must be at most 10000, the f table's cap"),
+    (["bound", "--d", "1000000", "--n", "1"], "d must be at most 10000, the f table's cap"),
+    (["sdn-bound", "--d", "1000000", "--n", "2"], "d must be at most 10000, the f table's cap"),
+    # the shade query itself takes time linear in d, so this one sits just past the cap
+    (["shade", "exact", "--d", "10001", "--n", "1"], "d must be at most 10000, the f table's cap"),
+    (["theorem5", "--d", "15", "--rmax", "10000000"],
+     "(d + 1) * r must be at most 100000000, the f table's cap"),
+    (["verify", "--suite", "theorem5", "--d", "15", "--rmax", "10000000"],
+     "(d + 1) * r must be at most 100000000, the f table's cap"),
+], ids=["f", "bound", "sdn-bound", "shade", "theorem5", "verify"])
+def test_f_table_refuses_too_many_rows_or_entries(capsys, monkeypatch, argv, message):
+    # a table of more than 10^4 + 1 rows or 10^8 entries is a domain error
+    # naming the cap, raised before any row of it is built
+    def refused(*args):
+        raise AssertionError("an f table row was built")
+
+    monkeypatch.setattr(bounds, "_rows", [])
+    monkeypatch.setattr(bounds, "_rmax", 0)
+    monkeypatch.setattr(bounds, "array", refused)
+    code, obj = run_json(capsys, argv)
+    assert code == 1
+    assert obj["error"]["kind"] == "domain"
+    assert message in obj["error"]["message"]
 
 
 # sha256 of the CSV tables, taken while the bounds module formatted their reals
@@ -894,6 +944,26 @@ def test_verify_theorem5_worst_is_the_least_strong_margin(capsys):
     assert f" worst={least:.6g} " in lines[0]
     assert f"min margin {least:.6g} (weak d=6 margin 0)" in lines[0]
     assert json.loads(lines[-1])["suites"]["theorem5"]["worst"] == float(f"{least:.15g}")
+
+
+@pytest.mark.parametrize("ds, depth", [(None, 6), ([3], 6), ([7], 7)])
+def test_theorem5_suite_builds_the_f_table_once(monkeypatch, ds, depth):
+    # every sweep of the suite reads one table, built first to depth
+    # max(6, d): no later sweep replaces it
+    monkeypatch.setattr(bounds, "_rows", [])
+    monkeypatch.setattr(bounds, "_rmax", 0)
+    tables = []
+    for name in ("theorem5_check", "weak_min_margin"):
+        def recorded(d, rmax, sweep=getattr(bounds, name)):
+            result = sweep(d, rmax)
+            if not any(table is bounds._rows for table in tables):
+                tables.append(bounds._rows)
+            return result
+
+        monkeypatch.setattr(bounds, name, recorded)
+    assert suites.suite_theorem5(rmax=3000, ds=ds).passed
+    assert len(tables) == 1
+    assert len(tables[0]) == depth + 1
 
 
 @pytest.mark.parametrize(

@@ -76,6 +76,12 @@ def texts(a, limit=None, stats=None):
     return [head + tail for head, tails in enumeration._blocks(a, stats, limit) for tail in tails]
 
 
+def walked(a):
+    """The number of tensors the enumerator's walk lists: the count per_d's
+    slab DP is cross-checked against."""
+    return sum(len(tails) for _, tails in enumeration._blocks(a))
+
+
 def random_support(rng, d, n, density=None):
     density = density if density is not None else rng.uniform(0.3, 0.9)
     masks = []
@@ -91,7 +97,7 @@ def random_support(rng, d, n, density=None):
 def test_known_counts():
     for (d, n), want in KNOWN_COUNTS.items():
         assert per_d(all_ones_support(Shape(d, n))) == want, (d, n)
-    assert per_d(all_ones_support(Shape(2, 5)), backend="python") == 161280
+    assert walked(all_ones_support(Shape(2, 5))) == 161280
 
 
 def test_full_count_equals_set_oracle_small():
@@ -129,7 +135,7 @@ def test_slab_dp_matches_dfs_and_set_oracle():
             masks = list(a.masks)
             masks[rng.randrange(len(masks))] = 0
             a = SupportArray(a.shape, tuple(masks))
-        assert per_d(a) == per_d(a, backend="python") == count_sets(a), a
+        assert per_d(a) == walked(a) == count_sets(a), a
     # n = 1 (no forward slab), n = 2, odd and even n, and an empty cell in
     # the first slab, the last forward slab, the first backward slab and the
     # last slab
@@ -141,7 +147,7 @@ def test_slab_dp_matches_dfs_and_set_oracle():
             for s in sorted({0, max(n // 2 - 1, 0), n // 2, n - 1}):
                 cases.append(with_cell(full, s * m + rng.randrange(m), 0))
             for a in cases:
-                assert per_d(a) == per_d(a, backend="python") == count_sets(a), a
+                assert per_d(a) == walked(a) == count_sets(a), a
 
 
 def planted_d2_support(rng, n, r):
@@ -259,7 +265,7 @@ def drawn_supports(draw, max_n=MAX_N):
 @given(a=drawn_supports(), data=st.data())
 def test_slab_dp_matches_dfs_property(a, data):
     c = per_d(a)
-    assert c == per_d(a, backend="python")
+    assert c == walked(a)
     axes = range(a.shape.d + 1)
     pairs = [(i, j) for i in axes for j in axes if i < j]
     axis_a, axis_b = data.draw(st.sampled_from(pairs), label="axes")
@@ -653,3 +659,13 @@ def test_backend_name_is_exposed():
     for name in ("cython", "fortran"):
         with pytest.raises(RuntimeError):
             get(name)
+
+
+def test_backend_is_checked_but_selects_nothing():
+    # the one backend counts as the default does; any other name is refused
+    for a in (all_ones_support(Shape(2, 5)), planted_d2_support(random.Random(1), 5, 3.0)):
+        stats, python_stats = {}, {}
+        assert per_d(a, backend="python", stats=python_stats) == per_d(a, stats=stats)
+        assert python_stats == stats
+    with pytest.raises(RuntimeError):
+        per_d(all_ones_support(Shape(2, 3)), backend="cython")
