@@ -13,17 +13,18 @@ output, and every --seed defaults to 0.
 
 This module lays out every report, JSON fields and CSV columns alike: the
 other modules return numbers and records, and each report's fields are named
-once: here, or, where cd and theorem5 print a whole record, as its fields.
-It holds the argument table, one handler per subcommand and the dispatch.
-Every subcommand's arguments are declared once, in _COMMANDS. _parse_args
-reads argv against that table, and loads argparse, to build the full
-parser from the same table, only for the help, usage errors and argv the
-table does not take (see _table_args). Importing this module loads only
-what count runs (json, os, sys, hdperm.core and hdperm.counting).
-enumerate adds hdperm.enumeration, and every other handler imports its own
-modules when it runs: hdperm.bounds where f is evaluated,
-hdperm.constructions, hdperm.shade and hdperm.suites for verify. --csv
-output is written line by line, without the csv module.
+once: here, or, where cd, theorem5, sdn-bound and verify print records, as
+the records' fields (_fields). Every subcommand is declared once, in
+_COMMANDS: its handler, its help line and its arguments. run dispatches from
+that table, and _parse_args reads argv against it, loading argparse, to
+build the full parser from the same table, only for the help, usage errors
+and argv the table does not take (see _table_args). Every verify suite is
+declared once, in _SUITES. Importing this module loads only what count runs
+(json, os, sys, hdperm.core and hdperm.counting). enumerate adds
+hdperm.enumeration, and every other handler imports its own modules when
+it runs: hdperm.bounds where f is evaluated, hdperm.constructions,
+hdperm.shade and hdperm.suites for verify. --csv output is written line by
+line, without the csv module.
 
 main, the process entry point of python -m hdperm.cli and of the hdperm
 script, freezes the start-up heap (gc.freeze()) before it runs the
@@ -50,9 +51,11 @@ from hdperm.core import (
 from hdperm.counting import per_d
 
 
-def _real(x: float):
-    """Clamp a float to 15 significant digits (its shortest repr then never
-    exceeds 15 digits, keeping output byte-stable)."""
+def _real(x):
+    """A float clamped to 15 significant digits (its shortest repr then never
+    exceeds 15 digits, keeping output byte-stable); anything else as it is."""
+    if not isinstance(x, float):
+        return x
     if x != x or x in (float("inf"), float("-inf")):
         return str(x)
     return float(format(x, ".15g"))
@@ -101,21 +104,21 @@ def _write_csv(rows) -> None:
         sys.stdout.write(",".join(fields) + "\n")
 
 
-def _threads(args) -> int:
-    """--threads, an integer >= 1 (default 1)."""
-    if args.threads < 1:
-        raise ValueError(f"--threads must be an integer >= 1, got {args.threads!r}")
-    return args.threads
+def _fields(record, skip=()):
+    """A record's fields as a report's JSON fields, reals clamped, less
+    those named in skip."""
+    return {k: _real(getattr(record, k)) for k in record.__slots__ if k not in skip}
 
 
 # -- subcommand handlers -------------------------------------------------------
 
 def _cmd_count(args) -> int:
     a = _load_support(args)
-    threads = _threads(args)
+    if args.threads < 1:
+        raise ValueError(f"--threads must be an integer >= 1, got {args.threads!r}")
     stats = {}
     c = per_d(a, stats=stats)
-    params = {"d": a.shape.d, "n": a.shape.n, "threads": threads}
+    params = {"d": a.shape.d, "n": a.shape.n, "threads": args.threads}
     if args.support:
         params["support"] = args.support
     return _result("count", params, {"count": str(c), **stats})
@@ -149,7 +152,11 @@ def _cmd_f(args) -> int:
 
     if args.r is None and args.rmax is None:
         raise ValueError("need --r for a single value or --rmax for a table")
+    if args.r is not None and args.rmax is not None:
+        raise ValueError("give --r for a single value or --rmax for a table, not both")
     if args.rmax is None:
+        if args.csv:
+            raise ValueError("--csv needs --rmax: a single value prints as JSON")
         f = bounds.f_float(args.d, args.r)
         return _result("f", {"d": args.d, "r": args.r}, {"f": _real(f)})
     values = bounds.f_values(args.d, args.rmax)
@@ -171,7 +178,7 @@ def _cmd_cd(args) -> int:
                     for d in range(args.d + 1))
         _write_csv(rows)
         return 0
-    payload = {k: _real(getattr(c, k)) for k in c.__slots__}
+    payload = _fields(c)
     payload["cap"] = _real(bounds.c_cap(args.d))
     return _result("cd", {"d": args.d}, payload)
 
@@ -180,13 +187,11 @@ def _cmd_theorem5(args) -> int:
     from hdperm import bounds
 
     rep = bounds.theorem5_check(args.d, args.rmax)
-    columns = rep.__slots__  # the CSV header, in the report's field order
-    row = [getattr(rep, c) for c in columns]
     if args.csv:
-        _write_csv([columns, row])
+        # the header is the report's fields, in their order
+        _write_csv([rep.__slots__, [getattr(rep, c) for c in rep.__slots__]])
         return 0
-    payload = {c: _real(v) if isinstance(v, float) else v
-               for c, v in zip(columns, row) if c not in ("d", "r_max")}
+    payload = _fields(rep, skip=("d", "r_max"))
     payload["pass"] = rep.passed
     return _result("theorem5", {"d": args.d, "rmax": args.rmax}, payload)
 
@@ -195,9 +200,7 @@ def _cmd_sdn_bound(args) -> int:
     from hdperm import bounds
 
     rep = bounds.sdn_log_upper_bound(Shape(args.d, args.n))
-    payload = {"log_bound": _real(rep.log_bound)}
-    payload["ratio"] = None if rep.ratio is None else _real(rep.ratio)
-    return _result("sdn-bound", {"d": args.d, "n": args.n}, payload)
+    return _result("sdn-bound", {"d": args.d, "n": args.n}, _fields(rep))
 
 
 def _cmd_construct(args) -> int:
@@ -230,9 +233,10 @@ def _cmd_shade(args) -> int:
         if args.d is None or args.n is None:
             raise ValueError("need --perm FILE or both --d and --n")
         shape = Shape(args.d, args.n)
-    q = shade.random_query(shape, r=args.r, seed=args.seed, perm=perm)
-    f_ref = bounds.f_float(shape.d, len(q.w))
-    params = {"d": shape.d, "n": shape.n, "r": len(q.w), "seed": args.seed}
+    r = shade.query_size(shape, args.r)
+    f_ref = bounds.f_float(shape.d, r)  # the f table's caps, before the query is built
+    q = shade.random_query(shape, r=r, seed=args.seed, perm=perm)
+    params = {"d": shape.d, "n": shape.n, "r": r, "seed": args.seed}
     if args.mode == "mc":
         mean, stderr = shade.mc_expectation_logN(q, args.samples, seed=args.seed)
         payload = {"samples": args.samples, "pass": abs(mean - f_ref) <= 4 * stderr}
@@ -254,26 +258,26 @@ def _cmd_shade(args) -> int:
     return _result("shade", params, payload)
 
 
+# Every verify suite, in the order --suite all runs them: each calls its
+# function in hdperm.suites with the verify arguments it reads.
+_SUITES = {
+    "bounds": lambda suites, args: suites.suite_bounds(seed=args.seed),
+    "theorem5": lambda suites, args: suites.suite_theorem5(
+        rmax=args.rmax, ds=None if args.d is None else [args.d]),
+    "claim1": lambda suites, args: suites.suite_claim1(
+        cases=None if args.d is None else [(args.d, args.n)]),
+    "constructions": lambda suites, args: suites.suite_constructions(seed=args.seed),
+}
+
+
 def verify_suite(args) -> int:
     from hdperm import suites
 
-    names = ["bounds", "theorem5", "claim1", "constructions"]
-    if args.suite != "all":
-        names = [args.suite]
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    # checked before any suite runs
     if "claim1" in names and (args.d is None) != (args.n is None):
         raise ValueError("claim1 needs both --d and --n, or neither")
-    results = []
-    for name in names:
-        if name == "bounds":
-            results.append(suites.suite_bounds(seed=args.seed))
-        elif name == "theorem5":
-            ds = None if args.d is None else [args.d]
-            results.append(suites.suite_theorem5(rmax=args.rmax, ds=ds))
-        elif name == "claim1":
-            cases = None if args.d is None else [(args.d, args.n)]
-            results.append(suites.suite_claim1(cases=cases))
-        elif name == "constructions":
-            results.append(suites.suite_constructions(seed=args.seed))
+    results = [_SUITES[name](suites, args) for name in names]
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         worst = "" if res.worst is None else f" worst={res.worst:.6g}"
@@ -281,14 +285,7 @@ def verify_suite(args) -> int:
     summary = {
         "subcommand": "verify",
         "status": "ok" if all(r.passed for r in results) else "error",
-        "suites": {
-            r.name: {
-                "passed": r.passed,
-                "worst": None if r.worst is None else _real(r.worst),
-                "detail": r.detail,
-            }
-            for r in results
-        },
+        "suites": {r.name: _fields(r, skip=("name",)) for r in results},
     }
     _emit(summary)
     return 0 if all(r.passed for r in results) else 1
@@ -296,10 +293,11 @@ def verify_suite(args) -> int:
 
 # -- arguments -----------------------------------------------------------------
 
-# Every subcommand's help line and arguments, in the order --help lists them.
-# An argument is (name, type, default, required, choices, metavar, help): a
-# name without a leading "-" is the subcommand's one positional, type is
-# int, str or bool (a store-true flag), and None leaves an entry unset.
+# Every subcommand's handler, help line and arguments, in the order --help
+# lists them. An argument is (name, type, default, required, choices,
+# metavar, help): a name without a leading "-" is the subcommand's one
+# positional, type is int, str or bool (a store-true flag), and None leaves
+# an entry unset.
 _D = ("--d", int, None, False, None, None, "dimension")
 _N = ("--n", int, None, False, None, None, "order")
 _D_REQUIRED = ("--d", int, None, True, None, None, None)
@@ -309,31 +307,32 @@ _CSV = ("--csv", bool, None, False, None, None, None)
 _RMAX = ("--rmax", int, 100000, False, None, None, None)
 
 _COMMANDS = {
-    "count": ("exact number of supported permutations", (
+    "count": (_cmd_count, "exact number of supported permutations", (
         _D, _N,
         ("--support", str, None, False, None, "FILE", "support JSON file"),
         ("--threads", int, 1, False, None, None,
          "accepted and echoed; the count does not use threads"),
     )),
-    "enumerate": ("stream supported permutations as text", (
+    "enumerate": (_cmd_enumerate, "stream supported permutations as text", (
         _D, _N, _SUPPORT,
         ("--limit", int, None, False, None, None, "stop after this many"),
     )),
-    "bound": ("log of the factorial-type upper bound", (_D, _N, _SUPPORT)),
-    "f": ("the recursive bound function f(d,r)", (
+    "bound": (_cmd_bound, "log of the factorial-type upper bound", (_D, _N, _SUPPORT)),
+    "f": (_cmd_f, "the recursive bound function f(d,r)", (
         _D_REQUIRED,
         ("--r", int, None, False, None, None, None),
         ("--rmax", int, None, False, None, None, "emit a table for r=1..rmax"),
         _CSV,
     )),
-    "cd": ("asymptotic-bound constants at dimension d", (
+    "cd": (_cmd_cd, "asymptotic-bound constants at dimension d", (
         _D_REQUIRED,
         ("--csv", bool, None, False, None, None, "table for 0..d"),
     )),
-    "theorem5": ("sweep the asymptotic bound on f", (_D_REQUIRED, _RMAX, _CSV)),
-    "sdn-bound": ("log upper bound on the count of all order-n d-dimensional "
-                  "permutations", (_D_REQUIRED, _N_REQUIRED)),
-    "construct": ("emit an explicit permutation (text format)", (
+    "theorem5": (_cmd_theorem5, "sweep the asymptotic bound on f",
+                 (_D_REQUIRED, _RMAX, _CSV)),
+    "sdn-bound": (_cmd_sdn_bound, "log upper bound on the count of all order-n "
+                  "d-dimensional permutations", (_D_REQUIRED, _N_REQUIRED)),
+    "construct": (_cmd_construct, "emit an explicit permutation (text format)", (
         ("kind", str, None, False, ("modular", "block"), None, None),
         _D_REQUIRED, _N_REQUIRED,
         ("--bits", str, None, False, None, None,
@@ -341,7 +340,7 @@ _COMMANDS = {
          "(default all zeros)"),
         ("--seed", int, 0, False, None, None, "seed for --bits random"),
     )),
-    "shade": ("shade-process statistics for a random query", (
+    "shade": (_cmd_shade, "shade-process statistics for a random query", (
         ("mode", str, None, False, ("exact", "mc", "hist"), None, None),
         _D, _N,
         ("--r", int, None, False, None, None, "|W| (default n)"),
@@ -349,9 +348,8 @@ _COMMANDS = {
         ("--samples", int, 10000, False, None, None, None),
         ("--perm", str, None, False, None, "FILE", "tensor text file for X"),
     )),
-    "verify": ("run the invariant suites", (
-        ("--suite", str, "all", False,
-         ("all", "bounds", "theorem5", "claim1", "constructions"), None, None),
+    "verify": (verify_suite, "run the invariant suites", (
+        ("--suite", str, "all", False, ("all", *_SUITES), None, None),
         _D, _N, _RMAX,
         ("--seed", int, 0, False, None, None, "seeds bounds and constructions"),
     )),
@@ -371,7 +369,7 @@ def _build_parser():
     )
     sub = top.add_subparsers(dest="subcommand", required=True)
     keys = ("default", "required", "choices", "metavar", "help")
-    for command, (summary, specs) in _COMMANDS.items():
+    for command, (_, summary, specs) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
         for name, kind, *entries in specs:
             kwargs = {k: v for k, v in zip(keys, entries) if v is not None and v is not False}
@@ -382,19 +380,6 @@ def _build_parser():
             p.add_argument(name, **kwargs)
     return top
 
-
-_HANDLERS = {
-    "count": _cmd_count,
-    "enumerate": _cmd_enumerate,
-    "bound": _cmd_bound,
-    "f": _cmd_f,
-    "cd": _cmd_cd,
-    "theorem5": _cmd_theorem5,
-    "sdn-bound": _cmd_sdn_bound,
-    "construct": _cmd_construct,
-    "shade": _cmd_shade,
-    "verify": verify_suite,
-}
 
 _ERROR_KINDS = (
     (FormatError, "format"),
@@ -416,7 +401,7 @@ def _table_args(argv):
         return None
     args = {"subcommand": argv[0]}
     flags, positional, needed = {}, [], set()
-    for spec in command[1]:
+    for spec in command[2]:
         name, kind, default, required = spec[:4]
         args[name.lstrip("-")] = False if kind is bool else default
         if name[0] == "-":
@@ -472,7 +457,7 @@ def run(argv=None) -> int:
     with 2 on usage errors)."""
     args = _parse_args(argv)
     try:
-        return _HANDLERS[args.subcommand](args)
+        return _COMMANDS[args.subcommand][0](args)
     except BrokenPipeError:
         raise  # an OSError, but the error object has nowhere to go
     except tuple(k for k, _ in _ERROR_KINDS) as exc:

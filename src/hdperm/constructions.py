@@ -13,12 +13,13 @@ draws its bits.
 import random
 from itertools import product
 
-from hdperm.core import PermTensor, Shape, _is_int
+from hdperm.core import PermTensor, Shape, _is_int, check_cells
 
 
 def modular_perm(shape: Shape) -> PermTensor:
     """P(i_1,...,i_d) = (i_1 + ... + i_d) mod n. Every line walks all
     residues, so this is always valid."""
+    check_cells(shape)
     n = shape.n
     values = tuple(sum(coords) % n for coords in shape.cells())
     return PermTensor(shape, values)
@@ -33,6 +34,7 @@ def _nblocks(shape: Shape) -> int:
 
 def random_bits(shape: Shape, seed=None) -> tuple:
     """(n/2)^d arrangement bits drawn from random.Random(seed)."""
+    check_cells(shape)
     rng = random.Random(seed)
     return tuple(rng.randrange(2) for _ in range(_nblocks(shape)))
 
@@ -46,7 +48,8 @@ def block_lift(shape: Shape, bits=None) -> PermTensor:
     everywhere in the block, which is the other valid arrangement. Without
     bits every bit is 0.
     """
-    nblocks = _nblocks(shape)  # first, so n = 1 never reaches Shape(d, 0)
+    check_cells(shape)
+    nblocks = _nblocks(shape)  # before Shape(d, n/2), so n = 1 never reaches Shape(d, 0)
     if bits is None:
         bits = (0,) * nblocks
     if len(bits) != nblocks:

@@ -15,17 +15,24 @@ Record is the package's one record base: every record, here (Shape,
 SupportArray, PermTensor, Violation) and in bounds, shade and suites,
 derives from it. Its fields are its __slots__, set once by Record.__init__
 in that order (a subclass that validates calls it last), compared and
-hashed by type and field values. It replaced frozen dataclasses, whose
-import pulls inspect, ast and dis into every process that imports the
-package, and then typing.NamedTuple, for the same reason: typing costs a
-few milliseconds of every short run, and no module here imports it. A
-record is not a tuple: it is built positionally and cannot be indexed or
-unpacked. Malformed text or JSON input raises FormatError.
+hashed by type and field values. A record is not a tuple: it is built
+positionally and cannot be indexed or unpacked. Malformed text or JSON
+input raises FormatError.
+
+A Shape may name any d, but no array of more than _CELL_CAP = 10^6 cells
+is built: check_cells refuses one with a ValueError before any of it
+exists, and every builder of a whole array (all_ones_support,
+SupportArray.from_ones and the constructions) calls it first.
 """
 
 import json
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import product
+
+
+# the most cells of any array built: every builder's time and memory grow
+# with the cells, and shade exact already takes about a second at 2^20
+_CELL_CAP = 10**6
 
 
 class FormatError(ValueError):
@@ -150,6 +157,7 @@ class SupportArray(Record):
     @classmethod
     def from_ones(cls, shape: Shape, ones: Iterable[Sequence[int]]) -> "SupportArray":
         """Build from (i_1,...,i_d,j) one-entries; duplicates are idempotent."""
+        check_cells(shape)
         masks = [0] * shape.ncells
         for entry in ones:
             entry = tuple(entry)
@@ -192,8 +200,19 @@ class Violation(Record):
     __slots__ = ("direction", "fixed", "value")
 
 
+def check_cells(shape: Shape) -> None:
+    """Refuse a shape of more than _CELL_CAP cells. n^d is computed only
+    for d below the cap's bit length: from there on 2^d, and so n^d for
+    every n > 1, is past the cap."""
+    d, n = shape.d, shape.n
+    if n > 1 and (d >= _CELL_CAP.bit_length() or n**d > _CELL_CAP):
+        raise ValueError(f"n^d must be at most {_CELL_CAP}, the array's cell cap, "
+                         f"got d={d} n={n}")
+
+
 def all_ones_support(shape: Shape) -> SupportArray:
     """The support allowing every value at every cell."""
+    check_cells(shape)
     return SupportArray(shape, (shape.full_mask,) * shape.ncells)
 
 

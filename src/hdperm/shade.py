@@ -166,6 +166,16 @@ def random_valid_perm(shape: Shape, rng: random.Random) -> PermTensor:
     return PermTensor(shape, tuple(relabel[base[sum(o)]] for o in product(*offsets)))
 
 
+def query_size(shape: Shape, r: int | None = None) -> int:
+    """|W| of a query on shape: r, or n when r is None, which must lie in
+    1..n."""
+    if r is None:
+        return shape.n
+    if not 1 <= r <= shape.n:
+        raise ValueError(f"|W| must be in 1..{shape.n}, got {r}")
+    return r
+
+
 def random_query(
     shape: Shape,
     r: int | None = None,
@@ -175,10 +185,7 @@ def random_query(
     """A reproducible random query: scrambled-modular X (unless given), a
     uniform target cell, and a uniform W of size r containing X(target)."""
     rng = random.Random(seed)
-    if r is None:
-        r = shape.n
-    if not 1 <= r <= shape.n:
-        raise ValueError(f"|W| must be in 1..{shape.n}, got {r}")
+    r = query_size(shape, r)
     x = perm if perm is not None else random_valid_perm(shape, rng)
     if x.shape != shape:
         raise ValueError(f"tensor is for {x.shape}, not {shape}")

@@ -117,11 +117,12 @@ def suite_claim1(cases=None) -> SuiteResult:
         cases = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 3)]
     max_delta = 0.0
     for d, n in cases:
-        x = constructions.modular_perm(Shape(d, n))
-        for r in range(1, n + 1):
+        shape = Shape(d, n)
+        fs = [bounds.f_float(d, r) for r in range(1, n + 1)]  # the f table's caps first
+        x = constructions.modular_perm(shape)
+        for r, f in enumerate(fs, 1):
             q = shade.ShadeQuery(x, (0,) * d, range(r))
-            delta = abs(shade.shade_histogram(q).log_mean() - bounds.f_float(d, r))
-            max_delta = max(max_delta, delta)
+            max_delta = max(max_delta, abs(shade.shade_histogram(q).log_mean() - f))
     return SuiteResult(
         "claim1",
         max_delta <= bounds.TOL_EXACT,

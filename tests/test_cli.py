@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hdperm import bounds, cli, constructions, suites
+from hdperm import bounds, cli, constructions, shade, suites
 from hdperm.bounds import f_float
 from hdperm.core import PermTensor, Shape, line_repeats, parse_perm
 
@@ -556,6 +556,91 @@ def test_f_table_refuses_too_many_rows_or_entries(capsys, monkeypatch, argv, mes
     assert message in obj["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    "count --d 70 --n 2",
+    "count --d 10000000 --n 3",
+    "count --support FULL",
+    "enumerate --d 70 --n 2",
+    "bound --d 40 --n 2",
+    "construct modular --d 20000 --n 2",
+    "construct block --d 40 --n 2",
+    "construct block --d 40 --n 4 --bits random",
+    "shade mc --d 25 --n 2",
+    "verify --suite claim1 --d 25 --n 2",
+])
+def test_arrays_past_the_cell_cap_are_refused(capsys, monkeypatch, tmp_path, argv):
+    # an array of more than 10^6 cells is a domain error naming the cap,
+    # raised before n^d is computed for the large d or any cell is built
+    def refused(*args):
+        raise AssertionError("an array past the cell cap was built")
+
+    full = tmp_path / "full.json"
+    full.write_text('{"d": 40, "n": 2, "all_ones": true}')
+    monkeypatch.setattr(Shape, "ncells", property(refused))
+    monkeypatch.setattr(Shape, "cells", refused)
+    monkeypatch.setattr(constructions, "_nblocks", refused)
+    code = cli.run([str(full) if w == "FULL" else w for w in argv.split()])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.err == ""
+    error = json.loads(out.out)["error"]
+    assert error["kind"] == "domain"
+    assert error["message"].startswith("n^d must be at most 1000000, the array's cell cap")
+
+
+def test_refusals_exit_at_once_with_nothing_on_stderr():
+    # as processes: one JSON error object on stdout, exit code 1, no traceback
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for argv in ("bound --d 40 --n 2", "count --d 70 --n 2", "shade exact --d 10001 --n 2"):
+        proc = subprocess.run([sys.executable, "-m", "hdperm.cli", *argv.split()],
+                              env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 1, argv
+        assert proc.stderr == "", argv
+        assert json.loads(proc.stdout)["error"]["kind"] == "domain", argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("shade exact --d 300000 --n 1", "d must be at most 10000, the f table's cap, got 300000"),
+    ("shade mc --d 20000 --n 2", "d must be at most 10000, the f table's cap, got 20000"),
+    ("verify --suite claim1 --d 300000 --n 1",
+     "d must be at most 10000, the f table's cap, got 300000"),
+    # the errors that came before the f table still do, with their messages
+    ("shade exact --d 10001 --n 2 --r 5", "|W| must be in 1..2, got 5"),
+    ("shade exact --d 10001 --n 2 --r 0", "|W| must be in 1..2, got 0"),
+    ("verify --suite claim1 --d -1 --n 3", "d must be a positive integer, got -1"),
+])
+def test_shade_and_claim1_check_the_f_table_before_the_query(capsys, monkeypatch, argv,
+                                                              message):
+    def refused(*args, **kwargs):
+        raise AssertionError("a shade query was built")
+
+    monkeypatch.setattr(shade, "random_query", refused)
+    monkeypatch.setattr(shade, "ShadeQuery", refused)
+    monkeypatch.setattr(constructions, "modular_perm", refused)
+    code = cli.run(argv.split())
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.err == ""
+    assert json.loads(out.out)["error"]["message"] == message
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("f --d 2 --r 3 --rmax 5", "give --r for a single value or --rmax for a table, not both"),
+    ("f --d 2 --r 3 --rmax 5 --csv",
+     "give --r for a single value or --rmax for a table, not both"),
+    ("f --d 2 --r 3 --csv", "--csv needs --rmax: a single value prints as JSON"),
+])
+def test_f_refuses_flags_it_would_ignore(capsys, monkeypatch, argv, message):
+    def refused(d, rmax):
+        raise AssertionError(f"f table built to r={rmax}")
+
+    monkeypatch.setattr(bounds, "_f_row", refused)
+    code, obj = run_json(capsys, argv.split())
+    assert code == 1
+    assert obj["error"] == {"kind": "domain", "message": message}
+
+
 # sha256 of the CSV tables, taken while the bounds module formatted their reals
 CSV_SHA256 = {
     "f --d 3 --rmax 50 --csv": "ac853f399041d637bb356a3d0ed8d27d4f765ed06f10d002dfa7d63002e2aba1",
@@ -931,6 +1016,35 @@ def test_verify_all_suites(capsys):
     summary = json.loads(out.strip().split("\n")[-1])
     assert set(summary["suites"]) == {"bounds", "theorem5", "claim1", "constructions"}
     assert all(s["passed"] for s in summary["suites"].values())
+
+
+def test_parser_subcommands_are_the_command_table():
+    import argparse
+
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("suite", [*cli._SUITES, "all"])
+def test_verify_runs_and_prints_the_chosen_suites(capsys, monkeypatch, suite):
+    # --suite X runs and prints X alone; all runs every suite, in this order
+    order = ["bounds", "theorem5", "claim1", "constructions"]
+    assert list(cli._SUITES) == order
+    ran = []
+    for name in order:
+        def stub(*args, name=name, **kwargs):
+            ran.append(name)
+            return suites.SuiteResult(name, True, 0.5, "stub")
+
+        monkeypatch.setattr(suites, f"suite_{name}", stub)
+    code = cli.run(["verify", "--suite", suite])
+    lines = capsys.readouterr().out.strip().split("\n")
+    want = order if suite == "all" else [suite]
+    assert code == 0
+    assert ran == want
+    assert lines[:-1] == [f"PASS {name}: worst=0.5 stub" for name in want]
+    assert list(json.loads(lines[-1])["suites"]) == sorted(want)
 
 
 def test_verify_theorem5_worst_is_the_least_strong_margin(capsys):

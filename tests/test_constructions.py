@@ -46,6 +46,16 @@ def test_block_lift_rejects_odd_order():
         assert exc.type is ValueError
 
 
+def test_constructions_past_the_cell_cap_are_refused():
+    # refused before a value or a bit is drawn, and before the order's parity
+    # is checked
+    message = r"^n\^d must be at most 1000000, the array's cell cap, got d=20 n={}$"
+    for build, n in ((modular_perm, 2), (block_lift, 2), (block_lift, 3),
+                     (random_bits, 4), (random_bits, 3)):
+        with pytest.raises(ValueError, match=message.format(n)):
+            build(Shape(20, n))
+
+
 def test_random_bits_is_seeded():
     s = Shape(2, 4)
     a = random_bits(s, seed=5)

@@ -13,6 +13,7 @@ from hdperm.core import (
     SupportArray,
     Violation,
     all_ones_support,
+    check_cells,
     line_repeats,
     parse_perm,
     parse_support,
@@ -23,6 +24,31 @@ from hdperm.counting import _line_table, per_d
 from hdperm.shade import ShadeQuery
 
 from oracles import line_repeats_cells, transpose_support
+
+
+CELL_CAP_MESSAGE = r"^n\^d must be at most 1000000, the array's cell cap, got "
+
+
+def test_check_cells_refuses_arrays_past_its_cap():
+    # at most 10^6 cells; an order of 1 has one cell whatever d, and a Shape
+    # itself is never capped
+    for shape in (Shape(6, 10), Shape(19, 2), Shape(3, 64), Shape(10**7, 1)):
+        check_cells(shape)
+    for shape in (Shape(6, 11), Shape(20, 2), Shape(4, 64), Shape(10**7, 3)):
+        with pytest.raises(ValueError, match=CELL_CAP_MESSAGE + f"d={shape.d} n={shape.n}$"):
+            check_cells(shape)
+
+
+def test_supports_past_the_cell_cap_are_refused():
+    # refused before a mask is built, whichever way the support is given
+    with pytest.raises(ValueError, match=CELL_CAP_MESSAGE + "d=40 n=2$"):
+        all_ones_support(Shape(40, 2))
+    with pytest.raises(ValueError, match=CELL_CAP_MESSAGE + "d=70 n=2$"):
+        SupportArray.from_ones(Shape(70, 2), [])
+    for body in ('"all_ones": true', '"ones": []'):
+        with pytest.raises(ValueError, match=CELL_CAP_MESSAGE + "d=40 n=2$") as exc:
+            parse_support('{"d": 40, "n": 2, %s}' % body)
+        assert exc.type is ValueError
 
 
 def test_shape_basics():
