@@ -90,6 +90,8 @@ def _read_file(path: str) -> str:
 
 def _load_support(args) -> SupportArray:
     if args.support:
+        if args.d is not None or args.n is not None:
+            raise ValueError("give --support FILE or --d and --n, not both")
         return parse_support(_read_file(args.support))
     if args.d is None or args.n is None:
         raise ValueError("need --support FILE or both --d and --n")
@@ -206,6 +208,8 @@ def _cmd_sdn_bound(args) -> int:
 def _cmd_construct(args) -> int:
     from hdperm import constructions
 
+    if args.kind == "modular" and args.bits is not None:
+        raise ValueError("--bits needs construct block: a modular tensor has no bits")
     shape = Shape(args.d, args.n)
     if args.kind == "modular":
         p = constructions.modular_perm(shape)
@@ -227,6 +231,8 @@ def _cmd_shade(args) -> int:
 
     perm = None
     if args.perm:
+        if args.d is not None or args.n is not None:
+            raise ValueError("give --perm FILE or --d and --n, not both")
         perm = parse_perm(_read_file(args.perm))
         shape = perm.shape
     else:

@@ -21,8 +21,8 @@ input raises FormatError.
 
 A Shape may name any d, but no array of more than _CELL_CAP = 10^6 cells
 is built: check_cells refuses one with a ValueError before any of it
-exists, and every builder of a whole array (all_ones_support,
-SupportArray.from_ones and the constructions) calls it first.
+exists, and every builder or reader of a whole array (all_ones_support,
+SupportArray.from_ones, parse_perm and the constructions) calls it first.
 """
 
 import json
@@ -232,7 +232,7 @@ def line_repeats(values: Sequence, shape: Shape) -> tuple:
     """
     if len(values) != shape.ncells:
         raise ShapeError(
-            f"expected {shape.ncells} entries for d={shape.d} n={shape.n}, "
+            f"expected {shape.ncells} values for d={shape.d} n={shape.n}, "
             f"got {len(values)}"
         )
     d, n = shape.d, shape.n
@@ -273,21 +273,17 @@ def parse_perm(text: str) -> PermTensor:
         shape = Shape(d, n)
     except ShapeError as exc:
         raise FormatError(str(exc)) from None
-    body = tokens[2:]
-    if len(body) != shape.ncells:
-        raise FormatError(
-            f"expected {shape.ncells} values for d={d} n={n}, got {len(body)}"
-        )
+    check_cells(shape)
     values = []
-    for tok in body:
+    for tok in tokens[2:]:
         try:
-            v = int(tok)
+            values.append(int(tok))
         except ValueError:
             raise FormatError(f"non-integer value {tok!r}") from None
-        if not 0 <= v < n:
-            raise FormatError(f"value {v} out of range 0..{n - 1}")
-        values.append(v)
-    repeats = line_repeats(values, shape)
+    try:
+        repeats = line_repeats(values, shape)
+    except ShapeError as exc:  # a wrong count or a value out of range
+        raise FormatError(str(exc)) from None
     if repeats:
         first = repeats[0]
         raise FormatError(

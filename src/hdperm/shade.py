@@ -58,7 +58,7 @@ class ShadeQuery(Record):
         for v in w:
             if not (_is_int(v) and 0 <= v < shape.n):
                 raise ValueError(f"W value {v!r} out of range 0..{shape.n - 1}")
-        if x.value_at(target) not in w:
+        if x.values[shape.rank(target)] not in w:
             raise ValueError("W must contain the tensor's value at the target cell")
         for k, vals in enumerate(_axis_values(x, target)):
             if sorted(vals) != list(range(shape.n)):

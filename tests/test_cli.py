@@ -15,6 +15,9 @@ from hdperm import bounds, cli, constructions, shade, suites
 from hdperm.bounds import f_float
 from hdperm.core import PermTensor, Shape, line_repeats, parse_perm
 
+# a tensor file whose header is past the cell cap: 3^(10^7) cells
+BIG_PERM = "10000000 3\n0 1 2\n"
+
 # a planted d=2 n=6 support (two Latin squares plus random values, 3.6 per
 # cell): 258 tensors, and at slab 4 most prefixes reach a state seen before
 PLANTED_D2N6 = (
@@ -567,6 +570,7 @@ def test_f_table_refuses_too_many_rows_or_entries(capsys, monkeypatch, argv, mes
     "construct block --d 40 --n 4 --bits random",
     "shade mc --d 25 --n 2",
     "verify --suite claim1 --d 25 --n 2",
+    "shade exact --perm BIG",
 ])
 def test_arrays_past_the_cell_cap_are_refused(capsys, monkeypatch, tmp_path, argv):
     # an array of more than 10^6 cells is a domain error naming the cap,
@@ -576,10 +580,13 @@ def test_arrays_past_the_cell_cap_are_refused(capsys, monkeypatch, tmp_path, arg
 
     full = tmp_path / "full.json"
     full.write_text('{"d": 40, "n": 2, "all_ones": true}')
+    big = tmp_path / "big.txt"
+    big.write_text(BIG_PERM)
+    files = {"FULL": str(full), "BIG": str(big)}
     monkeypatch.setattr(Shape, "ncells", property(refused))
     monkeypatch.setattr(Shape, "cells", refused)
     monkeypatch.setattr(constructions, "_nblocks", refused)
-    code = cli.run([str(full) if w == "FULL" else w for w in argv.split()])
+    code = cli.run([files.get(w, w) for w in argv.split()])
     out = capsys.readouterr()
     assert code == 1
     assert out.err == ""
@@ -588,16 +595,47 @@ def test_arrays_past_the_cell_cap_are_refused(capsys, monkeypatch, tmp_path, arg
     assert error["message"].startswith("n^d must be at most 1000000, the array's cell cap")
 
 
-def test_refusals_exit_at_once_with_nothing_on_stderr():
+def test_refusals_exit_at_once_with_nothing_on_stderr(tmp_path):
     # as processes: one JSON error object on stdout, exit code 1, no traceback
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    for argv in ("bound --d 40 --n 2", "count --d 70 --n 2", "shade exact --d 10001 --n 2"):
+    big = tmp_path / "big.txt"
+    big.write_text(BIG_PERM)
+    for argv in ("bound --d 40 --n 2", "count --d 70 --n 2", "shade exact --d 10001 --n 2",
+                 f"shade exact --perm {big}"):
         proc = subprocess.run([sys.executable, "-m", "hdperm.cli", *argv.split()],
                               env=env, capture_output=True, text=True, timeout=30)
         assert proc.returncode == 1, argv
         assert proc.stderr == "", argv
-        assert json.loads(proc.stdout)["error"]["kind"] == "domain", argv
+        error = json.loads(proc.stdout)["error"]
+        assert error["kind"] == "domain", argv
+        assert "cap" in error["message"], argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("count --support FILE --d 5 --n 7", "give --support FILE or --d and --n, not both"),
+    ("count --support FILE --d 2", "give --support FILE or --d and --n, not both"),
+    ("enumerate --support FILE --n 3", "give --support FILE or --d and --n, not both"),
+    ("bound --support FILE --d 2 --n 3", "give --support FILE or --d and --n, not both"),
+    ("shade exact --perm FILE --d 2 --n 3", "give --perm FILE or --d and --n, not both"),
+    ("shade mc --perm FILE --n 3", "give --perm FILE or --d and --n, not both"),
+    ("construct modular --d 2 --n 3 --bits 000",
+     "--bits needs construct block: a modular tensor has no bits"),
+    ("construct modular --d 2 --n 3 --bits random",
+     "--bits needs construct block: a modular tensor has no bits"),
+])
+def test_commands_refuse_flags_they_would_ignore(capsys, monkeypatch, argv, message):
+    # a domain error, raised before any input file is read
+    def refused(*args):
+        raise AssertionError("an input file was read")
+
+    for name in ("_read_file", "parse_support", "parse_perm"):
+        monkeypatch.setattr(cli, name, refused)
+    code = cli.run(argv.split())
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.err == ""
+    assert json.loads(out.out)["error"] == {"kind": "domain", "message": message}
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdperm import core
 from hdperm.core import (
     FormatError,
     PermTensor,
@@ -49,6 +50,19 @@ def test_supports_past_the_cell_cap_are_refused():
         with pytest.raises(ValueError, match=CELL_CAP_MESSAGE + "d=40 n=2$") as exc:
             parse_support('{"d": 40, "n": 2, %s}' % body)
         assert exc.type is ValueError
+
+
+def test_parse_perm_refuses_a_header_past_the_cell_cap(monkeypatch):
+    # the header alone is refused: n^d is never computed and no entry is
+    # checked, so a body of three values cannot stall the count
+    def refused(*args):
+        raise AssertionError("n^d was computed or an entry checked")
+
+    monkeypatch.setattr(Shape, "ncells", property(refused))
+    monkeypatch.setattr(core, "line_repeats", refused)
+    with pytest.raises(ValueError, match=CELL_CAP_MESSAGE + "d=10000000 n=3$") as exc:
+        parse_perm("10000000 3\n0 1 2\n")
+    assert exc.type is ValueError
 
 
 def test_shape_basics():
