@@ -115,9 +115,9 @@ def _fields(record, skip=()):
 # -- subcommand handlers -------------------------------------------------------
 
 def _cmd_count(args) -> int:
-    a = _load_support(args)
     if args.threads < 1:
         raise ValueError(f"--threads must be an integer >= 1, got {args.threads!r}")
+    a = _load_support(args)
     stats = {}
     c = per_d(a, stats=stats)
     params = {"d": a.shape.d, "n": a.shape.n, "threads": args.threads}
@@ -229,6 +229,8 @@ def _cmd_construct(args) -> int:
 def _cmd_shade(args) -> int:
     from hdperm import bounds, shade
 
+    if args.mode != "mc" and args.samples is not None:
+        raise ValueError("--samples needs shade mc: exact and hist count every ordering")
     perm = None
     if args.perm:
         if args.d is not None or args.n is not None:
@@ -244,8 +246,9 @@ def _cmd_shade(args) -> int:
     q = shade.random_query(shape, r=r, seed=args.seed, perm=perm)
     params = {"d": shape.d, "n": shape.n, "r": r, "seed": args.seed}
     if args.mode == "mc":
-        mean, stderr = shade.mc_expectation_logN(q, args.samples, seed=args.seed)
-        payload = {"samples": args.samples, "pass": abs(mean - f_ref) <= 4 * stderr}
+        samples = 10000 if args.samples is None else args.samples
+        mean, stderr = shade.mc_expectation_logN(q, samples, seed=args.seed)
+        payload = {"samples": samples, "pass": abs(mean - f_ref) <= 4 * stderr}
     else:
         dist = shade.shade_histogram(q)
         mean, stderr = dist.log_mean(), 0.0
@@ -265,11 +268,13 @@ def _cmd_shade(args) -> int:
 
 
 # Every verify suite, in the order --suite all runs them: each calls its
-# function in hdperm.suites with the verify arguments it reads.
+# function in hdperm.suites with the verify arguments it reads. --seed is
+# accepted with every suite.
 _SUITES = {
     "bounds": lambda suites, args: suites.suite_bounds(seed=args.seed),
     "theorem5": lambda suites, args: suites.suite_theorem5(
-        rmax=args.rmax, ds=None if args.d is None else [args.d]),
+        ds=None if args.d is None else [args.d],
+        **({} if args.rmax is None else {"rmax": args.rmax})),
     "claim1": lambda suites, args: suites.suite_claim1(
         cases=None if args.d is None else [(args.d, args.n)]),
     "constructions": lambda suites, args: suites.suite_constructions(seed=args.seed),
@@ -281,6 +286,12 @@ def verify_suite(args) -> int:
 
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     # checked before any suite runs
+    if args.rmax is not None and "theorem5" not in names:
+        raise ValueError("--rmax needs the theorem5 suite")
+    if args.d is not None and {"theorem5", "claim1"}.isdisjoint(names):
+        raise ValueError("--d needs the theorem5 or claim1 suite")
+    if args.n is not None and "claim1" not in names:
+        raise ValueError("--n needs the claim1 suite")
     if "claim1" in names and (args.d is None) != (args.n is None):
         raise ValueError("claim1 needs both --d and --n, or neither")
     results = [_SUITES[name](suites, args) for name in names]
@@ -351,12 +362,12 @@ _COMMANDS = {
         _D, _N,
         ("--r", int, None, False, None, None, "|W| (default n)"),
         ("--seed", int, 0, False, None, None, None),
-        ("--samples", int, 10000, False, None, None, None),
+        ("--samples", int, None, False, None, None, None),
         ("--perm", str, None, False, None, "FILE", "tensor text file for X"),
     )),
     "verify": (verify_suite, "run the invariant suites", (
         ("--suite", str, "all", False, ("all", *_SUITES), None, None),
-        _D, _N, _RMAX,
+        _D, _N, ("--rmax", int, None, False, None, None, None),
         ("--seed", int, 0, False, None, None, "seeds bounds and constructions"),
     )),
 }

@@ -170,15 +170,15 @@ class _Walker:
                 if not forced & forbid:
                     yield head | x | forced << last
 
-    def walk(self, parts: list, lists: list, head, comp=None, full=0):
+    def walk(self, parts: list, lists: list, head, live=None):
         """(head, state) for every prefix of slabs 0..n-3 of the support cut
         into slabs parts, depth first in the order of the value tuples.
 
         Slab s takes the pairs (f, piece) of lists[s] on its residual
         support, and head is the given start plus the pieces of the prefix.
-        comp, where not None, is the enumerator's live tables: a prefix
-        whose state S after s slabs has full ^ S outside comp[s] has no
-        completion and is dropped.
+        live, where not None, is the enumerator's live tables: a prefix
+        whose state S after t slabs is not in live[t] has no completion and
+        is dropped.
         """
         mid = len(parts) - 2
         if mid == 0:
@@ -193,7 +193,7 @@ class _Walker:
             for f, x in its[s]:
                 S = states[s] | f
                 t = s + 1
-                if comp is not None and full ^ S not in comp[t]:
+                if live is not None and S not in live[t]:
                     self.pruned += 1
                     continue
                 if t == mid:

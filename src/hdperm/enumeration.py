@@ -11,9 +11,9 @@ slabs depend only on the state after the first n-2: each call keeps a memo
 from that state to the texts of its completions. The walk, _blocks, hands
 out one block per prefix that reaches slab n-2: the prefix's text,
 formatted once, and the memo's tails. On a support of d >= 2 that is not
-full it prunes with the complement tables of _live, read from the two
-passes per_d joins: a prefix whose state's complement is not in them has no
-completion. Only the CLI's enumerate loads this module.
+full it prunes with the live tables of _live, read from the two passes
+per_d joins: a prefix whose state is not in them has no completion. Only
+the CLI's enumerate loads this module.
 """
 
 from hdperm.core import SupportArray, rows_text
@@ -48,16 +48,16 @@ def _cached(walker: _Walker, fn):
     return lookup
 
 
-def _live(a: SupportArray, fills) -> list | None:
-    """comp[t] for t = 1..n-2 (comp[0] is None): for every state S that
-    slabs 0..t-1 reach, some filling of slabs t..n-1 completes S exactly
-    when full ^ S is in comp[t].
+def _live(a: SupportArray) -> list | None:
+    """live[t] for t = 1..n-2 (live[0] is None): each state S after slabs
+    0..t-1 that some filling of slabs t..n-1 completes, mapped to its number
+    of completions, the ways over slabs n-1..t to reach full ^ S.
 
     With back and fwd the two passes of the count's meet plan (_meet, which
-    meets at slab h), comp[t] for t > h is back[n - t] itself, and comp[h]
-    is the meet: the T in back[n - h] with full ^ T in fwd[h]. Below h,
-    comp[t] is comp[t + 1] stepped by slab t, kept if full ^ T is in
-    fwd[t], since full ^ (S ^ f) = (full ^ S) | f.
+    meets at slab h), these complement tables comp[t] are, for t > h,
+    back[n - t] itself, and comp[h] is the meet: the T in back[n - h] with
+    full ^ T in fwd[h]. Below h, comp[t] is comp[t + 1] stepped by slab t,
+    kept if full ^ T is in fwd[t], since full ^ (S ^ f) = (full ^ S) | f.
 
     Returns None, so that nothing is checked, for n < 3, which has no slab
     boundary to check, and where a pass meets a slab whose cell sizes
@@ -68,6 +68,7 @@ def _live(a: SupportArray, fills) -> list | None:
     n = a.shape.n
     if n < 3:
         return None  # no slab boundary to check
+    fills = _fill_lister(a)
     plan = _meet(fills, n, _LIVE_MAX)
     if plan is None:
         return None
@@ -80,7 +81,7 @@ def _live(a: SupportArray, fills) -> list | None:
         if nxt is None:
             return None
         comp[t] = {T: c for T, c in nxt.items() if full ^ T in fwd[t]}
-    return comp
+    return [None] + [{full ^ T: c for T, c in table.items()} for table in comp[1:]]
 
 
 def _blocks(a: SupportArray, stats: dict | None = None, limit: int | None = None):
@@ -104,9 +105,10 @@ def _blocks(a: SupportArray, stats: dict | None = None, limit: int | None = None
     the tables cost more than the walk they would prune.
 
     stats, when given, receives the work counters when the walk ends or is
-    closed: "prefixes" that reached slab n-2, "listings" of residual
-    supports made rather than read back, "memo_entries" made, "replays" of
-    memo entries and "live_prunes".
+    closed: "prefixes" that reached slab n-2, "memo_entries" made, each of
+    which lists the last two slabs, "replays" of memo entries (every other
+    prefix), "listings" of residual supports made rather than read back
+    (the walker's and the memo entries') and "live_prunes".
     """
     if limit is not None and limit <= 0:
         raise ValueError("limit must be positive")
@@ -115,7 +117,7 @@ def _blocks(a: SupportArray, stats: dict | None = None, limit: int | None = None
     m = n ** (d - 1)  # cells per slab, one per axis-0 line
     w = m * n  # bits per slab
     walker = _Walker(n)
-    prefixes = entries = replays = 0
+    prefixes = entries = 0
     try:
         head = f"{d} {n}\n"
         if n == 1:
@@ -144,23 +146,20 @@ def _blocks(a: SupportArray, stats: dict | None = None, limit: int | None = None
         forbid = full ^ parts[-1]
         live = None
         if d >= 2 and masks.count(shape.full_mask) < len(masks):
-            live = _live(a, _fill_lister(a))
+            live = _live(a)
         memo = walker.table()
         get = memo.get
-        for h, S in walker.walk(parts, [top] * mid, head, live, full):
+        for h, S in walker.walk(parts, [top] * mid, head, live):
             prefixes += 1
             tails = get(S)
             if tails is None:
                 entries += 1
                 tails = []
-                walker.listings += 1
                 for f in walker.fillings(d - 1, parts[mid] & ~S):
                     forced = full ^ S ^ f
                     if not forced & forbid:
                         tails.append(tail(f, forced))
                 walker.keep(memo, S, tails, 1 + len(tails))
-            else:
-                replays += 1
             if tails:
                 if limit is not None:
                     if len(tails) >= limit:
@@ -170,8 +169,8 @@ def _blocks(a: SupportArray, stats: dict | None = None, limit: int | None = None
                 yield h, tails
     finally:
         if stats is not None:
-            stats.update(prefixes=prefixes, listings=walker.listings,
-                         memo_entries=entries, replays=replays,
+            stats.update(prefixes=prefixes, listings=walker.listings + entries,
+                         memo_entries=entries, replays=prefixes - entries,
                          live_prunes=walker.pruned)
 
 

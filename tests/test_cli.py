@@ -164,9 +164,9 @@ def test_counting_subcommands_do_not_import_numpy(tmp_path):
         built = []
         live = enumeration._live
 
-        def counted(a, fills):
+        def counted(a):
             built.append(a.shape)
-            return live(a, fills)
+            return live(a)
 
         enumeration._live = counted
         for argv in (
@@ -345,8 +345,8 @@ def test_bound_suites_do_not_import_shade_or_constructions():
         import sys
         import hdperm.cli
 
-        for suite in ("theorem5", "bounds"):
-            argv = ["verify", "--suite", suite, "--rmax", "500"]
+        for argv in (["verify", "--suite", "theorem5", "--rmax", "500"],
+                     ["verify", "--suite", "bounds"]):
             assert hdperm.cli.run(argv) == 0, argv
         unused = ["hdperm.shade", "hdperm.constructions"]
         loaded = [name for name in unused if name in sys.modules]
@@ -623,14 +623,29 @@ def test_refusals_exit_at_once_with_nothing_on_stderr(tmp_path):
      "--bits needs construct block: a modular tensor has no bits"),
     ("construct modular --d 2 --n 3 --bits random",
      "--bits needs construct block: a modular tensor has no bits"),
+    ("shade exact --d 2 --n 3 --samples 5",
+     "--samples needs shade mc: exact and hist count every ordering"),
+    ("shade hist --perm FILE --samples 5",
+     "--samples needs shade mc: exact and hist count every ordering"),
+    ("verify --suite constructions --rmax 7", "--rmax needs the theorem5 suite"),
+    ("verify --suite claim1 --d 2 --n 3 --rmax 7", "--rmax needs the theorem5 suite"),
+    ("verify --suite bounds --d 3 --n 4", "--d needs the theorem5 or claim1 suite"),
+    ("verify --suite constructions --d 3", "--d needs the theorem5 or claim1 suite"),
+    ("verify --suite theorem5 --d 3 --n 4", "--n needs the claim1 suite"),
+    ("verify --suite bounds --n 4", "--n needs the claim1 suite"),
+    # a bad flag is refused before the support file is read
+    ("count --support FILE --threads 0", "--threads must be an integer >= 1, got 0"),
 ])
 def test_commands_refuse_flags_they_would_ignore(capsys, monkeypatch, argv, message):
-    # a domain error, raised before any input file is read
-    def refused(*args):
-        raise AssertionError("an input file was read")
+    # a domain error, raised before any input file is read or any verify
+    # suite runs
+    def refused(*args, **kwargs):
+        raise AssertionError("an input file was read or a suite ran")
 
     for name in ("_read_file", "parse_support", "parse_perm"):
         monkeypatch.setattr(cli, name, refused)
+    for name in cli._SUITES:
+        monkeypatch.setattr(suites, f"suite_{name}", refused)
     code = cli.run(argv.split())
     out = capsys.readouterr()
     assert code == 1

@@ -384,7 +384,7 @@ def test_memo_cap_keeps_the_stream(monkeypatch):
 
 
 def live_sets(a):
-    return enumeration._live(a, enumeration._fill_lister(a))
+    return enumeration._live(a)
 
 
 def test_live_tables_outgrow_the_memo_budget(monkeypatch):
@@ -425,19 +425,24 @@ def states_after(values, shape, s):
 
 def checked_live_sets(a):
     """Assert that at every slab boundary t where enumeration._live builds a
-    table comp[t] for a, a state S the forward DP reaches there has
-    full ^ S in comp[t] exactly when some tensor of the oracle passes
-    through S; return how many tables there were."""
-    comp = live_sets(a)
-    checked = [(t, table) for t, table in enumerate(comp or ()) if table is not None]
+    table live[t] for a, a state S the forward DP reaches there is in
+    live[t] exactly when some tensor of the oracle passes through S, and
+    that live[t][S], its completions, times fwd[t][S], the ways to reach
+    it, is the number of those tensors; return how many tables there
+    were."""
+    checked = [(t, table) for t, table in enumerate(live_sets(a) or ()) if table is not None]
     if checked:
         n = a.shape.n
-        full = (1 << n**a.shape.d) - 1
         fwd = counting._pass(counting._fill_lister(a), range(n - 2))
         tensors = list(enumerate_sets(a))
         for t, table in checked:
-            live = {states_after(v, a.shape, t) for v in tensors}
-            assert {S for S in fwd[t] if full ^ S in table} == live, (a, t)
+            through = {}
+            for v in tensors:
+                S = states_after(v, a.shape, t)
+                through[S] = through.get(S, 0) + 1
+            assert {S for S in fwd[t] if S in table} == through.keys(), (a, t)
+            for S, ways in fwd[t].items():
+                assert table.get(S, 0) * ways == through.get(S, 0), (a, t, S)
     return len(checked)
 
 
@@ -542,20 +547,19 @@ def test_live_sets_give_up_past_the_cap(monkeypatch):
 
 def test_full_order_3_supports_have_no_live_checks(monkeypatch):
     # a first slab L completes by L + 1 and L + 2 mod 3, so every state is
-    # live: each table holds the complement of every state the forward DP
-    # reaches there, and would prune nothing (d = 4 already fails the cap on
-    # listing a slab); enumerate does not build them
+    # live: each table holds every state the forward DP reaches there, and
+    # would prune nothing (d = 4 already fails the cap on listing a slab);
+    # enumerate does not build them
     for d in (2, 3, 4):
         a = all_ones_support(Shape(d, 3))
-        comp = live_sets(a)
-        assert (comp is None) == (d == 4), d
-        if comp is not None:
+        live = live_sets(a)
+        assert (live is None) == (d == 4), d
+        if live is not None:
             fwd = counting._pass(counting._fill_lister(a), range(1))
-            full = (1 << 3**d) - 1
             # order 3: one boundary
-            assert [{full ^ T for T in table} for table in comp[1:]] == [fwd[1].keys()], d
+            assert [table.keys() for table in live[1:]] == [fwd[1].keys()], d
 
-    def refused(a, fills):
+    def refused(a):
         raise AssertionError("live sets built")
 
     monkeypatch.setattr(enumeration, "_live", refused)
