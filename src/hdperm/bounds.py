@@ -16,24 +16,20 @@ floor loses less than one unit of 2^-FRAC_BITS, so f(d,r) carries under d
 such units on top of the rounding of log k: far inside the 1e-12 agreement
 budget the tests' exact rational f and the d=1 reference are held to, within
 an ulp of f through d = 4, and a few ulps only where f is tiny (d ≥ 5, small
-r). A value never depends on how long its row is. The table is one compact
-array('d') per d except row 0 (the log k every sweep reads, a list). It is
-built in chunks of _CHUNK entries, and each chunk carries every row's running
-prefix sum in from the one before: the integers, and so every value, are
-those of a build over whole rows, but only one chunk's integers are alive at
-a time, so the build holds a bounded number of them beside the table whatever
-its length (a cold f_values(6, 10^5) peaks under 1.3 times the finished
-table). The table is as deep and long as a call needs; a call needing more
-builds a new one under a lock and swaps it in, so concurrent callers always
-read a complete table. Rows that must grow longer grow at least twice as
-long, up to _R_CAP = 10^7 entries, and only rows 0..d of that call are
-built: deeper ones are dropped until a call needs them. A table built
-deeper keeps its rows' length only as far as it then holds no more entries
-than the table it replaces. A request for rows 0..d of length r is a
-ValueError, raised before anything is built, when r is above _R_CAP, d
-above _D_CAP = 10^4 or (d + 1) r above _ENTRY_CAP = 10^8, and no table
-built holds more than _ENTRY_CAP entries.
-weak_min_margin streams from its rows; theorem5_check reads them in blocks
+r). A value never depends on how long its row is.
+
+f_rows(d, r) builds rows 0..d of length r anew on every call: row 0, the
+log k every sweep reads, as a list and each later row as a compact
+array('d'). It builds them in chunks of _CHUNK entries, each carrying
+every row's running prefix sum in from the one before, so the integers,
+and so every value, are those of a build over whole rows while only one
+chunk's integers are alive at a time (f_rows(6, 10^5) peaks under 1.3
+times the finished table). A request for rows 0..d of length r is a
+ValueError, raised before anything is built, when r is above _R_CAP =
+10^7, d above _D_CAP = 10^4 or (d + 1) r above _ENTRY_CAP = 10^8.
+f_float, f_values and bregman_log_bound build the rows they read;
+weak_min_margin and theorem5_check sweep a table their caller built, so
+one table serves several sweeps. theorem5_check reads its rows in blocks
 of _BLOCK values of r and skips the strong margins of a block whose lower
 bound (its least weak margin - d + c_d log^d(r)/r at the block's last r,
 since log^d(x)/x decreases for x >= e^d), less a rounding slack, is above
@@ -42,9 +38,8 @@ about 200 blocks per d, and it returns what a full sweep returns.
 """
 
 import math
-import threading
 from array import array
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, repeat
 from operator import add, floordiv, mul, sub, truediv
 
 from hdperm.core import Record, Shape, SupportArray, _is_int
@@ -61,10 +56,6 @@ _SLACK = 2.0**-32  # theorem5_check's pruning slack, relative to the summands
 _R_CAP = 10**7
 _D_CAP = 10**4
 _ENTRY_CAP = 10**8
-
-_rows: list = []  # _rows[d][r-1] = f(d, r); never mutated once published
-_rmax: int = 0  # length of every row in _rows
-_rows_lock = threading.Lock()
 
 
 def _fixed(floats):
@@ -91,65 +82,47 @@ def _check_size(d: int, r: int) -> None:
                          f"cap, got {(d + 1) * r}")
 
 
-def _f_row(d: int, rmax: int):
-    global _rows, _rmax
-    rows = _rows
-    if d < len(rows) and rmax <= len(rows[d]):
-        return rows[d]
-    _check_size(d, rmax)
-    # build a new table and publish it whole, so that readers holding the
-    # old list keep a consistent one
-    with _rows_lock:
-        if d < len(_rows) and rmax <= _rmax:
-            return _rows[d]
-        if rmax > _rmax:
-            # longer rows grow at least twice as long, within the caps
-            size = min(max(rmax, 2 * _rmax), _R_CAP, _ENTRY_CAP // (d + 1))
-        else:
-            # deeper rows keep their length only as far as the table then
-            # holds no more entries than the one it replaces
-            size = max(rmax, len(_rows) * _rmax // (d + 1))
-        # row 0 feeds every sweep; as a list it hands out its floats without
-        # boxing them again on each read
-        rows = [list(map(math.log, range(1, size + 1)))]
-        rows.extend(array("d") for _ in range(d))
-        sums = [0] * d  # sums[k]: row k's fixed-point entries so far, summed
-        for lo in range(0, size if d else 0, _CHUNK):  # d = 0 needs row 0 only
-            hi = min(lo + _CHUNK, size)
-            rs = range(lo + 1, hi + 1)
-            ints = list(_fixed(rows[0][lo:hi]))
-            for k in range(d):
-                ints[0] += sums[k]
-                ints = list(accumulate(ints))
-                sums[k] = ints[-1]
-                ints = list(map(floordiv, ints, rs))
-                rows[k + 1].extend(_floats(ints))
-        _rows, _rmax = rows, size
-        return rows[d]
-
-
-def _check_d(d, low=0):
+def _check_d(d, low=0, rows=None):
+    """Refuse a d below low, or deeper than a table rows given to sweep."""
     if not _is_int(d) or d < low:
         raise ValueError(f"d must be an integer >= {low}, got {d!r}")
+    if rows is not None and d >= len(rows):
+        raise ValueError(f"d must be at most {len(rows) - 1}, the table's depth, got {d}")
 
 
-def _check_dr(d, r, d_low=0):
-    _check_d(d, d_low)
+def f_rows(d: int, r: int) -> list:
+    """Rows 0..d of the f table, each of length r: rows[k][r' - 1] = f(k, r').
+    Row 0 is a list, every later row an array('d')."""
+    _check_d(d)
     if not _is_int(r) or r < 1:
         raise ValueError(f"r must be an integer >= 1, got {r!r}")
     _check_size(d, r)
+    # row 0 feeds every sweep; as a list it hands out its floats without
+    # boxing them again on each read
+    rows = [list(map(math.log, range(1, r + 1)))]
+    rows.extend(array("d") for _ in range(d))
+    sums = [0] * d  # sums[k]: row k's fixed-point entries so far, summed
+    for lo in range(0, r if d else 0, _CHUNK):  # d = 0 needs row 0 only
+        hi = min(lo + _CHUNK, r)
+        rs = range(lo + 1, hi + 1)
+        ints = list(_fixed(rows[0][lo:hi]))
+        for k in range(d):
+            ints[0] += sums[k]
+            ints = list(accumulate(ints))
+            sums[k] = ints[-1]
+            ints = list(map(floordiv, ints, rs))
+            rows[k + 1].extend(_floats(ints))
+    return rows
 
 
 def f_float(d: int, r: int) -> float:
-    """f(d,r) from the memoized table."""
-    _check_dr(d, r)
-    return _f_row(d, r)[r - 1]
+    """f(d,r), from rows 0..d of length r."""
+    return f_rows(d, r)[d][r - 1]
 
 
 def f_values(d: int, r_max: int) -> array:
     """The vector (f(d,1), ..., f(d,r_max)) as a fresh array('d')."""
-    _check_dr(d, r_max)
-    return array("d", _f_row(d, r_max)[:r_max])
+    return array("d", f_rows(d, r_max)[d])
 
 
 def bregman_log_bound(a: SupportArray) -> float:
@@ -161,7 +134,7 @@ def bregman_log_bound(a: SupportArray) -> float:
     rs = a.r_values()
     if 0 in rs:
         return float("-inf")
-    row = _f_row(a.shape.d, a.shape.n)  # every r_i is at most n
+    row = f_rows(a.shape.d, a.shape.n)[-1]  # every r_i is at most n
     return math.fsum(row[r - 1] for r in rs)
 
 
@@ -227,17 +200,12 @@ class SweepReport(Record):
         return self.violations == 0 and self.weak_violations == 0
 
 
-def _weak_margins(d: int, r_max: int):
-    """log r − f(d,r) over 1 ≤ r ≤ r_max, streamed; row 0 of the table is log r."""
-    f = islice(_f_row(d, r_max), r_max)
-    return map(sub, _f_row(0, r_max), f)
-
-
-def weak_min_margin(d: int, r_max: int) -> float:
-    """min of log r − f(d,r) over 1 ≤ r ≤ r_max, negative where the weak bound
-    f(d,r) ≤ log r fails; unlike theorem5_check, any r_max ≥ 1 is accepted."""
-    _check_dr(d, r_max)
-    return min(_weak_margins(d, r_max))
+def weak_min_margin(rows, d: int) -> float:
+    """min of log r − f(d,r) over 1 ≤ r ≤ r_max, the length of the table rows
+    (from f_rows), negative where the weak bound f(d,r) ≤ log r fails;
+    unlike theorem5_check, any r_max ≥ 1 is accepted."""
+    _check_d(d, 0, rows)
+    return min(map(sub, rows[0], rows[d]))
 
 
 def _strong_margins(logs, fs, lo: int, fd: float, c: float):
@@ -250,10 +218,11 @@ def _strong_margins(logs, fs, lo: int, fd: float, c: float):
     return map(sub, map(add, head, tail), fs)
 
 
-def theorem5_check(d: int, r_max: int) -> SweepReport:
+def theorem5_check(rows, d: int) -> SweepReport:
     """Sweep f(d,r) ≤ log r − d + c_d log^d(r)/r over integer r in
     [⌈e^d⌉, r_max], with c_d from the recursion, plus the weaker f(d,r) ≤
-    log r over 1 ≤ r ≤ r_max.
+    log r over 1 ≤ r ≤ r_max, on the table rows (from f_rows, at least d
+    deep), whose row length is r_max.
 
     The sweep walks r = ceil(e^d)..r_max in blocks of _BLOCK values and
     takes each block's least weak margin w = min(log r - f(d,r)). A strong
@@ -275,14 +244,14 @@ def theorem5_check(d: int, r_max: int) -> SweepReport:
     Violations are counted in a second pass over every block, strong or
     weak, only when that minimum is negative.
     """
-    _check_dr(d, r_max, 1)
+    _check_d(d, 1, rows)
+    r_max = len(rows[0])
     r_start = math.ceil(math.e**d)
     if r_max < r_start:
         raise ValueError(f"r_max must be >= {r_start} for d={d}")
     c = c_constant(d).c_d
     fd = float(d)
-    row = _f_row(d, r_max)
-    row0 = _f_row(0, r_max)
+    row0, row = rows[0], rows[d]
     blocks = range(r_start, r_max + 1, _BLOCK)
     last = blocks[-1]
 
@@ -307,7 +276,7 @@ def theorem5_check(d: int, r_max: int) -> SweepReport:
         violations = sum(
             sum(m < 0 for m in _strong_margins(*sliced(lo), lo, fd, c)) for lo in blocks
         )
-    weak_violations = sum(m < 0 for m in _weak_margins(d, r_max)) if weak_low < 0 else 0
+    weak_violations = sum(m < 0 for m in map(sub, row0, row)) if weak_low < 0 else 0
     return SweepReport(d, r_start, r_max, r_max - r_start + 1, violations, low,
                        weak_violations, weak_low, c)
 

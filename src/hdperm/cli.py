@@ -188,7 +188,9 @@ def _cmd_cd(args) -> int:
 def _cmd_theorem5(args) -> int:
     from hdperm import bounds
 
-    rep = bounds.theorem5_check(args.d, args.rmax)
+    # a d below 1 is refused by the sweep itself, before any row is built
+    rows = bounds.f_rows(args.d, args.rmax) if args.d >= 1 else []
+    rep = bounds.theorem5_check(rows, args.d)
     if args.csv:
         # the header is the report's fields, in their order
         _write_csv([rep.__slots__, [getattr(rep, c) for c in rep.__slots__]])

@@ -308,7 +308,8 @@ def rows_text(values: Sequence[int], n: int) -> str:
 
 
 def parse_support(json_text: str) -> SupportArray:
-    """Parse the JSON support schema: {"d", "n", "all_ones": true | "ones": [...]}."""
+    """Parse the JSON support schema: {"d", "n", "all_ones": true | "ones": [...]},
+    with exactly one of "all_ones" and "ones"."""
     try:
         obj = json.loads(json_text)
     except json.JSONDecodeError as exc:
@@ -324,6 +325,8 @@ def parse_support(json_text: str) -> SupportArray:
         shape = Shape(obj["d"], obj["n"])
     except ShapeError as exc:
         raise FormatError(str(exc)) from None
+    if "all_ones" in obj and "ones" in obj:
+        raise FormatError('give "all_ones": true or an "ones" array, not both')
     if obj.get("all_ones") is True:
         return all_ones_support(shape)
     ones = obj.get("ones")

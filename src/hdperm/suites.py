@@ -88,10 +88,10 @@ def suite_theorem5(rmax: int = 100000, ds=None) -> SuiteResult:
     from hdperm import bounds
 
     ds = list(ds) if ds else [1, 2, 3, 4, 5]
-    # the deepest row first, so the f table is built once, to depth max(6, d)
-    reports = [bounds.theorem5_check(d, rmax) for d in sorted(ds, reverse=True) if d > 6]
-    weak6 = bounds.weak_min_margin(6, rmax)
-    reports += [bounds.theorem5_check(d, rmax) for d in ds if d <= 6]
+    # one f table, to depth max(6, d), read by every sweep
+    rows = bounds.f_rows(max(6, *ds), rmax)
+    weak6 = bounds.weak_min_margin(rows, 6)
+    reports = [bounds.theorem5_check(rows, d) for d in ds]
     violations = sum(r.violations + r.weak_violations for r in reports)
     if weak6 < 0:
         violations += 1

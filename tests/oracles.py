@@ -233,17 +233,17 @@ def theorem5_sweep_numpy(d: int, r_max: int, c: float) -> tuple:
     )
 
 
-def theorem5_sweep_stream(d: int, r_max: int):
-    """bounds.theorem5_check as the package ran it before it pruned the
-    strong sweep by blocks: every margin of both bounds streamed from the
-    package's f table, the strong one as ((log r − d) + (c · log^d r) / r)
-    − f(d,r), and violations counted in a second full pass only when a
-    minimum is negative."""
+def theorem5_sweep_stream(rows, d: int):
+    """bounds.theorem5_check(rows, d) as the package ran it before it pruned
+    the strong sweep by blocks: every margin of both bounds streamed from
+    the table rows (from bounds.f_rows), the strong one as ((log r − d) +
+    (c · log^d r) / r) − f(d,r), and violations counted in a second full
+    pass only when a minimum is negative."""
+    r_max = len(rows[0])
     r_start = math.ceil(math.e**d)
     c = bounds.c_constant(d).c_d
     fd = float(d)
-    row = bounds._f_row(d, r_max)
-    row0 = bounds._f_row(0, r_max)
+    row0, row = rows[0], rows[d]
 
     def strong():
         head = map(sub, islice(row0, r_start - 1, r_max), repeat(fd))

@@ -22,6 +22,7 @@ from hdperm.bounds import (
     c_cap,
     c_constant,
     f_float,
+    f_rows,
     sdn_log_upper_bound,
     theorem5_check,
 )
@@ -187,11 +188,12 @@ def test_criterion_06_constants():
 def test_criterion_07_asymptotic_bound_sweep():
     t0 = time.monotonic()
     r_max = 100000
-    reports = [theorem5_check(d, r_max) for d in range(1, 6)]
+    rows = f_rows(6, r_max)
+    reports = [theorem5_check(rows, d) for d in range(1, 6)]
     strong_viol = sum(r.violations for r in reports)
     weak_viol = sum(r.weak_violations for r in reports)
     # the weak bound f <= log r is also claimed one dimension further out
-    rep6 = theorem5_check(6, r_max)
+    rep6 = theorem5_check(rows, 6)
     weak_viol += rep6.weak_violations
     elapsed = time.monotonic() - t0
     ok = strong_viol == 0 and weak_viol == 0 and elapsed < 60

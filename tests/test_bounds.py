@@ -1,7 +1,6 @@
 import math
 import random
 import sys
-import threading
 import tracemalloc
 from array import array
 from decimal import Decimal, localcontext
@@ -19,6 +18,7 @@ from hdperm.bounds import (
     c_cap,
     c_constant,
     f_float,
+    f_rows,
     f_values,
     sdn_log_upper_bound,
     theorem5_check,
@@ -58,14 +58,13 @@ def test_f_is_averaged_prefix():
     for _ in range(30):
         d = rng.randint(1, 5)
         r = rng.randint(1, 300)
-        want = math.fsum(f_float(d - 1, k) for k in range(1, r + 1)) / r
+        want = math.fsum(f_values(d - 1, r)) / r
         assert f_float(d, r) == pytest.approx(want, abs=1e-12)
 
 
 def test_f_d1_is_log_factorial_over_r():
-    worst = 0.0
-    for r in range(1, 10001):
-        worst = max(worst, abs(f_float(1, r) - math.lgamma(r + 1) / r))
+    row = f_values(1, 10000)
+    worst = max(abs(f - math.lgamma(r + 1) / r) for r, f in enumerate(row, 1))
     assert worst <= 1e-12
 
 
@@ -78,65 +77,21 @@ def test_f_monotone_in_r_and_d():
 
 
 def test_f_weak_upper_bound():
+    rows = f_rows(6, 2000)
     for d in range(7):
         vals = np.asarray(f_values(d, 2000))
         assert (vals <= np.log(np.arange(1, 2001))).all()
         # the margin log r - f(d,r) is 0 at r = 1 and positive beyond
-        assert weak_min_margin(d, 2000) == 0.0
+        assert weak_min_margin(rows, d) == 0.0
     # unlike theorem5_check, the weak sweep takes r_max below e^d
-    assert weak_min_margin(6, 5) == 0.0
-    with pytest.raises(ValueError):
-        weak_min_margin(6, 0)
+    assert weak_min_margin(f_rows(6, 5), 6) == 0.0
+    with pytest.raises(ValueError, match="d must be at most 5, the table's depth, got 6"):
+        weak_min_margin(f_rows(5, 5), 6)
 
 
-def test_f_table_regrowth_is_consistent():
-    small = f_float(2, 5)
-    f_float(2, 100000)  # force a table rebuild
-    assert f_float(2, 5) == small
-
-
-def test_f_table_is_thread_safe(monkeypatch):
-    # 8 threads grow a cold table at once, each in its own order; a lost or
-    # doubled row, or a row read before its table was rebuilt, shows as a
-    # wrong value or an IndexError
-    rng = random.Random(17)
-    queries = [(rng.randint(0, 6), rng.randint(1, 5000)) for _ in range(200)]
-    want = {q: f_float(*q) for q in queries}
-    nthreads = 8
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            monkeypatch.setattr(bounds, "_rows", [])
-            monkeypatch.setattr(bounds, "_rmax", 0)
-            barrier = threading.Barrier(nthreads)
-            results = [None] * nthreads
-
-            def worker(i):
-                order = sorted(queries, key=lambda q: (q[1] * (i + 1)) % 5003)
-                barrier.wait()
-                try:
-                    results[i] = {q: f_float(*q) for q in order}
-                except Exception as exc:  # reported below, with the thread index
-                    results[i] = exc
-
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(nthreads)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-                assert not t.is_alive()
-            for i, got in enumerate(results):
-                assert got == want, (i, got if isinstance(got, Exception) else None)
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_f_table_is_sized_to_the_request(monkeypatch):
-    # a cold table built for f(5000, 2) holds 5001 rows of two entries each;
+def test_f_table_is_sized_to_the_request():
+    # the table built for f(5000, 2) holds 5001 rows of two entries each;
     # rows padded to hundreds of entries would take over 20 MB here
-    monkeypatch.setattr(bounds, "_rows", [])
-    monkeypatch.setattr(bounds, "_rmax", 0)
     tracemalloc.start()
     try:
         f_float(5000, 2)
@@ -146,58 +101,26 @@ def test_f_table_is_sized_to_the_request(monkeypatch):
     assert peak < 2 * 2**20, peak
 
 
-def test_long_request_after_a_deep_one_builds_only_its_rows(monkeypatch):
-    # rows grown longer after f(1100, 2) are rows 0..2 only: rebuilding all
-    # 1101 rows at length 5000 would take over 40 MB here
-    monkeypatch.setattr(bounds, "_rows", [])
-    monkeypatch.setattr(bounds, "_rmax", 0)
-    f_float(1100, 2)
-    tracemalloc.start()
-    try:
-        f_float(2, 5000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20, peak
-    assert len(bounds._rows) == 3  # the deep rows wait for a call that needs them
-
-
-def _cold_table(monkeypatch):
-    monkeypatch.setattr(bounds, "_rows", [])
-    monkeypatch.setattr(bounds, "_rmax", 0)
-
-
-def test_chunked_f_table_matches_one_shot_build(monkeypatch):
+def test_chunked_f_table_matches_one_shot_build():
     # every row equals a build over its whole length in one pass, at lengths
-    # on either side of a chunk boundary and after a table regrowth
+    # on either side of a chunk boundary
     chunk = bounds._CHUNK
     for size in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
         want = f_rows_one_shot(6, size)
         for d in range(7):
-            _cold_table(monkeypatch)
-            bounds._f_row(d, size)
-            assert bounds._rmax == size
-            assert [list(row) for row in bounds._rows] == want[: d + 1], (d, size)
-    for first, then, size in ((100, chunk + 5, chunk + 5), (chunk, chunk + 1, 2 * chunk)):
-        _cold_table(monkeypatch)
-        bounds._f_row(3, first)
-        bounds._f_row(3, then)
-        assert bounds._rmax == size
-        assert [list(row) for row in bounds._rows] == f_rows_one_shot(3, size), size
+            assert [list(row) for row in f_rows(d, size)] == want[: d + 1], (d, size)
 
 
-def test_f_table_build_peaks_near_the_finished_table(monkeypatch):
+def test_f_table_build_peaks_near_the_finished_table():
     # the build holds a chunk or two of integers beside the table it fills;
     # building each row over its whole length at once peaks near 2.5 times
     # the finished table here
-    _cold_table(monkeypatch)
     tracemalloc.start()
     try:
-        f_values(6, 10**5)
+        rows = f_rows(6, 10**5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    rows = bounds._rows
     table = sys.getsizeof(rows[0]) + sum(map(sys.getsizeof, rows[0]))
     table += sum(map(sys.getsizeof, rows[1:]))
     assert peak < 1.3 * table, (peak, table)
@@ -272,8 +195,7 @@ def test_f_domain_errors():
         f_exact(1, EXACT_R_LIMIT + 1)
     # no row of the table is longer than 10^7
     for call in (lambda: f_float(1, 10**7 + 1), lambda: f_values(2, 10**13),
-                 lambda: weak_min_margin(6, 10**7 + 1),
-                 lambda: theorem5_check(2, 10**7 + 1)):
+                 lambda: f_rows(6, 10**7 + 1)):
         with pytest.raises(ValueError, match="at most 10000000"):
             call()
 
@@ -284,38 +206,19 @@ def test_f_table_refuses_too_many_rows_or_entries(monkeypatch):
     def refused(*args):
         raise AssertionError("an f table row was built")
 
-    _cold_table(monkeypatch)
     monkeypatch.setattr(bounds, "array", refused)
     deep = all_ones_support(Shape(10**4 + 1, 1))
     for call in (lambda: f_float(10**4 + 1, 1), lambda: bregman_log_bound(deep),
                  lambda: sdn_log_upper_bound(Shape(10**6, 2))):
         with pytest.raises(ValueError, match="d must be at most 10000, the f table's cap"):
             call()
-    for call in (lambda: f_values(10, 10**7), lambda: weak_min_margin(5000, 20000),
-                 lambda: bounds._f_row(10**4, 10**4)):
+    for call in (lambda: f_values(10, 10**7), lambda: f_rows(5000, 20000),
+                 lambda: f_rows(10**4, 10**4)):
         with pytest.raises(ValueError, match=r"\(d \+ 1\) \* r must be at most 100000000"):
             call()
     # the edges of the caps are admitted
     bounds._check_size(10**4, 9999)
     bounds._check_size(9, 10**7)
-
-
-def test_f_table_grows_within_its_entries(monkeypatch):
-    # a deeper table keeps its rows' length only as far as it holds no more
-    # entries than the one it replaces: f(100, 2) after rows 0..1 of 10^5
-    # builds 101 rows of 1,980, not of 10^5 (80 MB)
-    _cold_table(monkeypatch)
-    f_values(1, 10**5)
-    f_float(100, 2)
-    assert (len(bounds._rows), bounds._rmax) == (101, 2 * 10**5 // 101)
-    # and longer rows double only up to the entry cap: 4 rows of 300 would
-    # be 1,200 entries, over a cap of 1,000
-    _cold_table(monkeypatch)
-    monkeypatch.setattr(bounds, "_ENTRY_CAP", 1000)
-    f_values(3, 150)
-    f_values(3, 200)
-    assert (len(bounds._rows), bounds._rmax) == (4, 250)
-    assert [list(row) for row in bounds._rows] == f_rows_one_shot(3, 250)
 
 
 def test_bregman_full_support_is_log_factorial_at_d1():
@@ -393,8 +296,9 @@ def test_c_errors():
 
 
 def test_theorem5_sweep_small_dims():
+    rows = f_rows(4, 2000)
     for d in (1, 2, 3, 4):
-        rep = theorem5_check(d, 2000)
+        rep = theorem5_check(rows, d)
         assert rep.passed
         assert rep.violations == 0 and rep.weak_violations == 0
         assert rep.r_start == math.ceil(math.e**d)
@@ -404,8 +308,9 @@ def test_theorem5_sweep_small_dims():
 
 def test_theorem5_matches_numpy_sweep_over_longdouble_table():
     r_max = 10**5
+    rows = f_rows(5, r_max)
     for d in range(1, 6):
-        rep = theorem5_check(d, r_max)
+        rep = theorem5_check(rows, d)
         checked, bad, low, weak_checked, weak_bad, weak_low = theorem5_sweep_numpy(
             d, r_max, rep.c_d
         )
@@ -418,6 +323,7 @@ def test_theorem5_matches_numpy_sweep_over_longdouble_table():
 def test_theorem5_counts_violations_like_numpy_sweep(monkeypatch):
     # with c_d shrunk the strong bound fails for some or all r, which
     # exercises the counting pass the true constants never reach
+    rows = f_rows(3, 5000)
     for c in (0.0, 1.0, 3.0):
 
         def shrunk(d, c=c):
@@ -425,7 +331,7 @@ def test_theorem5_counts_violations_like_numpy_sweep(monkeypatch):
 
         monkeypatch.setattr(bounds, "c_constant", shrunk)
         for d in (1, 2, 3):
-            rep = theorem5_check(d, 5000)
+            rep = theorem5_check(rows, d)
             checked, bad, low, *_ = theorem5_sweep_numpy(d, 5000, c)
             assert (rep.checked, rep.violations) == (checked, bad), (c, d)
             assert rep.min_margin == pytest.approx(low, abs=1e-12), (c, d)
@@ -445,7 +351,8 @@ def test_theorem5_matches_streamed_sweep_bit_for_bit(monkeypatch):
         r_start = math.ceil(math.e**d)
         edges = [r_start + k * block + e for k in (1, 2) for e in (-2, -1, 0)]
         for r_max in (r_start, r_start + 1, *edges, 5000, 10**5):
-            _same_report(theorem5_check(d, r_max), theorem5_sweep_stream(d, r_max))
+            rows = f_rows(d, r_max)
+            _same_report(theorem5_check(rows, d), theorem5_sweep_stream(rows, d))
     for c in (0.0, 1.0, 3.0):
 
         def shrunk(d, c=c):
@@ -454,7 +361,8 @@ def test_theorem5_matches_streamed_sweep_bit_for_bit(monkeypatch):
         monkeypatch.setattr(bounds, "c_constant", shrunk)
         for d in (1, 2, 3):
             for r_max in (25, 5000):
-                _same_report(theorem5_check(d, r_max), theorem5_sweep_stream(d, r_max))
+                rows = f_rows(d, r_max)
+                _same_report(theorem5_check(rows, d), theorem5_sweep_stream(rows, d))
 
 
 def test_theorem5_finds_a_minimum_inside_a_prunable_block(monkeypatch):
@@ -477,11 +385,12 @@ def test_theorem5_finds_a_minimum_inside_a_prunable_block(monkeypatch):
         return log_r - d + c_constant(d).c_d * log_r**d / r - f_float(d, r)
 
     monkeypatch.setattr(bounds, "_strong_margins", recorded)
+    table = f_rows(5, r_max)
     for d in (1, 3, 5):
         lo = 50_000 - (50_000 - math.ceil(math.e**d)) % bounds._BLOCK
         hi = lo + bounds._BLOCK - 1
         evaluated.clear()
-        clean = theorem5_check(d, r_max)
+        clean = theorem5_check(table, d)
         assert lo not in evaluated and clean.passed, d
         under = strong(d, hi) - (clean.min_margin - 1e-7)
         cases = (
@@ -489,26 +398,25 @@ def test_theorem5_finds_a_minimum_inside_a_prunable_block(monkeypatch):
             (lo + 7, math.log(lo + 7) + 0.25 - f_float(d, lo + 7), 1, 1),
             (hi, under, 0, 0),
         )
-        table = bounds._rows
         for r, raised, bad, weak_bad in cases:
             rows = list(table)
             rows[d] = array("d", rows[d])
             rows[d][r - 1] += raised
-            monkeypatch.setattr(bounds, "_rows", rows)
             evaluated.clear()
-            rep = theorem5_check(d, r_max)
+            rep = theorem5_check(rows, d)
             assert lo in evaluated, (d, r)
             assert (rep.violations, rep.weak_violations) == (bad, weak_bad), (d, r, rep)
             assert rep.min_margin < clean.min_margin
-            _same_report(rep, theorem5_sweep_stream(d, r_max))
-        monkeypatch.setattr(bounds, "_rows", table)
+            _same_report(rep, theorem5_sweep_stream(rows, d))
 
 
 def test_theorem5_errors():
-    with pytest.raises(ValueError):
-        theorem5_check(0, 100)
-    with pytest.raises(ValueError):
-        theorem5_check(3, 10)  # r_max below ceil(e^3)
+    with pytest.raises(ValueError, match="d must be an integer >= 1, got 0"):
+        theorem5_check(f_rows(0, 100), 0)
+    with pytest.raises(ValueError, match="r_max must be >= 21 for d=3"):
+        theorem5_check(f_rows(3, 10), 3)  # r_max below ceil(e^3)
+    with pytest.raises(ValueError, match="d must be at most 2, the table's depth, got 3"):
+        theorem5_check(f_rows(2, 100), 3)
 
 
 def test_bools_are_not_dimensions_or_sizes():
@@ -518,7 +426,7 @@ def test_bools_are_not_dimensions_or_sizes():
         lambda: f_values(2, True),
         lambda: c_constant(True),
         lambda: c_cap(False),
-        lambda: theorem5_check(True, 10),
+        lambda: theorem5_check(f_rows(1, 10), True),
         lambda: bregman_d1_reference([2, True]),
     ):
         with pytest.raises(ValueError, match="must be (an )?integers?"):

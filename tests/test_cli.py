@@ -104,6 +104,25 @@ def test_count_support_file(capsys, tmp_path):
     assert obj["count"] == "6"
 
 
+def test_support_file_with_both_forms_is_refused(tmp_path):
+    # "all_ones" and "ones" together are a format error, as a process: one
+    # JSON error object on stdout, exit code 1, nothing on stderr
+    path = tmp_path / "both.json"
+    path.write_text('{"d": 2, "n": 2, "all_ones": true, "ones": [[0, 0, 0]]}')
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for command in ("count", "enumerate", "bound"):
+        proc = subprocess.run([sys.executable, "-m", "hdperm.cli", command, "--support",
+                               str(path)], env=env, capture_output=True, text=True,
+                              timeout=30)
+        assert proc.returncode == 1, command
+        assert proc.stderr == "", command
+        assert json.loads(proc.stdout)["error"] == {
+            "kind": "format",
+            "message": 'give "all_ones": true or an "ones" array, not both',
+        }, command
+
+
 def test_count_threads_env(capsys, monkeypatch):
     # --threads must be an integer >= 1; no environment variable stands in
     # for it
@@ -522,11 +541,11 @@ def test_f_and_cd_reject_alike_as_json_and_csv(capsys, argv):
                                   ["verify", "--suite", "theorem5", "--rmax", "10000001"]])
 def test_f_table_refuses_rows_past_its_cap(capsys, monkeypatch, argv):
     # an r or r_max above 10^7 is a domain error naming the cap, raised
-    # before any of the table is built
-    def refused(d, rmax):
-        raise AssertionError(f"f table built to r={rmax}")
+    # before any of the table is built (every row is built through map)
+    def refused(*args):
+        raise AssertionError("an f table row was built")
 
-    monkeypatch.setattr(bounds, "_f_row", refused)
+    monkeypatch.setattr(bounds, "map", refused, raising=False)
     code, obj = run_json(capsys, argv)
     assert code == 1
     assert obj["error"]["kind"] == "domain"
@@ -546,13 +565,12 @@ def test_f_table_refuses_rows_past_its_cap(capsys, monkeypatch, argv):
 ], ids=["f", "bound", "sdn-bound", "shade", "theorem5", "verify"])
 def test_f_table_refuses_too_many_rows_or_entries(capsys, monkeypatch, argv, message):
     # a table of more than 10^4 + 1 rows or 10^8 entries is a domain error
-    # naming the cap, raised before any row of it is built
+    # naming the cap, raised before any row of it is built (every row is
+    # built through map)
     def refused(*args):
         raise AssertionError("an f table row was built")
 
-    monkeypatch.setattr(bounds, "_rows", [])
-    monkeypatch.setattr(bounds, "_rmax", 0)
-    monkeypatch.setattr(bounds, "array", refused)
+    monkeypatch.setattr(bounds, "map", refused, raising=False)
     code, obj = run_json(capsys, argv)
     assert code == 1
     assert obj["error"]["kind"] == "domain"
@@ -685,10 +703,10 @@ def test_shade_and_claim1_check_the_f_table_before_the_query(capsys, monkeypatch
     ("f --d 2 --r 3 --csv", "--csv needs --rmax: a single value prints as JSON"),
 ])
 def test_f_refuses_flags_it_would_ignore(capsys, monkeypatch, argv, message):
-    def refused(d, rmax):
-        raise AssertionError(f"f table built to r={rmax}")
+    def refused(d, r):
+        raise AssertionError(f"f table built to r={r}")
 
-    monkeypatch.setattr(bounds, "_f_row", refused)
+    monkeypatch.setattr(bounds, "f_rows", refused)
     code, obj = run_json(capsys, argv.split())
     assert code == 1
     assert obj["error"] == {"kind": "domain", "message": message}
@@ -734,10 +752,7 @@ def test_json_stdout_is_pinned(capsys):
                                   "verify --suite theorem5 --d 710 --rmax 10",
                                   "sdn-bound --d 1100 --n 2"])
 def test_float_overflow_is_domain_error(capsys, monkeypatch, args):
-    # a result past the largest double is a JSON domain error, not a traceback;
-    # the deep f table sdn-bound builds is dropped afterwards
-    monkeypatch.setattr(bounds, "_rows", [])
-    monkeypatch.setattr(bounds, "_rmax", 0)
+    # a result past the largest double is a JSON domain error, not a traceback
     code, obj = run_json(capsys, args.split())
     assert code == 1
     assert obj["status"] == "error"
@@ -1102,7 +1117,8 @@ def test_verify_runs_and_prints_the_chosen_suites(capsys, monkeypatch, suite):
 
 def test_verify_theorem5_worst_is_the_least_strong_margin(capsys):
     # the weak margin is exactly 0 at r = 1, so folding it in pinned worst at 0
-    least = min(bounds.theorem5_check(d, 3000).min_margin for d in range(1, 6))
+    rows = bounds.f_rows(5, 3000)
+    least = min(bounds.theorem5_check(rows, d).min_margin for d in range(1, 6))
     assert least > 0
     assert suites.suite_theorem5(rmax=3000).worst == least
     code = cli.run(["verify", "--suite", "theorem5", "--rmax", "3000"])
@@ -1113,24 +1129,49 @@ def test_verify_theorem5_worst_is_the_least_strong_margin(capsys):
     assert json.loads(lines[-1])["suites"]["theorem5"]["worst"] == float(f"{least:.15g}")
 
 
-@pytest.mark.parametrize("ds, depth", [(None, 6), ([3], 6), ([7], 7)])
-def test_theorem5_suite_builds_the_f_table_once(monkeypatch, ds, depth):
-    # every sweep of the suite reads one table, built first to depth
-    # max(6, d): no later sweep replaces it
-    monkeypatch.setattr(bounds, "_rows", [])
-    monkeypatch.setattr(bounds, "_rmax", 0)
-    tables = []
-    for name in ("theorem5_check", "weak_min_margin"):
-        def recorded(d, rmax, sweep=getattr(bounds, name)):
-            result = sweep(d, rmax)
-            if not any(table is bounds._rows for table in tables):
-                tables.append(bounds._rows)
-            return result
+def _f_rows_calls(capsys, monkeypatch, argv):
+    """The (d, r) of every bounds.f_rows call one cli.run(argv) makes."""
+    calls = []
+    build = bounds.f_rows
 
-        monkeypatch.setattr(bounds, name, recorded)
-    assert suites.suite_theorem5(rmax=3000, ds=ds).passed
-    assert len(tables) == 1
-    assert len(tables[0]) == depth + 1
+    def recorded(d, r):
+        calls.append((d, r))
+        return build(d, r)
+
+    monkeypatch.setattr(bounds, "f_rows", recorded)
+    assert cli.run(argv.split()) == 0, argv
+    capsys.readouterr()
+    return calls
+
+
+@pytest.mark.parametrize("argv, call", [
+    ("f --d 3 --r 5", (3, 5)),
+    ("f --d 3 --rmax 50 --csv", (3, 50)),
+    ("bound --d 2 --n 4", (2, 4)),
+    ("sdn-bound --d 3 --n 6", (3, 6)),
+    ("shade exact --d 2 --n 3 --seed 7", (2, 3)),
+    ("theorem5 --d 2 --rmax 500", (2, 500)),
+])
+def test_each_f_command_builds_one_table(capsys, monkeypatch, argv, call):
+    # the f table keeps nothing between calls, so each command builds the
+    # rows it reads once
+    assert _f_rows_calls(capsys, monkeypatch, argv) == [call]
+
+
+@pytest.mark.parametrize("d, depth", [(None, 6), (3, 6), (7, 7)])
+def test_theorem5_suite_builds_one_f_table(capsys, monkeypatch, d, depth):
+    # every sweep of the suite reads one table, of depth max(6, d)
+    argv = "verify --suite theorem5 --rmax 3000" + ("" if d is None else f" --d {d}")
+    assert _f_rows_calls(capsys, monkeypatch, argv) == [(depth, 3000)]
+
+
+@pytest.mark.parametrize("argv", ["bound --d 1 --n 64", "shade exact --d 1 --n 7",
+                                  "verify --suite bounds", "verify --suite claim1"])
+def test_bounds_on_arrays_build_short_f_rows(capsys, monkeypatch, argv):
+    # a bound or shade reference reads f(d, r) at r <= n <= 64 only, so its
+    # table, built anew on each call, is short
+    calls = _f_rows_calls(capsys, monkeypatch, argv)
+    assert calls and max(r for _, r in calls) <= 64, calls
 
 
 @pytest.mark.parametrize(
@@ -1169,7 +1210,7 @@ def test_bounds_suite_fails_on_a_count_above_its_bound(monkeypatch):
 
 
 def test_theorem5_suite_fails_on_a_weak_bound_violation(monkeypatch):
-    monkeypatch.setattr(bounds, "weak_min_margin", lambda d, rmax: -1.0)
+    monkeypatch.setattr(bounds, "weak_min_margin", lambda rows, d: -1.0)
     res = suites.suite_theorem5(rmax=200)
     assert res.passed is False
     assert "1 violations" in res.detail and "weak d=6 margin -1" in res.detail

@@ -364,6 +364,10 @@ def test_parse_support_errors():
         ('{"d": true, "n": 3, "all_ones": true}', "field 'd' must be an integer"),
         ('{"d": 1, "n": 65, "all_ones": true}', "n must be an integer in 1..64, got 65"),
         ('{"d": 1, "n": 3}', 'support needs "all_ones": true or an "ones" array'),
+        ('{"d": 2, "n": 2, "all_ones": true, "ones": [[0, 0, 0]]}',
+         'give "all_ones": true or an "ones" array, not both'),
+        ('{"d": 1, "n": 3, "all_ones": false, "ones": []}',
+         'give "all_ones": true or an "ones" array, not both'),
         ('{"d": 1, "n": 3, "ones": 5}', '"ones" must be an array of integer arrays'),
         ('{"d": 1, "n": 3, "ones": [[0, "1"]]}',
          r"one-entry must be an integer array, got \[0, '1'\]"),
