@@ -3,12 +3,13 @@
 One JSON object per invocation on stdout (construct/enumerate emit the plain
 text tensor format instead, and --csv switches tabular subcommands to CSV).
 Exit codes: 0 success, 1 domain error (with a JSON error object), 2 usage
-error; a result too large for a float is a domain error. A reader that
-closes stdout early (such as head) ends the run with exit code 1 and
-nothing on stderr. Counts are decimal strings, never floats, except in
-shade: its "samples" total and the "counts" of shade hist are JSON
-integers. Reals, in JSON and CSV alike, carry at most 15 significant
-digits. Identical invocations with identical seeds produce byte-identical
+error, 130 cancelled (Ctrl-C: after whatever was already written, a
+newline and a JSON error object of kind "cancelled"); a result too large
+for a float is a domain error. A reader that closes stdout early (such as
+head) ends the run with exit code 1 and nothing on stderr. Counts are
+decimal strings, never floats, except in shade: its "samples" total and
+the "counts" of shade hist are JSON integers. Reals, in JSON and CSV
+alike, carry at most 15 significant digits. Identical invocations with identical seeds produce byte-identical
 output, and every --seed defaults to 0.
 
 This module lays out every report, JSON fields and CSV columns alike: the
@@ -479,6 +480,14 @@ def run(argv=None) -> int:
         return _COMMANDS[args.subcommand][0](args)
     except BrokenPipeError:
         raise  # an OSError, but the error object has nowhere to go
+    except KeyboardInterrupt:
+        # SIGINT: one error object in place of a traceback, and the exit
+        # code of a process that SIGINT ended, 128 + 2. The interrupt can cut
+        # a write short mid-line, so a newline goes first: the object is
+        # always a line of its own
+        sys.stdout.write("\n")
+        _fail(args.subcommand, "cancelled", "interrupted")
+        return 130
     except tuple(k for k, _ in _ERROR_KINDS) as exc:
         kind = next(kind for klass, kind in _ERROR_KINDS if isinstance(exc, klass))
         # an OverflowError's own text can be an errno tuple, "(34, '...')"
