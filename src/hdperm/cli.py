@@ -3,29 +3,32 @@
 One JSON object per invocation on stdout (construct/enumerate emit the plain
 text tensor format instead, and --csv switches tabular subcommands to CSV).
 Exit codes: 0 success, 1 domain error (with a JSON error object), 2 usage
-error, 130 cancelled (Ctrl-C: after whatever was already written, a
-newline and a JSON error object of kind "cancelled"); a result too large
-for a float is a domain error. A reader that closes stdout early (such as
-head) ends the run with exit code 1 and nothing on stderr. Counts are
-decimal strings, never floats, except in shade: its "samples" total and
-the "counts" of shade hist are JSON integers. Reals, in JSON and CSV
-alike, carry at most 15 significant digits. Identical invocations with identical seeds produce byte-identical
+error, 130 cancelled (Ctrl-C: after whatever was already written, a newline
+and a JSON error object of kind "cancelled"; a cancelled enumerate can end
+in a cut tensor just before it, so a reader drops the block before the
+object); a result too large for a float is a domain error. A reader that
+closes stdout early (such as head) ends the run with exit code 1 and
+nothing on stderr. Counts are decimal strings, never floats, except in
+shade: its "samples" total and the "counts" of shade hist are JSON
+integers. Reals, in JSON and CSV alike, carry at most 15 significant
+digits. Identical invocations with identical seeds produce byte-identical
 output, and every --seed defaults to 0.
 
 This module lays out every report, JSON fields and CSV columns alike: the
-other modules return numbers and records, and each report's fields are named
-once: here, or, where cd, theorem5, sdn-bound and verify print records, as
-the records' fields (_fields). Every subcommand is declared once, in
-_COMMANDS: its handler, its help line and its arguments. run dispatches from
-that table, and _parse_args reads argv against it, loading argparse, to
-build the full parser from the same table, only for the help, usage errors
-and argv the table does not take (see _table_args). Every verify suite is
-declared once, in _SUITES. Importing this module loads only what count runs
-(json, os, sys, hdperm.core and hdperm.counting). enumerate adds
-hdperm.enumeration, and every other handler imports its own modules when
-it runs: hdperm.bounds where f is evaluated, hdperm.constructions,
-hdperm.shade and hdperm.suites for verify. --csv output is written line by
-line, without the csv module.
+other modules return numbers and records, and each report's fields are
+named once: here, or, where cd, theorem5, sdn-bound and verify print
+records, as the records' fields (_fields). Every subcommand is declared
+once, in _COMMANDS: its handler, its help line and its arguments. run
+dispatches from that table, and _parse_args reads argv against it, loading
+argparse, to build the full parser from the same table, only for the help,
+usage errors and argv the table does not take (see _table_args). Every
+verify suite is declared once, in _SUITES; verify takes --suite and --seed
+alone, since each suite's checks are fixed in hdperm.suites. Importing this
+module loads only what count runs (json, os, sys, hdperm.core and
+hdperm.counting). enumerate adds hdperm.enumeration, and every other
+handler imports its own modules when it runs: hdperm.bounds where f is
+evaluated, hdperm.constructions, hdperm.shade and hdperm.suites for verify.
+--csv output is written line by line, without the csv module.
 
 main, the process entry point of python -m hdperm.cli and of the hdperm
 script, freezes the start-up heap (gc.freeze()) before it runs the
@@ -271,15 +274,12 @@ def _cmd_shade(args) -> int:
 
 
 # Every verify suite, in the order --suite all runs them: each calls its
-# function in hdperm.suites with the verify arguments it reads. --seed is
+# function in hdperm.suites, bounds and constructions with --seed, which is
 # accepted with every suite.
 _SUITES = {
     "bounds": lambda suites, args: suites.suite_bounds(seed=args.seed),
-    "theorem5": lambda suites, args: suites.suite_theorem5(
-        ds=None if args.d is None else [args.d],
-        **({} if args.rmax is None else {"rmax": args.rmax})),
-    "claim1": lambda suites, args: suites.suite_claim1(
-        cases=None if args.d is None else [(args.d, args.n)]),
+    "theorem5": lambda suites, args: suites.suite_theorem5(),
+    "claim1": lambda suites, args: suites.suite_claim1(),
     "constructions": lambda suites, args: suites.suite_constructions(seed=args.seed),
 }
 
@@ -288,15 +288,6 @@ def verify_suite(args) -> int:
     from hdperm import suites
 
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    # checked before any suite runs
-    if args.rmax is not None and "theorem5" not in names:
-        raise ValueError("--rmax needs the theorem5 suite")
-    if args.d is not None and {"theorem5", "claim1"}.isdisjoint(names):
-        raise ValueError("--d needs the theorem5 or claim1 suite")
-    if args.n is not None and "claim1" not in names:
-        raise ValueError("--n needs the claim1 suite")
-    if "claim1" in names and (args.d is None) != (args.n is None):
-        raise ValueError("claim1 needs both --d and --n, or neither")
     results = [_SUITES[name](suites, args) for name in names]
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -370,7 +361,6 @@ _COMMANDS = {
     )),
     "verify": (verify_suite, "run the invariant suites", (
         ("--suite", str, "all", False, ("all", *_SUITES), None, None),
-        _D, _N, ("--rmax", int, None, False, None, None, None),
         ("--seed", int, 0, False, None, None, "seeds bounds and constructions"),
     )),
 }

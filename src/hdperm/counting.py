@@ -15,8 +15,9 @@ The slab DP is one pass, _pass: over slabs taken in a given order, it
 keeps after each slab every state those slabs reach and the ways to reach
 it. Every line takes each value once, so a state S after slabs 0..t-1 has
 a completion exactly when full ^ S is a state the pass over slabs n-1..t
-reaches. _meet runs the two passes per_d joins, and the count is the sum
-of F[S] * B[full ^ S]. One walker per call (_fill_lister) lists slab
+reaches. _meet runs the two passes per_d joins, one pass where the
+support reads the same slab by slab from either end, and the count is the
+sum of F[S] * B[full ^ S]. One walker per call (_fill_lister) lists slab
 fillings once per distinct tuple of slab cell masks, and refuses, under a
 cap, a slab too large to list; the work grows with the number of distinct
 states, not with the count. Counts are exact Python ints, and the result
@@ -110,15 +111,37 @@ class _Walker:
         permutations f inside the packed support R, in the order of their
         value tuples.
 
-        A listing is kept per R when the product of R's cell sizes, which
-        bounds its length, is under the budget; otherwise it runs lazily and
-        is not kept.
+        A listing is kept per R when some cell of R is empty or the
+        product of R's cell sizes, which bounds its length, is under the
+        budget; otherwise it runs lazily and is not kept. The rule reads R
+        in time linear in its size: one test of every cell for emptiness,
+        then the sizes from one conversion of R, until the product reaches
+        the budget. A listing of one cell (k = 0), which lists at most n,
+        is always kept, and so is every listing where n^cells is under the
+        budget, without reading R.
         """
         n = self.n
+        cap = self.cap
         table = self.table()
         get = table.get
-        full = (1 << n) - 1
-        cells = range(0, n ** (k + 1), n) if k else ()  # a cell lists at most n
+        width = n ** (k + 1)  # bits of R
+        base = ((1 << width) - 1) // ((1 << n) - 1)  # bit 0 of every cell
+        # once cells reach cap's bit length, n >= 2 puts n^cells past cap
+        small = k == 0 or n ** min(width // n, cap.bit_length()) < cap
+
+        def streams(R: int) -> bool:
+            T = R
+            for j in range(1, n):
+                T |= R >> j
+            if T & base != base:
+                return False  # an empty cell: the product is 0
+            bits = format(R, "b")[::-1]  # bit i of R at index i
+            size = 1
+            for i in range(0, width, n):
+                size *= bits.count("1", i, i + n)
+                if size >= cap:
+                    return True
+            return False
 
         def listing(R: int):
             got = get(R)
@@ -126,7 +149,7 @@ class _Walker:
                 return got
             self.listings += 1
             pairs = ((f, piece(f)) for f in self.fillings(k, R))
-            if prod([(R >> i & full).bit_count() for i in cells]) >= self.cap:
+            if not small and streams(R):
                 return pairs
             got = list(pairs)
             self.keep(table, R, got, 1 + len(got))
@@ -271,16 +294,27 @@ def _pass(fills, order, cap: int | None = None) -> list:
     return tables
 
 
-def _meet(fills, n: int, cap: int | None = None):
-    """(h, back, fwd), the two passes per_d joins, h = n // 2: back over
-    slabs n-1..h and fwd over slabs 0..h-1. back, n - h >= h slabs long,
-    runs first, so with a cap it meets the cap sooner; None where the cap
-    cuts either pass short."""
+def _meet(fills, a: SupportArray, cap: int | None = None):
+    """(h, back, fwd), the two passes per_d joins for the support a, h =
+    n // 2: back over slabs n-1..h and fwd over slabs 0..h-1. back, n - h
+    >= h slabs long, runs first, so with a cap it meets the cap sooner; None
+    where the cap cuts either pass short.
+
+    A table after a set of slabs depends only on the slabs' mask tuples.
+    Where slab j has the masks of slab n-1-j for every j (every full
+    support does), the last j slabs hold the first j's tuples for every j,
+    so one pass over slabs 0..n-h-1 serves as back, and its first h + 1
+    tables as fwd.
+    """
+    n = a.shape.n
     h = n // 2
-    back = _pass(fills, range(n - 1, h - 1, -1), cap)
+    m = len(a.masks) // n
+    slabs = [a.masks[i : i + m] for i in range(0, n * m, m)]
+    mirrored = slabs == slabs[::-1]
+    back = _pass(fills, range(n - h) if mirrored else range(n - 1, h - 1, -1), cap)
     if len(back) <= n - h:
         return None
-    fwd = _pass(fills, range(h), cap)
+    fwd = back[: h + 1] if mirrored else _pass(fills, range(h), cap)
     if len(fwd) <= h:
         return None
     return h, back, fwd
@@ -306,7 +340,7 @@ def per_d(
         from hdperm import kernels
 
         kernels.get(backend)
-    _, back, fwd = _meet(_fill_lister(a), a.shape.n)
+    _, back, fwd = _meet(_fill_lister(a), a)
     full = (1 << a.shape.n ** a.shape.d) - 1
     get = back[-1].get
     count = sum(c * get(full ^ state, 0) for state, c in fwd[-1].items())

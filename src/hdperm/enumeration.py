@@ -69,7 +69,7 @@ def _live(a: SupportArray) -> list | None:
     if n < 3:
         return None  # no slab boundary to check
     fills = _fill_lister(a)
-    plan = _meet(fills, n, _LIVE_MAX)
+    plan = _meet(fills, a, _LIVE_MAX)
     if plan is None:
         return None
     h, back, fwd = plan

@@ -2,7 +2,8 @@
 
 Each suite checks one family of the paper's claims and returns a
 SuiteResult. bounds and constructions draw their inputs from a seed;
-theorem5 and claim1 take none, since their checks are fixed sweeps. The
+theorem5 and claim1 take no arguments: their fixed sweeps are the constants
+DS and RMAX (the Theorem 5 sweep) and CASES (the (d, n) of claim1). The
 CLI's verify handler imports this module when it runs, so no other
 subcommand loads it or the modules it needs. Each suite imports bounds,
 shade or constructions itself, so the bound suites never load shade or
@@ -18,6 +19,9 @@ from hdperm.counting import per_d
 
 TOL_LOG = 1e-9  # bound-vs-exact-count comparisons
 ARRAYS = 100  # random supports per dimension in suite_bounds
+DS = [1, 2, 3, 4, 5]  # the dimensions suite_theorem5 sweeps
+RMAX = 100000  # the r its sweeps reach
+CASES = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 3)]  # the (d, n) of suite_claim1
 
 
 class SuiteResult(Record):
@@ -81,17 +85,15 @@ def suite_bounds(seed: int = 0) -> SuiteResult:
     )
 
 
-def suite_theorem5(rmax: int = 100000, ds=None) -> SuiteResult:
-    """Asymptotic-bound sweep for d = 1..5 plus the weak bound f ≤ log r
+def suite_theorem5() -> SuiteResult:
+    """Asymptotic-bound sweep for d in DS plus the weak bound f ≤ log r
     through d = 6. worst is the least strong margin: the weak margin is
     exactly 0 at r = 1, so it only passes or fails."""
     from hdperm import bounds
 
-    ds = list(ds) if ds else [1, 2, 3, 4, 5]
-    # one f table, to depth max(6, d), read by every sweep
-    rows = bounds.f_rows(max(6, *ds), rmax)
+    rows = bounds.f_rows(6, RMAX)  # one f table, read by every sweep
     weak6 = bounds.weak_min_margin(rows, 6)
-    reports = [bounds.theorem5_check(rows, d) for d in ds]
+    reports = [bounds.theorem5_check(rows, d) for d in DS]
     violations = sum(r.violations + r.weak_violations for r in reports)
     if weak6 < 0:
         violations += 1
@@ -100,25 +102,23 @@ def suite_theorem5(rmax: int = 100000, ds=None) -> SuiteResult:
         "theorem5",
         violations == 0,
         worst,
-        f"d={ds} to r={rmax}: {violations} violations, "
+        f"d={DS} to r={RMAX}: {violations} violations, "
         f"min margin {worst:.6g} (weak d=6 margin {weak6:.3g})",
     )
 
 
-def suite_claim1(cases=None) -> SuiteResult:
+def suite_claim1() -> SuiteResult:
     """Exact expectation of log N equals f(d, |W|), checked once per
-    (d, n, |W|): shade_histogram's derivation shows that N's distribution
-    depends on d, n and |W| alone, whatever X, the target and W's other
-    values. So the modular tensor (0 at the origin) is queried at the origin
-    with W = {0, ..., |W|-1}."""
+    (d, n, |W|) for each (d, n) in CASES: shade_histogram's derivation shows
+    that N's distribution depends on d, n and |W| alone, whatever X, the
+    target and W's other values. So the modular tensor (0 at the origin) is
+    queried at the origin with W = {0, ..., |W|-1}."""
     from hdperm import bounds, constructions, shade
 
-    if cases is None:
-        cases = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 3)]
     max_delta = 0.0
-    for d, n in cases:
+    for d, n in CASES:
         shape = Shape(d, n)
-        fs = [bounds.f_float(d, r) for r in range(1, n + 1)]  # the f table's caps first
+        fs = bounds.f_rows(d, n)[d]  # f(d, |W|) for |W| = 1..n
         x = constructions.modular_perm(shape)
         for r, f in enumerate(fs, 1):
             q = shade.ShadeQuery(x, (0,) * d, range(r))
@@ -127,7 +127,7 @@ def suite_claim1(cases=None) -> SuiteResult:
         "claim1",
         max_delta <= bounds.TOL_EXACT,
         max_delta,
-        f"{sum(n for _, n in cases)} (d, n, |W|) cases over {cases}: "
+        f"{sum(n for _, n in CASES)} (d, n, |W|) cases over {CASES}: "
         f"max |E[log N] - f| = {max_delta:.3g}",
     )
 

@@ -168,12 +168,12 @@ CASES = [
     Case("cd --d 171", sha256="f471ceb5956b7b2f0d3a3d7ec45fa6f7fa8b6814984dbf2c75c4b08f9526a1e9"),
     Case("sdn-bound --d 3 --n 6",
          sha256="552166f5fdd03ceceb95757824db9efc11b60ec939d7fd5d66df57fb5fce0df5"),
-    # every verify suite; claim1 takes no seed, so --seed 3 leaves its output
-    # as it is
+    # every verify suite; theorem5 and claim1 take no seed, so --seed 3
+    # leaves their output as it is
     Case("verify --suite bounds --seed 3",
          sha256="7aaaf57365bf8d1e79887bbe3ba48fc9f2b8f65c5f2dfb6ea79efbc9f89c6930"),
-    Case("verify --suite theorem5 --rmax 20000",
-         sha256="4a144faa77b1842d45524f8de2c5cbc7e785d264ee18d89760fa05e261cc991d"),
+    Case("verify --suite theorem5",
+         sha256="082048de823d87a02ff60523217f96dcda69f570d9a484e2112d0e1daa04e7a6"),
     Case("verify --suite claim1 --seed 3",
          sha256="7a28d5bba6b4a4d7df191354821e163643b91dc6382995cfa21ea9e9c39eb77e"),
     Case("verify --suite constructions",
@@ -193,6 +193,14 @@ CASES = [
     Case("", 2),
     Case("f --d not-a-number --r 1", 2),
     Case("verify --samples 5", 2),
+    # verify runs fixed suites: it takes no shape and no sweep length
+    *_under("test_verify_rejects_bad_or_half_shape",
+        Case("verify --suite theorem5 --d 0 --rmax 200", 2),
+        Case("verify --suite claim1 --d 2", 2),
+        Case("verify --suite claim1 --n 3", 2),
+        Case("verify --d 2", 2),
+        Case("verify --rmax 7", 2),
+    ),
 
     # missing, unreadable or malformed input
     Case("count", 1, error=("domain", "...need --support FILE or both --d and --n")),
@@ -211,15 +219,6 @@ CASES = [
     Case("count --support BOTH", 1, error=BOTH_FORMS, process=True),
     Case("enumerate --support BOTH", 1, error=BOTH_FORMS, process=True),
     Case("bound --support BOTH", 1, error=BOTH_FORMS, process=True),
-    *_under("test_verify_rejects_bad_or_half_shape",
-        Case("verify --suite theorem5 --d 0 --rmax 200", 1,
-             error=("domain", "...d must be an integer >= 1")),
-        Case("verify --suite claim1 --d 2", 1,
-             error=("domain", "...claim1 needs both --d and --n")),
-        Case("verify --suite claim1 --n 3", 1,
-             error=("domain", "...claim1 needs both --d and --n")),
-        Case("verify --d 2", 1, error=("domain", "...claim1 needs both --d and --n")),
-    ),
 
     # the JSON table and the CSV rows check their arguments alike
     Case("f --d 2 --rmax 0", 1, error=("domain", "r must be an integer >= 1, got 0")),
@@ -235,7 +234,6 @@ CASES = [
         Case("cd --d 173 --csv", 1, error=OVERFLOW),
         Case("cd --d 20000", 1, error=OVERFLOW),
         Case("theorem5 --d 710 --rmax 10", 1, error=OVERFLOW),
-        Case("verify --suite theorem5 --d 710 --rmax 10", 1, error=OVERFLOW),
         Case("sdn-bound --d 1100 --n 2", 1, error=OVERFLOW),
     ),
 
@@ -245,8 +243,6 @@ CASES = [
         Case("f --d 2 --r 10000000000000", 1, error=("domain", LENGTH), guard="rows"),
         Case("f --d 1 --rmax 10000001 --csv", 1, error=("domain", LENGTH), guard="rows"),
         Case("theorem5 --d 2 --rmax 10000001", 1, error=("domain", LENGTH), guard="rows"),
-        Case("verify --suite theorem5 --rmax 10000001", 1, error=("domain", LENGTH),
-             guard="rows"),
     ),
     *_under("test_f_table_refuses_too_many_rows_or_entries",
         Case("f --d 1000000 --r 2", 1, error=("domain", "..." + DEPTH), guard="rows"),
@@ -256,8 +252,6 @@ CASES = [
         # just past the cap
         Case("shade exact --d 10001 --n 1", 1, error=("domain", "..." + DEPTH), guard="rows"),
         Case("theorem5 --d 15 --rmax 10000000", 1, error=("domain", ENTRIES), guard="rows"),
-        Case("verify --suite theorem5 --d 15 --rmax 10000000", 1, error=("domain", ENTRIES),
-             guard="rows"),
     ),
 
     # no array past 10^6 cells: refused before n^d is computed for the
@@ -278,14 +272,12 @@ CASES = [
         Case("construct block --d 40 --n 4 --bits random", 1,
              error=("domain", CELLS + "d=40 n=4"), guard="cells"),
         Case("shade mc --d 25 --n 2", 1, error=("domain", CELLS + "d=25 n=2"), guard="cells"),
-        Case("verify --suite claim1 --d 25 --n 2", 1, error=("domain", CELLS + "d=25 n=2"),
-             guard="cells"),
         Case("shade exact --perm BIG", 1, error=("domain", CELLS + "d=10000000 n=3"),
              guard="cells", process=True),
     ),
 
-    # shade and claim1 check the f table before they build a query or a
-    # tensor; the errors that came before the f table still do
+    # shade checks the f table before it builds a query or a tensor; the
+    # errors that came before the f table still do
     Case("shade exact --d 10001 --n 2", 1, error=("domain", DEPTH + ", got 10001"), guard="query",
          process=True),
     *_under("test_shade_and_claim1_check_the_f_table_before_the_query",
@@ -293,18 +285,14 @@ CASES = [
              guard="query"),
         Case("shade mc --d 20000 --n 2", 1, error=("domain", DEPTH + ", got 20000"),
              guard="query"),
-        Case("verify --suite claim1 --d 300000 --n 1", 1,
-             error=("domain", DEPTH + ", got 300000"), guard="query"),
         Case("shade exact --d 10001 --n 2 --r 5", 1,
              error=("domain", "|W| must be in 1..2, got 5"), guard="query"),
         Case("shade exact --d 10001 --n 2 --r 0", 1,
              error=("domain", "|W| must be in 1..2, got 0"), guard="query"),
-        Case("verify --suite claim1 --d -1 --n 3", 1,
-             error=("shape", "d must be a positive integer, got -1"), guard="query"),
     ),
 
-    # a flag the chosen mode or suite would ignore is refused before any
-    # input file is read or any suite runs (FILE names no file)
+    # a flag the chosen mode would ignore is refused before any input file
+    # is read (FILE names no file)
     Case("count --support FULL --d 3 --n 3", 1, error=SUPPORT_OR_SHAPE, guard="inputs"),
     *_under("test_commands_refuse_flags_they_would_ignore",
         Case("count --support FILE --d 5 --n 7", 1, error=SUPPORT_OR_SHAPE, guard="inputs"),
@@ -317,18 +305,6 @@ CASES = [
         Case("construct modular --d 2 --n 3 --bits random", 1, error=BITS, guard="inputs"),
         Case("shade exact --d 2 --n 3 --samples 5", 1, error=SAMPLES, guard="inputs"),
         Case("shade hist --perm FILE --samples 5", 1, error=SAMPLES, guard="inputs"),
-        Case("verify --suite constructions --rmax 7", 1,
-             error=("domain", "--rmax needs the theorem5 suite"), guard="inputs"),
-        Case("verify --suite claim1 --d 2 --n 3 --rmax 7", 1,
-             error=("domain", "--rmax needs the theorem5 suite"), guard="inputs"),
-        Case("verify --suite bounds --d 3 --n 4", 1,
-             error=("domain", "--d needs the theorem5 or claim1 suite"), guard="inputs"),
-        Case("verify --suite constructions --d 3", 1,
-             error=("domain", "--d needs the theorem5 or claim1 suite"), guard="inputs"),
-        Case("verify --suite theorem5 --d 3 --n 4", 1,
-             error=("domain", "--n needs the claim1 suite"), guard="inputs"),
-        Case("verify --suite bounds --n 4", 1, error=("domain", "--n needs the claim1 suite"),
-             guard="inputs"),
         Case("count --support FILE --threads 0", 1,
              error=("domain", "--threads must be an integer >= 1, got 0"), guard="inputs"),
     ),
@@ -363,8 +339,7 @@ GUARDS = {
     "cells": [(Shape, "ncells", property(_refused)), (Shape, "cells", _refused),
               (constructions, "_nblocks", _refused)],
     "inputs": [(cli, "_read_file", _refused), (cli, "parse_support", _refused),
-               (cli, "parse_perm", _refused),
-               *((suites, f"suite_{name}", _refused) for name in cli._SUITES)],
+               (cli, "parse_perm", _refused)],
     "query": [(shade, "random_query", _refused), (shade, "ShadeQuery", _refused),
               (constructions, "modular_perm", _refused)],
     "interrupt": [(cli, "per_d", _interrupted)],
@@ -680,7 +655,7 @@ def test_counting_never_loads_the_enumerator():
     ((), ["f --d 2 --r 5", "f --d 3 --rmax 50 --csv", "bound --d 2 --n 4",
           "sdn-bound --d 3 --n 6", "theorem5 --d 2 --rmax 500", "cd --d 3",
           "shade exact --d 2 --n 3 --seed 7", "shade mc --d 2 --n 3 --samples 200 --seed 1",
-          "verify --suite all --rmax 2000"], ["numpy"]),
+          "verify --suite all"], ["numpy"]),
     # --csv output is written line by line
     ((), ["f --d 3 --rmax 50 --csv", "cd --d 5 --csv", "theorem5 --d 2 --rmax 500 --csv"],
      ["csv"]),
@@ -693,19 +668,22 @@ def test_counting_never_loads_the_enumerator():
                "construct block --d 2 --n 4 --bits random",
                "shade exact --d 2 --n 3 --seed 7",
                "shade mc --d 2 --n 3 --samples 200 --seed 1",
-               "shade hist --d 3 --n 3 --seed 1", "verify --suite all --rmax 2000"],
+               "shade hist --d 3 --n 3 --seed 1", "verify --suite all"],
      ["typing", "dataclasses", "inspect"]),
-    ((), ["verify --suite theorem5 --rmax 500", "verify --suite bounds"],
+    ((), ["verify --suite theorem5", "verify --suite bounds"],
      ["hdperm.shade", "hdperm.constructions"]),
     ((), ["verify --suite constructions"], ["hdperm.bounds", "hdperm.shade"]),
 ], ids=["numpy", "csv", "typing", "bound-suites", "constructions-suite"])
 def test_subcommands_leave_modules_unloaded(flags, argvs, unused):
-    # each row in a new interpreter, so sys.modules holds only what it ran
+    # each row in a new interpreter, so sys.modules holds only what it ran;
+    # the theorem5 suite sweeps to r = 2000
     script = textwrap.dedent(
         f"""
         import sys
         import hdperm.cli
+        import hdperm.suites
 
+        hdperm.suites.RMAX = 2000
         for argv in {[argv.split() for argv in argvs]!r}:
             assert hdperm.cli.run(argv) == 0, argv
         loaded = [name for name in {unused!r} if name in sys.modules]
@@ -1009,7 +987,7 @@ def test_shade_perm_file(capsys, tmp_path):
         ["shade", "exact", "--perm", "FILE", "--r", "2", "--seed", "1"],
         ["shade", "hist", "--d", "3", "--n", "3", "--samples", "200"],
         ["verify"],
-        ["verify", "--suite", "claim1", "--d", "2", "--n", "3", "--rmax", "2000", "--seed", "4"],
+        ["verify", "--suite", "claim1", "--seed", "4"],
         # forms only argparse reads
         ["count", "--sup", "FILE"],
         ["count", "--d=2"],
@@ -1066,6 +1044,22 @@ def test_benchmark_argv_is_read_from_the_table():
         assert vars(args) == vars(parser.parse_args(job["argv"])), job["argv"]
 
 
+def test_readme_usage_block_runs(capsys, tmp_path):
+    # every line of the README's usage block, one per subcommand at least,
+    # runs and exits 0, so a dropped flag cannot stay documented; sup.json
+    # is a planted support
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [line.split("#")[0].split()[1:] for line in block.splitlines()
+             if line.startswith("hdperm ")]
+    assert {argv[0] for argv in argvs} == set(cli._COMMANDS)
+    sup = tmp_path / "sup.json"
+    sup.write_text(FILES["PLANTED5"])
+    for argv in argvs:
+        assert cli.run([str(sup) if w == "sup.json" else w for w in argv]) == 0, argv
+        capsys.readouterr()
+
+
 def test_json_is_key_sorted_and_repeatable(capsys):
     _, a = run_text(capsys, ["cd", "--d", "4"])
     _, b = run_text(capsys, ["cd", "--d", "4"])
@@ -1075,7 +1069,7 @@ def test_json_is_key_sorted_and_repeatable(capsys):
 
 
 def test_verify_single_suite(capsys):
-    code = cli.run(["verify", "--suite", "claim1", "--d", "2", "--n", "3"])
+    code = cli.run(["verify", "--suite", "claim1"])
     out = capsys.readouterr().out
     assert code == 0
     lines = out.strip().split("\n")
@@ -1085,8 +1079,9 @@ def test_verify_single_suite(capsys):
     assert summary["suites"]["claim1"]["passed"] is True
 
 
-def test_verify_all_suites(capsys):
-    code = cli.run(["verify", "--rmax", "3000"])
+def test_verify_all_suites(capsys, monkeypatch):
+    monkeypatch.setattr(suites, "RMAX", 3000)
+    code = cli.run(["verify"])
     out = capsys.readouterr().out
     assert code == 0
     summary = json.loads(out.strip().split("\n")[-1])
@@ -1123,13 +1118,14 @@ def test_verify_runs_and_prints_the_chosen_suites(capsys, monkeypatch, suite):
     assert list(json.loads(lines[-1])["suites"]) == sorted(want)
 
 
-def test_verify_theorem5_worst_is_the_least_strong_margin(capsys):
+def test_verify_theorem5_worst_is_the_least_strong_margin(capsys, monkeypatch):
     # the weak margin is exactly 0 at r = 1, so folding it in pinned worst at 0
+    monkeypatch.setattr(suites, "RMAX", 3000)
     rows = bounds.f_rows(5, 3000)
     least = min(bounds.theorem5_check(rows, d).min_margin for d in range(1, 6))
     assert least > 0
-    assert suites.suite_theorem5(rmax=3000).worst == least
-    code = cli.run(["verify", "--suite", "theorem5", "--rmax", "3000"])
+    assert suites.suite_theorem5().worst == least
+    code = cli.run(["verify", "--suite", "theorem5"])
     lines = capsys.readouterr().out.strip().split("\n")
     assert code == 0
     assert f" worst={least:.6g} " in lines[0]
@@ -1166,11 +1162,10 @@ def test_each_f_command_builds_one_table(capsys, monkeypatch, argv, call):
     assert _f_rows_calls(capsys, monkeypatch, argv) == [call]
 
 
-@pytest.mark.parametrize("d, depth", [(None, 6), (3, 6), (7, 7)])
-def test_theorem5_suite_builds_one_f_table(capsys, monkeypatch, d, depth):
-    # every sweep of the suite reads one table, of depth max(6, d)
-    argv = "verify --suite theorem5 --rmax 3000" + ("" if d is None else f" --d {d}")
-    assert _f_rows_calls(capsys, monkeypatch, argv) == [(depth, 3000)]
+def test_theorem5_suite_builds_one_f_table(capsys, monkeypatch):
+    # every sweep of the suite, and the weak check at d = 6, reads one table
+    monkeypatch.setattr(suites, "RMAX", 3000)
+    assert _f_rows_calls(capsys, monkeypatch, "verify --suite theorem5") == [(6, 3000)]
 
 
 @pytest.mark.parametrize("argv", ["bound --d 1 --n 64", "shade exact --d 1 --n 7",
@@ -1203,13 +1198,16 @@ def test_bounds_suite_fails_on_a_count_above_its_bound(monkeypatch):
 
 def test_theorem5_suite_fails_on_a_weak_bound_violation(monkeypatch):
     monkeypatch.setattr(bounds, "weak_min_margin", lambda rows, d: -1.0)
-    res = suites.suite_theorem5(rmax=200)
+    monkeypatch.setattr(suites, "RMAX", 200)
+    res = suites.suite_theorem5()
     assert res.passed is False
     assert "1 violations" in res.detail and "weak d=6 margin -1" in res.detail
 
 
 def test_claim1_suite_fails_on_a_shifted_f(monkeypatch):
-    monkeypatch.setattr(bounds, "f_float", lambda d, r: f_float(d, r) + 1e-9)
+    build = bounds.f_rows  # every entry 1e-9 too high
+    monkeypatch.setattr(bounds, "f_rows",
+                        lambda d, r: [[f + 1e-9 for f in row] for row in build(d, r)])
     res = suites.suite_claim1()
     assert res.passed is False
     assert res.worst == pytest.approx(1e-9)

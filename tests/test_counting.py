@@ -184,6 +184,38 @@ def test_slab_dp_reaches_larger_full_supports():
     assert time.perf_counter() - t0 < 5.0
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_full_order_3_holds_3_times_2_to_the_d(d):
+    # every Latin hypercube of order 3 is isotopic to the linear one
+    assert per_d(all_ones_support(Shape(d, 3))) == 3 * 2**d
+
+
+def test_one_pass_serves_both_halves_of_a_mirrored_support():
+    # where slab j has the masks of slab n-1-j, _meet runs one pass, and
+    # its tables are those of the two passes it stands for; a support whose
+    # end slabs alone agree runs both
+    def two_passes(a):
+        n = a.shape.n
+        h = n // 2
+        fills = counting._fill_lister(a)
+        return h, counting._pass(fills, range(n - 1, h - 1, -1)), counting._pass(fills, range(h))
+
+    rng = random.Random(21)
+    for _ in range(40):
+        d = rng.choice([1, 2, 2, 3])
+        n = rng.randint(1, {1: 7, 2: 5, 3: 3}[d])
+        m = n ** (d - 1)
+        masks = list(random_support(rng, d, n, density=rng.uniform(0.6, 0.95)).masks)
+        for s in range(n // 2):
+            masks[(n - 1 - s) * m : (n - s) * m] = masks[s * m : (s + 1) * m]
+        a = SupportArray(Shape(d, n), tuple(masks))
+        assert counting._meet(counting._fill_lister(a), a) == two_passes(a), a
+        if n >= 4:  # slabs 0 and n-1 still agree, slabs 1 and n-2 no longer
+            i = m + rng.randrange(m)
+            b = with_cell(a, i, masks[i] ^ 1 << rng.randrange(n))
+            assert counting._meet(counting._fill_lister(b), b) == two_passes(b), b
+
+
 def test_slab_dp_reports_states():
     stats = {}
     assert per_d(all_ones_support(Shape(2, 5)), stats=stats) == 161280
@@ -609,6 +641,22 @@ def test_walk_tables_stay_within_budget(monkeypatch):
         worst.clear()
         assert texts(a) == want
         assert cap // 2 < max(worst) <= cap
+
+
+def test_walker_streams_exactly_the_listings_past_its_budget():
+    # a listing is kept when some cell is empty or the cell sizes multiply
+    # to under the budget, wherever an empty cell lies: also after the
+    # first cells alone pass it
+    rng = random.Random(8)
+    listing = counting._Walker(3).lister(3, lambda f: f)  # 27 cells of 3 bits
+    rs = [sum(7 << 3 * i for i in range(11))]  # 3^11 > 2^16, then 16 empty cells
+    for _ in range(300):
+        cells = rng.choices([0, 1, 2, 3, 5, 7], weights=[1, 60, 15, 15, 15, 30], k=27)
+        rs.append(sum(mask << 3 * i for i, mask in enumerate(cells)))
+    for R in rs:
+        sizes = [(R >> 3 * i & 7).bit_count() for i in range(27)]
+        kept = 0 in sizes or math.prod(sizes) < counting._MEMO_MAX
+        assert isinstance(listing(R), list) == kept, sizes
 
 
 def serialized(a, limit=None):
