@@ -218,6 +218,16 @@ def _strong_margins(logs, fs, lo: int, fd: float, c: float):
     return map(sub, map(add, head, tail), fs)
 
 
+def theorem5_start(d: int, r_max: int) -> int:
+    """⌈e^d⌉, where the Theorem 5 sweep up to r_max starts; refused for a d not
+    an integer >= 1, then an e^d past a double (from d = 710), then r_max below it."""
+    _check_d(d, 1)
+    r_start = math.ceil(math.e**d)
+    if r_max < r_start:
+        raise ValueError(f"r_max must be >= {r_start} for d={d}")
+    return r_start
+
+
 def theorem5_check(rows, d: int) -> SweepReport:
     """Sweep f(d,r) ≤ log r − d + c_d log^d(r)/r over integer r in
     [⌈e^d⌉, r_max], with c_d from the recursion, plus the weaker f(d,r) ≤
@@ -246,9 +256,7 @@ def theorem5_check(rows, d: int) -> SweepReport:
     """
     _check_d(d, 1, rows)
     r_max = len(rows[0])
-    r_start = math.ceil(math.e**d)
-    if r_max < r_start:
-        raise ValueError(f"r_max must be >= {r_start} for d={d}")
+    r_start = theorem5_start(d, r_max)
     c = c_constant(d).c_d
     fd = float(d)
     row0, row = rows[0], rows[d]

@@ -18,17 +18,18 @@ This module lays out every report, JSON fields and CSV columns alike: the
 other modules return numbers and records, and each report's fields are
 named once: here, or, where cd, theorem5, sdn-bound and verify print
 records, as the records' fields (_fields). Every subcommand is declared
-once, in _COMMANDS: its handler, its help line and its arguments. run
-dispatches from that table, and _parse_args reads argv against it, loading
-argparse, to build the full parser from the same table, only for the help,
-usage errors and argv the table does not take (see _table_args). Every
-verify suite is declared once, in _SUITES; verify takes --suite and --seed
-alone, since each suite's checks are fixed in hdperm.suites. Importing this
-module loads only what count runs (json, os, sys, hdperm.core and
-hdperm.counting). enumerate adds hdperm.enumeration, and every other
-handler imports its own modules when it runs: hdperm.bounds where f is
-evaluated, hdperm.constructions, hdperm.shade and hdperm.suites for verify.
---csv output is written line by line, without the csv module.
+once, in _COMMANDS (its handler, help line and arguments), and every verify
+suite, a fixed check in hdperm.suites, in _SUITES. run dispatches from
+_COMMANDS, and _parse_args reads argv against it, loading argparse only for
+the help, usage errors and argv the table does not take (see _table_args).
+Each input rule is checked once, before any work: a flag the mode would
+ignore, a FILE given with --d or --n (_file_or_shape), enumerate --limit
+below 1 and shade mc --samples below 2 are refused before any file is read,
+and theorem5 refuses an --rmax below ⌈e^d⌉ (bounds.theorem5_start) before
+it builds any row. Importing this module loads only what count runs (json,
+os, sys, hdperm.core and hdperm.counting); every other handler imports its
+own modules (hdperm.enumeration, bounds, constructions, shade or suites)
+when it runs. --csv output is written line by line, without the csv module.
 
 main, the process entry point of python -m hdperm.cli and of the hdperm
 script, freezes the start-up heap (gc.freeze()) before it runs the
@@ -87,24 +88,35 @@ def _result(subcommand: str, params: dict, payload: dict) -> int:
     return 0
 
 
-def _read_file(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _load_support(args) -> SupportArray:
-    if args.support:
+def _file_or_shape(args, flag: str, parse):
+    """parse(the text of the file --flag names), or None where --d and --n give
+    the shape; refused before any file is read unless exactly one form is given."""
+    path = getattr(args, flag)
+    if path:
         if args.d is not None or args.n is not None:
-            raise ValueError("give --support FILE or --d and --n, not both")
-        return parse_support(_read_file(args.support))
+            raise ValueError(f"give --{flag} FILE or --d and --n, not both")
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
     if args.d is None or args.n is None:
-        raise ValueError("need --support FILE or both --d and --n")
-    return all_ones_support(Shape(args.d, args.n))
+        raise ValueError(f"need --{flag} FILE or both --d and --n")
+    return None
 
 
-def _write_csv(rows) -> None:
-    """One line per row, floats to 15 significant digits. No field needs
-    quoting: every field is an int, a float or an identifier header."""
+def _load_support(args) -> tuple[SupportArray, dict]:
+    """The support of count, enumerate and bound, and the params of its report."""
+    a = (_file_or_shape(args, "support", parse_support)
+         or all_ones_support(Shape(args.d, args.n)))
+    params = {"d": a.shape.d, "n": a.shape.n}
+    if args.support:
+        params["support"] = args.support
+    return a, params
+
+
+def _write_csv(header, rows) -> None:
+    """The header line, then one line per row, floats to 15 significant
+    digits. No field needs quoting: every field is an int, a float or an
+    identifier header."""
+    sys.stdout.write(",".join(header) + "\n")
     for row in rows:
         fields = (format(v, ".15g") if isinstance(v, float) else str(v) for v in row)
         sys.stdout.write(",".join(fields) + "\n")
@@ -121,39 +133,33 @@ def _fields(record, skip=()):
 def _cmd_count(args) -> int:
     if args.threads < 1:
         raise ValueError(f"--threads must be an integer >= 1, got {args.threads!r}")
-    a = _load_support(args)
+    a, params = _load_support(args)
     stats = {}
     c = per_d(a, stats=stats)
-    params = {"d": a.shape.d, "n": a.shape.n, "threads": args.threads}
-    if args.support:
-        params["support"] = args.support
+    params["threads"] = args.threads
     return _result("count", params, {"count": str(c), **stats})
 
 
 def _cmd_enumerate(args) -> int:
     from hdperm.enumeration import write_perms
 
-    a = _load_support(args)
-    write_perms(a, sys.stdout, limit=args.limit)
+    if args.limit is not None and args.limit <= 0:
+        raise ValueError("limit must be positive")
+    write_perms(_load_support(args)[0], sys.stdout, limit=args.limit)
     return 0
 
 
 def _cmd_bound(args) -> int:
     from hdperm import bounds
 
-    a = _load_support(args)
+    a, params = _load_support(args)
     b = bounds.bregman_log_bound(a)
-    params = {"d": a.shape.d, "n": a.shape.n}
-    if args.support:
-        params["support"] = args.support
     if b == float("-inf"):
         return _result("bound", params, {"log_bound": "-inf", "bound": "0"})
     return _result("bound", params, {"log_bound": _real(b)})
 
 
 def _cmd_f(args) -> int:
-    from itertools import chain
-
     from hdperm import bounds
 
     if args.r is None and args.rmax is None:
@@ -167,8 +173,7 @@ def _cmd_f(args) -> int:
         return _result("f", {"d": args.d, "r": args.r}, {"f": _real(f)})
     values = bounds.f_values(args.d, args.rmax)
     if args.csv:
-        _write_csv(chain([("d", "r", "f_float")],
-                         ((args.d, r, f) for r, f in enumerate(values, 1))))
+        _write_csv(("d", "r", "f_float"), ((args.d, r, f) for r, f in enumerate(values, 1)))
         return 0
     return _result("f", {"d": args.d, "rmax": args.rmax},
                    {"table": [[r, _real(f)] for r, f in enumerate(values, 1)]})
@@ -179,10 +184,8 @@ def _cmd_cd(args) -> int:
 
     c = bounds.c_constant(args.d)  # a bad --d fails before any CSV is written
     if args.csv:
-        rows = [("d", "c_d", "cap")]
-        rows.extend((d, bounds.c_constant(d).c_d, bounds.c_cap(d))
-                    for d in range(args.d + 1))
-        _write_csv(rows)
+        _write_csv(("d", "c_d", "cap"), ((d, bounds.c_constant(d).c_d, bounds.c_cap(d))
+                                         for d in range(args.d + 1)))
         return 0
     payload = _fields(c)
     payload["cap"] = _real(bounds.c_cap(args.d))
@@ -192,12 +195,10 @@ def _cmd_cd(args) -> int:
 def _cmd_theorem5(args) -> int:
     from hdperm import bounds
 
-    # a d below 1 is refused by the sweep itself, before any row is built
-    rows = bounds.f_rows(args.d, args.rmax) if args.d >= 1 else []
-    rep = bounds.theorem5_check(rows, args.d)
+    bounds.theorem5_start(args.d, args.rmax)  # the sweep's domain, before any row
+    rep = bounds.theorem5_check(bounds.f_rows(args.d, args.rmax), args.d)
     if args.csv:
-        # the header is the report's fields, in their order
-        _write_csv([rep.__slots__, [getattr(rep, c) for c in rep.__slots__]])
+        _write_csv(rep.__slots__, [[getattr(rep, c) for c in rep.__slots__]])
         return 0
     payload = _fields(rep, skip=("d", "r_max"))
     payload["pass"] = rep.passed
@@ -237,16 +238,10 @@ def _cmd_shade(args) -> int:
 
     if args.mode != "mc" and args.samples is not None:
         raise ValueError("--samples needs shade mc: exact and hist count every ordering")
-    perm = None
-    if args.perm:
-        if args.d is not None or args.n is not None:
-            raise ValueError("give --perm FILE or --d and --n, not both")
-        perm = parse_perm(_read_file(args.perm))
-        shape = perm.shape
-    else:
-        if args.d is None or args.n is None:
-            raise ValueError("need --perm FILE or both --d and --n")
-        shape = Shape(args.d, args.n)
+    if args.samples is not None and args.samples < 2:
+        raise ValueError(f"samples must be an integer >= 2, got {args.samples!r}")
+    perm = _file_or_shape(args, "perm", parse_perm)
+    shape = Shape(args.d, args.n) if perm is None else perm.shape
     r = shade.query_size(shape, args.r)
     f_ref = bounds.f_float(shape.d, r)  # the f table's caps, before the query is built
     q = shade.random_query(shape, r=r, seed=args.seed, perm=perm)
@@ -273,9 +268,8 @@ def _cmd_shade(args) -> int:
     return _result("shade", params, payload)
 
 
-# Every verify suite, in the order --suite all runs them: each calls its
-# function in hdperm.suites, bounds and constructions with --seed, which is
-# accepted with every suite.
+# Every verify suite, in the order --suite all runs them; --seed, accepted
+# with every suite, seeds bounds and constructions.
 _SUITES = {
     "bounds": lambda suites, args: suites.suite_bounds(seed=args.seed),
     "theorem5": lambda suites, args: suites.suite_theorem5(),
@@ -293,13 +287,10 @@ def verify_suite(args) -> int:
         status = "PASS" if res.passed else "FAIL"
         worst = "" if res.worst is None else f" worst={res.worst:.6g}"
         sys.stdout.write(f"{status} {res.name}:{worst} {res.detail}\n")
-    summary = {
-        "subcommand": "verify",
-        "status": "ok" if all(r.passed for r in results) else "error",
-        "suites": {r.name: _fields(r, skip=("name",)) for r in results},
-    }
-    _emit(summary)
-    return 0 if all(r.passed for r in results) else 1
+    passed = all(r.passed for r in results)
+    _emit({"subcommand": "verify", "status": "ok" if passed else "error",
+           "suites": {r.name: _fields(r, skip=("name",)) for r in results}})
+    return 0 if passed else 1
 
 
 # -- arguments -----------------------------------------------------------------

@@ -106,42 +106,44 @@ class _Walker:
             self.stored = size
         table[key] = value
 
-    def lister(self, k: int, piece):
-        """listing(R): the (f, piece(f)) pairs of the k-dimensional
-        permutations f inside the packed support R, in the order of their
-        value tuples.
+    def streams(self, k: int, R: int) -> bool:
+        """Whether a listing of the k-dimensional permutations inside the
+        packed support R runs lazily and is not kept: when no cell of R is
+        empty and the product of R's cell sizes, which bounds its length,
+        reaches the budget.
 
-        A listing is kept per R when some cell of R is empty or the
-        product of R's cell sizes, which bounds its length, is under the
-        budget; otherwise it runs lazily and is not kept. The rule reads R
-        in time linear in its size: one test of every cell for emptiness,
-        then the sizes from one conversion of R, until the product reaches
-        the budget. A listing of one cell (k = 0), which lists at most n,
-        is always kept, and so is every listing where n^cells is under the
-        budget, without reading R.
+        The rule reads R in time linear in its size: one test of every cell
+        for emptiness, then the sizes from one conversion of R, until the
+        product reaches the budget. A listing of one cell (k = 0), which
+        lists at most n, never streams, and neither does one where n^cells
+        is under the budget, decided without reading R.
         """
         n = self.n
         cap = self.cap
+        width = n ** (k + 1)  # bits of R
+        # once cells reach cap's bit length, n >= 2 puts n^cells past cap
+        if k == 0 or n ** min(width // n, cap.bit_length()) < cap:
+            return False
+        T = R
+        for j in range(1, n):
+            T |= R >> j
+        base = ((1 << width) - 1) // ((1 << n) - 1)  # bit 0 of every cell
+        if T & base != base:
+            return False  # an empty cell: the product is 0
+        bits = format(R, "b")[::-1]  # bit i of R at index i
+        size = 1
+        for i in range(0, width, n):
+            size *= bits.count("1", i, i + n)
+            if size >= cap:
+                return True
+        return False
+
+    def lister(self, k: int, piece):
+        """listing(R): the (f, piece(f)) pairs of the k-dimensional
+        permutations f inside the packed support R, in the order of their
+        value tuples, kept per R unless the listing streams (streams)."""
         table = self.table()
         get = table.get
-        width = n ** (k + 1)  # bits of R
-        base = ((1 << width) - 1) // ((1 << n) - 1)  # bit 0 of every cell
-        # once cells reach cap's bit length, n >= 2 puts n^cells past cap
-        small = k == 0 or n ** min(width // n, cap.bit_length()) < cap
-
-        def streams(R: int) -> bool:
-            T = R
-            for j in range(1, n):
-                T |= R >> j
-            if T & base != base:
-                return False  # an empty cell: the product is 0
-            bits = format(R, "b")[::-1]  # bit i of R at index i
-            size = 1
-            for i in range(0, width, n):
-                size *= bits.count("1", i, i + n)
-                if size >= cap:
-                    return True
-            return False
 
         def listing(R: int):
             got = get(R)
@@ -149,7 +151,7 @@ class _Walker:
                 return got
             self.listings += 1
             pairs = ((f, piece(f)) for f in self.fillings(k, R))
-            if not small and streams(R):
+            if self.streams(k, R):
                 return pairs
             got = list(pairs)
             self.keep(table, R, got, 1 + len(got))

@@ -8,12 +8,14 @@ reused by every prefix that leaves the same residual; large ones run lazily
 and are not kept, so a short --limit never waits for a whole slab. The last
 slab is forced (every axis-0 line then misses one value), so the last two
 slabs depend only on the state after the first n-2: each call keeps a memo
-from that state to the texts of its completions. The walk, _blocks, hands
-out one block per prefix that reaches slab n-2: the prefix's text,
-formatted once, and the memo's tails. On a support of d >= 2 that is not
-full it prunes with the live tables of _live, read from the two passes
-per_d joins: a prefix whose state is not in them has no completion. Only
-the CLI's enumerate loads this module.
+from that state to the texts of its completions, under the walker's rule
+(_Walker.streams): where the listing of slab n-2's residual would stream,
+the tails stream too and are not kept. The walk, _blocks, hands out one
+block per prefix that reaches slab n-2, the prefix's text, formatted once,
+and the memo's tails, or one block per tail where they stream. On a
+support of d >= 2 that is not full it prunes with the live tables of
+_live, read from the two passes per_d joins: a prefix whose state is not
+in them has no completion. Only the CLI's enumerate loads this module.
 """
 
 from hdperm.core import SupportArray, rows_text
@@ -86,8 +88,9 @@ def _live(a: SupportArray) -> list | None:
 
 def _blocks(a: SupportArray, stats: dict | None = None, limit: int | None = None):
     """(head, tails) for every prefix of slabs 0..n-3 of a that has a
-    completion, in the order of the value tuples; a tensor is head + tail
-    for each tail, and the blocks list every tensor of a once. With a
+    completion, or (head, [tail]) for each of its tails where they stream,
+    in the order of the value tuples; a tensor is head + tail for each
+    tail, and the blocks list every tensor of a once. With a
     limit, which must be positive, they list the first limit tensors: the
     last block is cut short and the walk ends there.
 
@@ -149,16 +152,28 @@ def _blocks(a: SupportArray, stats: dict | None = None, limit: int | None = None
             live = _live(a)
         memo = walker.table()
         get = memo.get
+
+        def completions(S):
+            for f in walker.fillings(d - 1, parts[mid] & ~S):
+                forced = full ^ S ^ f
+                if not forced & forbid:
+                    yield tail(f, forced)
+
         for h, S in walker.walk(parts, [top] * mid, head, live):
             prefixes += 1
             tails = get(S)
             if tails is None:
                 entries += 1
-                tails = []
-                for f in walker.fillings(d - 1, parts[mid] & ~S):
-                    forced = full ^ S ^ f
-                    if not forced & forbid:
-                        tails.append(tail(f, forced))
+                if walker.streams(d - 1, parts[mid] & ~S):
+                    # one block per tail, as it is listed, and none kept
+                    for t in completions(S):
+                        yield h, [t]
+                        if limit is not None:
+                            limit -= 1
+                            if not limit:
+                                return
+                    continue
+                tails = list(completions(S))
                 walker.keep(memo, S, tails, 1 + len(tails))
             if tails:
                 if limit is not None:

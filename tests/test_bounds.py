@@ -22,6 +22,7 @@ from hdperm.bounds import (
     f_values,
     sdn_log_upper_bound,
     theorem5_check,
+    theorem5_start,
     weak_min_margin,
 )
 from hdperm.constructions import block_lift
@@ -417,6 +418,19 @@ def test_theorem5_errors():
         theorem5_check(f_rows(3, 10), 3)  # r_max below ceil(e^3)
     with pytest.raises(ValueError, match="d must be at most 2, the table's depth, got 3"):
         theorem5_check(f_rows(2, 100), 3)
+
+
+def test_theorem5_start_is_the_sweeps_domain():
+    # ceil(e^d), refused for a bad d, then an e^d past a double, then an
+    # r_max below it: the checks a caller makes before building the table
+    assert [theorem5_start(d, 10**5) for d in (1, 3, 11)] == [3, 21, 59875]
+    assert theorem5_start(12, 162755) == math.ceil(math.e**12) == 162755
+    with pytest.raises(ValueError, match="d must be an integer >= 1, got 0"):
+        theorem5_start(0, 0)
+    with pytest.raises(OverflowError):
+        theorem5_start(710, 0)
+    with pytest.raises(ValueError, match="r_max must be >= 162755 for d=12"):
+        theorem5_start(12, 162754)
 
 
 def test_bools_are_not_dimensions_or_sizes():

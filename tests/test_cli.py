@@ -95,6 +95,7 @@ PERM_OR_SHAPE = ("domain", "give --perm FILE or --d and --n, not both")
 SAMPLES = ("domain", "--samples needs shade mc: exact and hist count every ordering")
 BITS = ("domain", "--bits needs construct block: a modular tensor has no bits")
 R_OR_RMAX = ("domain", "give --r for a single value or --rmax for a table, not both")
+LIMIT = ("domain", "limit must be positive")
 
 # The CLI's contract, one case per invocation: its argv, its exit code, and
 # either the sha256 of its stdout (each file path in it written as its FILES
@@ -233,7 +234,7 @@ CASES = [
         Case("cd --d 173", 1, error=OVERFLOW),
         Case("cd --d 173 --csv", 1, error=OVERFLOW),
         Case("cd --d 20000", 1, error=OVERFLOW),
-        Case("theorem5 --d 710 --rmax 10", 1, error=OVERFLOW),
+        Case("theorem5 --d 710 --rmax 10", 1, error=OVERFLOW, guard="table"),
         Case("sdn-bound --d 1100 --n 2", 1, error=OVERFLOW),
     ),
 
@@ -308,6 +309,20 @@ CASES = [
         Case("count --support FILE --threads 0", 1,
              error=("domain", "--threads must be an integer >= 1, got 0"), guard="inputs"),
     ),
+    # enumerate --limit below 1 and shade mc --samples below 2 are refused
+    # before the input is read or built
+    Case("enumerate --support FILE --limit 0", 1, error=LIMIT, guard="inputs"),
+    Case("enumerate --d 3 --n 64 --limit 0", 1, error=LIMIT, guard="cells"),
+    Case("shade mc --d 12 --n 3 --samples 1", 1,
+         error=("domain", "samples must be an integer >= 2, got 1"), guard="query"),
+    # theorem5 refuses an --rmax below ceil(e^d) before any row is built,
+    # ahead of the f table's own rules (--rmax 0)
+    Case("theorem5 --d 40 --rmax 2000000", 1,
+         error=("domain", "r_max must be >= 235385266837019488 for d=40"), guard="table"),
+    Case("theorem5 --d 12 --rmax 100000", 1,
+         error=("domain", "r_max must be >= 162755 for d=12"), guard="table"),
+    Case("theorem5 --d 3 --rmax 0", 1, error=("domain", "r_max must be >= 21 for d=3"),
+         guard="table"),
     # f refuses them before any of its table is built
     *_under("test_f_refuses_flags_it_would_ignore",
         Case("f --d 2 --r 3 --rmax 5", 1, error=R_OR_RMAX, guard="table"),
@@ -338,7 +353,7 @@ GUARDS = {
     "table": [(bounds, "f_rows", _refused)],
     "cells": [(Shape, "ncells", property(_refused)), (Shape, "cells", _refused),
               (constructions, "_nblocks", _refused)],
-    "inputs": [(cli, "_read_file", _refused), (cli, "parse_support", _refused),
+    "inputs": [(cli, "open", _refused), (cli, "parse_support", _refused),
                (cli, "parse_perm", _refused)],
     "query": [(shade, "random_query", _refused), (shade, "ShadeQuery", _refused),
               (constructions, "modular_perm", _refused)],
@@ -708,7 +723,7 @@ def test_enumerate_limit_stays_lazy():
     # the first tensors come after a few search nodes, so a small --limit
     # returns at start-up speed even where the full stream would never end;
     # a design that lists a slab's fillings first times out instead
-    for d, n, limit in ((2, 12, 3), (3, 5, 1), (2, 6, 5000)):
+    for d, n, limit in ((2, 12, 3), (3, 5, 1), (3, 8, 1), (2, 6, 5000)):
         argv = ["enumerate", "--d", str(d), "--n", str(n), "--limit", str(limit)]
         proc = subprocess.run(
             [sys.executable, "-m", "hdperm.cli", *argv],

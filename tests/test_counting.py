@@ -621,6 +621,26 @@ def test_enumerate_reports_work_counters():
     assert 0 < stats["prefixes"] < PLANTED_D2N6_STATS["prefixes"]
 
 
+def test_enumerate_streams_the_tails_the_walker_would_stream(monkeypatch):
+    # full d=3 n=8: slab 6's residual leaves 2 values a cell, 2^64 > _MEMO_MAX
+    # candidate fillings, so the first prefix's tails stream as they are
+    # listed, not after all 65,536 of them, and the walk stops at the first
+    stats = {}
+    assert len(texts(all_ones_support(Shape(3, 8)), limit=1, stats=stats)) == 1
+    assert stats == {"prefixes": 1, "listings": 201, "memo_entries": 1, "replays": 0,
+                     "live_prunes": 0}
+    # d=3 n=4 streams them too, at its limits as in full; with _MEMO_MAX = 1
+    # so does every memo entry of d=2
+    a = all_ones_support(Shape(3, 4))
+    stream = texts(a)
+    assert len(stream) == per_d(a)
+    assert [texts(a, limit=k) for k in (1, 2, 3, 17)] == [stream[:k] for k in (1, 2, 3, 17)]
+    b = all_ones_support(Shape(2, 4))
+    want = texts(b)
+    monkeypatch.setattr(counting, "_MEMO_MAX", 1)
+    assert [texts(b, limit=k) for k in (1, 5, None)] == [want[:1], want[:5], want]
+
+
 def test_walk_tables_stay_within_budget(monkeypatch):
     # listings, texts and the memo count towards one budget of _MEMO_MAX
     # entries, and are emptied together once they would pass it
