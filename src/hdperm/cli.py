@@ -4,9 +4,9 @@ One JSON object per invocation on stdout (construct/enumerate emit the plain
 text tensor format instead, and --csv switches tabular subcommands to CSV).
 Exit codes: 0 success, 1 domain error (with a JSON error object), 2 usage
 error, 130 cancelled (Ctrl-C: after whatever was already written, a newline
-and a JSON error object of kind "cancelled"; a cancelled enumerate can end
-in a cut tensor just before it, so a reader drops the block before the
-object); a result too large for a float is a domain error. A reader that
+and a JSON error object of kind "cancelled"; a cancelled enumerate ends on
+a whole tensor, since it writes each chunk of its stream with SIGINT held);
+a result too large for a float is a domain error. A reader that
 closes stdout early (such as head) ends the run with exit code 1 and
 nothing on stderr. Counts are decimal strings, never floats, except in
 shade: its "samples" total and the "counts" of shade hist are JSON
@@ -145,8 +145,28 @@ def _cmd_enumerate(args) -> int:
 
     if args.limit is not None and args.limit <= 0:
         raise ValueError("limit must be positive")
-    write_perms(_load_support(args)[0], sys.stdout, limit=args.limit)
+    write_perms(_load_support(args)[0], _whole_writes(sys.stdout), limit=args.limit)
     return 0
+
+
+def _whole_writes(out):
+    """out, each write of which is written and flushed with SIGINT held,
+    where the platform has pthread_sigmask. A Ctrl-C then lands between two
+    writes, and each write of write_perms ends on a whole tensor."""
+    import signal
+
+    if not hasattr(signal, "pthread_sigmask"):
+        return out
+
+    def write(text):
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            out.write(text)
+            out.flush()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+    return SimpleNamespace(write=write)
 
 
 def _cmd_bound(args) -> int:
@@ -463,9 +483,10 @@ def run(argv=None) -> int:
         raise  # an OSError, but the error object has nowhere to go
     except KeyboardInterrupt:
         # SIGINT: one error object in place of a traceback, and the exit
-        # code of a process that SIGINT ended, 128 + 2. The interrupt can cut
-        # a write short mid-line, so a newline goes first: the object is
-        # always a line of its own
+        # code of a process that SIGINT ended, 128 + 2. enumerate ends on a
+        # whole tensor (_whole_writes), but a --csv write can still be cut
+        # short mid-line, so a newline goes first: the object is always a
+        # line of its own
         sys.stdout.write("\n")
         _fail(args.subcommand, "cancelled", "interrupted")
         return 130

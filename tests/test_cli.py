@@ -70,18 +70,10 @@ class Case(NamedTuple):
     error: tuple | None = None
     guard: str | None = None
     process: bool = False
-    # the test that ran the case before the table, and still runs it in
-    # process under its old id; None for test_case_in_process
-    test: str | None = None
 
     @property
     def id(self):
         return self.argv if self.guard is None else f"{self.guard}: {self.argv}"
-
-
-def _under(test, *cases):
-    """cases, each to run in process by test (see Case.test)."""
-    return [case._replace(test=test) for case in cases]
 
 
 CELLS = "n^d must be at most 1000000, the array's cell cap, got "
@@ -106,7 +98,7 @@ LIMIT = ("domain", "limit must be positive")
 # under which the case runs in process: each fails the test if work that the
 # refusal must come before starts. process marks the cases that also run as
 # python -m hdperm.cli. A case's id is its argv, after its guard if it has one.
-# A case runs in process under test_case_in_process, or under its test.
+# Every case runs in process, under test_case_in_process.
 CASES = [
     # enumerate's stream, pinned before the search replayed the last two
     # slabs (the last three before it checked live sets): a change to the
@@ -195,13 +187,11 @@ CASES = [
     Case("f --d not-a-number --r 1", 2),
     Case("verify --samples 5", 2),
     # verify runs fixed suites: it takes no shape and no sweep length
-    *_under("test_verify_rejects_bad_or_half_shape",
-        Case("verify --suite theorem5 --d 0 --rmax 200", 2),
-        Case("verify --suite claim1 --d 2", 2),
-        Case("verify --suite claim1 --n 3", 2),
-        Case("verify --d 2", 2),
-        Case("verify --rmax 7", 2),
-    ),
+    Case("verify --suite theorem5 --d 0 --rmax 200", 2),
+    Case("verify --suite claim1 --d 2", 2),
+    Case("verify --suite claim1 --n 3", 2),
+    Case("verify --d 2", 2),
+    Case("verify --rmax 7", 2),
 
     # missing, unreadable or malformed input
     Case("count", 1, error=("domain", "...need --support FILE or both --d and --n")),
@@ -230,85 +220,73 @@ CASES = [
     Case("cd --d -1 --csv", 1, error=("domain", "d must be an integer >= 0, got -1")),
 
     # a result past the largest double is a domain error, in a sentence
-    *_under("test_float_overflow_is_domain_error",
-        Case("cd --d 173", 1, error=OVERFLOW),
-        Case("cd --d 173 --csv", 1, error=OVERFLOW),
-        Case("cd --d 20000", 1, error=OVERFLOW),
-        Case("theorem5 --d 710 --rmax 10", 1, error=OVERFLOW, guard="table"),
-        Case("sdn-bound --d 1100 --n 2", 1, error=OVERFLOW),
-    ),
+    Case("cd --d 173", 1, error=OVERFLOW),
+    Case("cd --d 173 --csv", 1, error=OVERFLOW),
+    Case("cd --d 20000", 1, error=OVERFLOW),
+    Case("theorem5 --d 710 --rmax 10", 1, error=OVERFLOW, guard="table"),
+    Case("sdn-bound --d 1100 --n 2", 1, error=OVERFLOW),
 
     # the f table refuses a row past 10^7, more than 10^4 + 1 rows or more
     # than 10^8 entries, whichever command asks, before any row is built
-    *_under("test_f_table_refuses_rows_past_its_cap",
-        Case("f --d 2 --r 10000000000000", 1, error=("domain", LENGTH), guard="rows"),
-        Case("f --d 1 --rmax 10000001 --csv", 1, error=("domain", LENGTH), guard="rows"),
-        Case("theorem5 --d 2 --rmax 10000001", 1, error=("domain", LENGTH), guard="rows"),
-    ),
-    *_under("test_f_table_refuses_too_many_rows_or_entries",
-        Case("f --d 1000000 --r 2", 1, error=("domain", "..." + DEPTH), guard="rows"),
-        Case("bound --d 1000000 --n 1", 1, error=("domain", "..." + DEPTH), guard="rows"),
-        Case("sdn-bound --d 1000000 --n 2", 1, error=("domain", "..." + DEPTH), guard="rows"),
-        # the shade query itself takes time linear in d, so this one sits
-        # just past the cap
-        Case("shade exact --d 10001 --n 1", 1, error=("domain", "..." + DEPTH), guard="rows"),
-        Case("theorem5 --d 15 --rmax 10000000", 1, error=("domain", ENTRIES), guard="rows"),
-    ),
+    Case("f --d 2 --r 10000000000000", 1, error=("domain", LENGTH), guard="rows"),
+    Case("f --d 1 --rmax 10000001 --csv", 1, error=("domain", LENGTH), guard="rows"),
+    Case("theorem5 --d 2 --rmax 10000001", 1, error=("domain", LENGTH), guard="rows"),
+    Case("f --d 1000000 --r 2", 1, error=("domain", "..." + DEPTH), guard="rows"),
+    Case("bound --d 1000000 --n 1", 1, error=("domain", "..." + DEPTH), guard="rows"),
+    Case("sdn-bound --d 1000000 --n 2", 1, error=("domain", "..." + DEPTH), guard="rows"),
+    # the shade query itself takes time linear in d, so this one sits
+    # just past the cap
+    Case("shade exact --d 10001 --n 1", 1, error=("domain", "..." + DEPTH), guard="rows"),
+    Case("theorem5 --d 15 --rmax 10000000", 1, error=("domain", ENTRIES), guard="rows"),
 
     # no array past 10^6 cells: refused before n^d is computed for the
     # large d or any cell is built, a tensor file on its header
-    *_under("test_arrays_past_the_cell_cap_are_refused",
-        Case("count --d 70 --n 2", 1, error=("domain", CELLS + "d=70 n=2"), guard="cells",
-             process=True),
-        Case("count --d 10000000 --n 3", 1, error=("domain", CELLS + "d=10000000 n=3"),
-             guard="cells"),
-        Case("count --support HUGE", 1, error=("domain", CELLS + "d=40 n=2"), guard="cells"),
-        Case("enumerate --d 70 --n 2", 1, error=("domain", CELLS + "d=70 n=2"), guard="cells"),
-        Case("bound --d 40 --n 2", 1, error=("domain", CELLS + "d=40 n=2"), guard="cells",
-             process=True),
-        Case("construct modular --d 20000 --n 2", 1, error=("domain", CELLS + "d=20000 n=2"),
-             guard="cells"),
-        Case("construct block --d 40 --n 2", 1, error=("domain", CELLS + "d=40 n=2"),
-             guard="cells"),
-        Case("construct block --d 40 --n 4 --bits random", 1,
-             error=("domain", CELLS + "d=40 n=4"), guard="cells"),
-        Case("shade mc --d 25 --n 2", 1, error=("domain", CELLS + "d=25 n=2"), guard="cells"),
-        Case("shade exact --perm BIG", 1, error=("domain", CELLS + "d=10000000 n=3"),
-             guard="cells", process=True),
-    ),
+    Case("count --d 70 --n 2", 1, error=("domain", CELLS + "d=70 n=2"), guard="cells",
+         process=True),
+    Case("count --d 10000000 --n 3", 1, error=("domain", CELLS + "d=10000000 n=3"),
+         guard="cells"),
+    Case("count --support HUGE", 1, error=("domain", CELLS + "d=40 n=2"), guard="cells"),
+    Case("enumerate --d 70 --n 2", 1, error=("domain", CELLS + "d=70 n=2"), guard="cells"),
+    Case("bound --d 40 --n 2", 1, error=("domain", CELLS + "d=40 n=2"), guard="cells",
+         process=True),
+    Case("construct modular --d 20000 --n 2", 1, error=("domain", CELLS + "d=20000 n=2"),
+         guard="cells"),
+    Case("construct block --d 40 --n 2", 1, error=("domain", CELLS + "d=40 n=2"),
+         guard="cells"),
+    Case("construct block --d 40 --n 4 --bits random", 1,
+         error=("domain", CELLS + "d=40 n=4"), guard="cells"),
+    Case("shade mc --d 25 --n 2", 1, error=("domain", CELLS + "d=25 n=2"), guard="cells"),
+    Case("shade exact --perm BIG", 1, error=("domain", CELLS + "d=10000000 n=3"),
+         guard="cells", process=True),
 
     # shade checks the f table before it builds a query or a tensor; the
     # errors that came before the f table still do
     Case("shade exact --d 10001 --n 2", 1, error=("domain", DEPTH + ", got 10001"), guard="query",
          process=True),
-    *_under("test_shade_and_claim1_check_the_f_table_before_the_query",
-        Case("shade exact --d 300000 --n 1", 1, error=("domain", DEPTH + ", got 300000"),
-             guard="query"),
-        Case("shade mc --d 20000 --n 2", 1, error=("domain", DEPTH + ", got 20000"),
-             guard="query"),
-        Case("shade exact --d 10001 --n 2 --r 5", 1,
-             error=("domain", "|W| must be in 1..2, got 5"), guard="query"),
-        Case("shade exact --d 10001 --n 2 --r 0", 1,
-             error=("domain", "|W| must be in 1..2, got 0"), guard="query"),
-    ),
+    Case("shade exact --d 300000 --n 1", 1, error=("domain", DEPTH + ", got 300000"),
+         guard="query"),
+    Case("shade mc --d 20000 --n 2", 1, error=("domain", DEPTH + ", got 20000"),
+         guard="query"),
+    Case("shade exact --d 10001 --n 2 --r 5", 1,
+         error=("domain", "|W| must be in 1..2, got 5"), guard="query"),
+    Case("shade exact --d 10001 --n 2 --r 0", 1,
+         error=("domain", "|W| must be in 1..2, got 0"), guard="query"),
 
     # a flag the chosen mode would ignore is refused before any input file
     # is read (FILE names no file)
     Case("count --support FULL --d 3 --n 3", 1, error=SUPPORT_OR_SHAPE, guard="inputs"),
-    *_under("test_commands_refuse_flags_they_would_ignore",
-        Case("count --support FILE --d 5 --n 7", 1, error=SUPPORT_OR_SHAPE, guard="inputs"),
-        Case("count --support FILE --d 2", 1, error=SUPPORT_OR_SHAPE, guard="inputs"),
-        Case("enumerate --support FILE --n 3", 1, error=SUPPORT_OR_SHAPE, guard="inputs"),
-        Case("bound --support FILE --d 2 --n 3", 1, error=SUPPORT_OR_SHAPE, guard="inputs"),
-        Case("shade exact --perm FILE --d 2 --n 3", 1, error=PERM_OR_SHAPE, guard="inputs"),
-        Case("shade mc --perm FILE --n 3", 1, error=PERM_OR_SHAPE, guard="inputs"),
-        Case("construct modular --d 2 --n 3 --bits 000", 1, error=BITS, guard="inputs"),
-        Case("construct modular --d 2 --n 3 --bits random", 1, error=BITS, guard="inputs"),
-        Case("shade exact --d 2 --n 3 --samples 5", 1, error=SAMPLES, guard="inputs"),
-        Case("shade hist --perm FILE --samples 5", 1, error=SAMPLES, guard="inputs"),
-        Case("count --support FILE --threads 0", 1,
-             error=("domain", "--threads must be an integer >= 1, got 0"), guard="inputs"),
-    ),
+    Case("count --support FILE --d 5 --n 7", 1, error=SUPPORT_OR_SHAPE, guard="inputs"),
+    Case("count --support FILE --d 2", 1, error=SUPPORT_OR_SHAPE, guard="inputs"),
+    Case("enumerate --support FILE --n 3", 1, error=SUPPORT_OR_SHAPE, guard="inputs"),
+    Case("bound --support FILE --d 2 --n 3", 1, error=SUPPORT_OR_SHAPE, guard="inputs"),
+    Case("shade exact --perm FILE --d 2 --n 3", 1, error=PERM_OR_SHAPE, guard="inputs"),
+    Case("shade mc --perm FILE --n 3", 1, error=PERM_OR_SHAPE, guard="inputs"),
+    Case("construct modular --d 2 --n 3 --bits 000", 1, error=BITS, guard="inputs"),
+    Case("construct modular --d 2 --n 3 --bits random", 1, error=BITS, guard="inputs"),
+    Case("shade exact --d 2 --n 3 --samples 5", 1, error=SAMPLES, guard="inputs"),
+    Case("shade hist --perm FILE --samples 5", 1, error=SAMPLES, guard="inputs"),
+    Case("count --support FILE --threads 0", 1,
+         error=("domain", "--threads must be an integer >= 1, got 0"), guard="inputs"),
     # enumerate --limit below 1 and shade mc --samples below 2 are refused
     # before the input is read or built
     Case("enumerate --support FILE --limit 0", 1, error=LIMIT, guard="inputs"),
@@ -324,13 +302,11 @@ CASES = [
     Case("theorem5 --d 3 --rmax 0", 1, error=("domain", "r_max must be >= 21 for d=3"),
          guard="table"),
     # f refuses them before any of its table is built
-    *_under("test_f_refuses_flags_it_would_ignore",
-        Case("f --d 2 --r 3 --rmax 5", 1, error=R_OR_RMAX, guard="table"),
-        Case("f --d 2 --r 3 --rmax 5 --csv", 1, error=R_OR_RMAX, guard="table"),
-        Case("f --d 2 --r 3 --csv", 1,
-             error=("domain", "--csv needs --rmax: a single value prints as JSON"),
-             guard="table"),
-    ),
+    Case("f --d 2 --r 3 --rmax 5", 1, error=R_OR_RMAX, guard="table"),
+    Case("f --d 2 --r 3 --rmax 5 --csv", 1, error=R_OR_RMAX, guard="table"),
+    Case("f --d 2 --r 3 --csv", 1,
+         error=("domain", "--csv needs --rmax: a single value prints as JSON"),
+         guard="table"),
 
     # Ctrl-C: one error object, exit code 128 + SIGINT
     Case("count --d 2 --n 4", 130, error=("cancelled", "interrupted"), guard="interrupt"),
@@ -395,52 +371,18 @@ def check(case, files, code, out, err):
         assert out == ""
 
 
-def _in_process(test, name=lambda i, case: case.argv):
-    """The test that runs each case whose test is test (None: no test of
-    its own) through cli.run, under its guard; the i-th such case of CASES
-    gets the id name(i, case)."""
-    cases = [case for case in CASES if case.test == test]
-
-    @pytest.mark.parametrize("case", cases, ids=[name(i, case) for i, case in enumerate(cases)])
-    def run_case(capsys, monkeypatch, tmp_path, case):
-        argv, files = _argv(case, tmp_path)
-        for owner, attr, value in GUARDS.get(case.guard, ()):
-            monkeypatch.setattr(owner, attr, value, raising=False)
-        try:
-            code = cli.run(argv)
-        except SystemExit as exc:
-            code = exc.code
-        out = capsys.readouterr()
-        check(case, files, code, out.out, out.err)
-
-    return run_case
-
-
-def _argv_message(i, case):
-    return f"{case.argv}-{case.error[1]}"
-
-
-def _index(i, case):
-    return f"argv{i}"
-
-
-# the tests that ran cases before the table keep their names and ids
-test_case_in_process = _in_process(None, lambda i, case: case.id)
-test_arrays_past_the_cell_cap_are_refused = _in_process(
-    "test_arrays_past_the_cell_cap_are_refused")
-test_float_overflow_is_domain_error = _in_process("test_float_overflow_is_domain_error")
-test_commands_refuse_flags_they_would_ignore = _in_process(
-    "test_commands_refuse_flags_they_would_ignore", _argv_message)
-test_shade_and_claim1_check_the_f_table_before_the_query = _in_process(
-    "test_shade_and_claim1_check_the_f_table_before_the_query", _argv_message)
-test_f_refuses_flags_it_would_ignore = _in_process(
-    "test_f_refuses_flags_it_would_ignore", _argv_message)
-test_f_table_refuses_rows_past_its_cap = _in_process(
-    "test_f_table_refuses_rows_past_its_cap", _index)
-test_verify_rejects_bad_or_half_shape = _in_process(
-    "test_verify_rejects_bad_or_half_shape", _index)
-test_f_table_refuses_too_many_rows_or_entries = _in_process(
-    "test_f_table_refuses_too_many_rows_or_entries", lambda i, case: case.argv.split()[0])
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.id)
+def test_case_in_process(capsys, monkeypatch, tmp_path, case):
+    # through cli.run, under the case's guard
+    argv, files = _argv(case, tmp_path)
+    for owner, attr, value in GUARDS.get(case.guard, ()):
+        monkeypatch.setattr(owner, attr, value, raising=False)
+    try:
+        code = cli.run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    check(case, files, code, out.out, out.err)
 
 
 @pytest.mark.parametrize("case", [case for case in CASES if case.process],
@@ -459,8 +401,6 @@ def test_cases_cover_the_cli():
     # a new subcommand, error kind, exit code or guard comes with its cases
     ids = [case.id for case in CASES]
     assert len(set(ids)) == len(ids), sorted(i for i in ids if ids.count(i) > 1)
-    # a case whose test is misnamed would run nowhere
-    assert all(case.test is None or case.test in globals() for case in CASES)
     assert {case.argv.split()[0] for case in CASES if case.argv} >= set(cli._COMMANDS)
     kinds = {kind for _, kind in cli._ERROR_KINDS} | {"cancelled"}
     assert {case.error[0] for case in CASES if case.error} == kinds
@@ -480,15 +420,22 @@ def test_interrupt_ends_with_one_error_object():
         preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     try:
-        assert proc.stdout.readline() == b"2 6\n"
+        # the header through os.read: communicate reads the descriptor
+        # itself, so it misses what a buffered readline pulled in past it
+        assert os.read(proc.stdout.fileno(), 4) == b"2 6\n"
         proc.send_signal(signal.SIGINT)
         out, err = proc.communicate(timeout=60)
     finally:
         proc.kill()
     assert proc.returncode == 130
     assert err == b""
-    # the stream may stop mid-line; the error object is a line of its own
-    assert json.loads(out.splitlines()[-1]) == {
+    # the stream ends on a whole tensor: every block before the error
+    # object is a 2 6 tensor, and the object is the last block
+    *tensors, last = ("2 6\n" + out.decode()).split("\n\n")
+    assert tensors
+    for block in tensors:
+        assert parse_perm(block + "\n").shape == Shape(2, 6), block[-200:]
+    assert json.loads(last) == {
         "subcommand": "enumerate", "status": "error",
         "error": {"kind": "cancelled", "message": "interrupted"},
     }
@@ -688,7 +635,13 @@ def test_counting_never_loads_the_enumerator():
     ((), ["verify --suite theorem5", "verify --suite bounds"],
      ["hdperm.shade", "hdperm.constructions"]),
     ((), ["verify --suite constructions"], ["hdperm.bounds", "hdperm.shade"]),
-], ids=["numpy", "csv", "typing", "bound-suites", "constructions-suite"])
+    # only enumerate holds SIGINT around its writes
+    ((), ["count --d 2 --n 4", "count --d 2 --n 4 --threads 2", "f --d 2 --r 5",
+          "f --d 3 --rmax 50 --csv", "cd --d 3", "bound --d 2 --n 4",
+          "theorem5 --d 2 --rmax 500", "sdn-bound --d 3 --n 6",
+          "construct block --d 2 --n 4 --bits random", "shade exact --d 2 --n 3 --seed 7",
+          "shade mc --d 2 --n 3 --samples 200 --seed 1", "verify --suite all"], ["signal"]),
+], ids=["numpy", "csv", "typing", "bound-suites", "constructions-suite", "signal"])
 def test_subcommands_leave_modules_unloaded(flags, argvs, unused):
     # each row in a new interpreter, so sys.modules holds only what it ran;
     # the theorem5 suite sweeps to r = 2000
