@@ -409,6 +409,36 @@ def test_cases_cover_the_cli():
     assert all(case.sha256 is None or case.error is None for case in CASES)
 
 
+@pytest.mark.parametrize("argv, refused", [
+    (["verify", "--suite", "theorem5", "--d", "0", "--rmax", "200"], "--d 0 --rmax 200"),
+    (["verify", "--suite", "claim1", "--d", "2"], "--d 2"),
+    (["verify", "--suite", "claim1", "--n", "3"], "--n 3"),
+    (["verify", "--d", "2"], "--d 2"),
+    (["verify", "--rmax", "7"], "--rmax 7"),
+], ids=[f"argv{i}" for i in range(5)])
+def test_verify_rejects_bad_or_half_shape(capsys, argv, refused):
+    # the usage error names every shape flag verify refused, and only those
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"hdperm: error: unrecognized arguments: {refused}")
+
+
+@pytest.mark.parametrize("argv, d, r", [
+    (["f", "--d", "2", "--r", "10000000000000"], 2, 10**13),
+    (["f", "--d", "1", "--rmax", "10000001", "--csv"], 1, 10**7 + 1),
+    (["theorem5", "--d", "2", "--rmax", "10000001"], 2, 10**7 + 1),
+], ids=[f"argv{i}" for i in range(3)])
+def test_f_table_refuses_rows_past_its_cap(capsys, argv, d, r):
+    # the CLI prints the f table's own refusal, word for word
+    with pytest.raises(ValueError) as exc:
+        bounds.f_rows(d, r)
+    code, obj = run_json(capsys, argv)
+    assert code == 1
+    assert obj["error"] == {"kind": "domain", "message": str(exc.value)}
+
+
 def test_interrupt_ends_with_one_error_object():
     # SIGINT lands inside run, once the first line is out, while enumerate
     # writes a stream that would take hours. The child starts with SIGINT at
