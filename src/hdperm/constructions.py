@@ -11,7 +11,6 @@ draws its bits.
 """
 
 import random
-from itertools import product
 
 from hdperm.core import PermTensor, Shape, _is_int, check_cells
 
@@ -49,21 +48,22 @@ def block_lift(shape: Shape, bits=None) -> PermTensor:
     bits every bit is 0.
     """
     check_cells(shape)
-    nblocks = _nblocks(shape)  # before Shape(d, n/2), so n = 1 never reaches Shape(d, 0)
+    nblocks = _nblocks(shape)  # refuses an odd n, n = 1 among them
     if bits is None:
         bits = (0,) * nblocks
     if len(bits) != nblocks:
         raise ValueError(f"need {nblocks} bits, got {len(bits)}")
     if not all(_is_int(b) and b in (0, 1) for b in bits):
         raise ValueError("bits must be 0 or 1")
-    d, half = shape.d, shape.n // 2
-    values = [0] * shape.ncells
-    for bcoords, bit in zip(Shape(d, half).cells(), bits):
-        j = sum(bcoords) % half
-        for eps in product(range(2), repeat=d):
-            coords = tuple(2 * bc + e for bc, e in zip(bcoords, eps))
-            values[shape.rank(coords)] = j + half * ((sum(eps) + bit) % 2)
-    return PermTensor(shape, tuple(values))
+    n, half = shape.n, shape.n // 2
+    # per cell, one axis at a time: block rank, block coordinate sum, offset parity
+    ranks, sums, parities = [0], [0], [0]
+    for _ in range(shape.d):
+        ranks = [r * half + c // 2 for r in ranks for c in range(n)]
+        sums = [t + c // 2 for t in sums for c in range(n)]
+        parities = [p ^ c & 1 for p in parities for c in range(n)]
+    values = tuple([t % half + half * (p ^ bits[r]) for r, t, p in zip(ranks, sums, parities)])
+    return PermTensor(shape, values)
 
 
 def block_count(shape: Shape) -> int:

@@ -30,12 +30,13 @@ never imports it.
 
 from collections.abc import Iterator
 from functools import lru_cache
+from itertools import islice
 from math import prod
 
 from hdperm.core import Shape, SupportArray
 
-# entries one walker keeps in its tables together (for the enumerator: its
-# listings, text cache and memo)
+# the machine words one walker keeps in its tables together (for the
+# enumerator: its listings, text cache and memo)
 _MEMO_MAX = 1 << 16
 
 
@@ -75,9 +76,10 @@ def _pack(masks, n: int) -> int:
 class _Walker:
     """The slab walk for supports of order n, and the tables one call keeps.
 
-    Every table the walker keeps (listings, texts, the memo) counts towards
-    one budget: once they hold more than _MEMO_MAX entries together, all of
-    them are emptied, so an endless stream runs in flat memory.
+    A listing of k >= 1 dimensions, and a memo entry of the enumerator, runs
+    lazily and is kept once it ends within the budget of _MEMO_MAX words
+    (kept) that all its tables share: once they would pass it, all are
+    emptied, so an endless stream runs in flat memory, however wide.
     """
 
     def __init__(self, n: int):
@@ -95,7 +97,7 @@ class _Walker:
         return table
 
     def keep(self, table: dict, key, value, size: int) -> None:
-        """table[key] = value, value counting size entries; a value larger
+        """table[key] = value, value counting size words; a value larger
         than the whole budget is not kept."""
         if size > self.cap:
             return
@@ -106,42 +108,28 @@ class _Walker:
             self.stored = size
         table[key] = value
 
-    def streams(self, k: int, R: int) -> bool:
-        """Whether a listing of the k-dimensional permutations inside the
-        packed support R runs lazily and is not kept: when no cell of R is
-        empty and the product of R's cell sizes, which bounds its length,
-        reaches the budget.
-
-        The rule reads R in time linear in its size: one test of every cell
-        for emptiness, then the sizes from one conversion of R, until the
-        product reaches the budget. A listing of one cell (k = 0), which
-        lists at most n, never streams, and neither does one where n^cells
-        is under the budget, decided without reading R.
-        """
-        n = self.n
-        cap = self.cap
-        width = n ** (k + 1)  # bits of R
-        # once cells reach cap's bit length, n >= 2 puts n^cells past cap
-        if k == 0 or n ** min(width // n, cap.bit_length()) < cap:
-            return False
-        T = R
-        for j in range(1, n):
-            T |= R >> j
-        base = ((1 << width) - 1) // ((1 << n) - 1)  # bit 0 of every cell
-        if T & base != base:
-            return False  # an empty cell: the product is 0
-        bits = format(R, "b")[::-1]  # bit i of R at index i
-        size = 1
-        for i in range(0, width, n):
-            size *= bits.count("1", i, i + n)
-            if size >= cap:
-                return True
-        return False
+    def kept(self, table: dict, key, items, k: int):
+        """The iterator items, one by one; once it ends, its items are kept
+        in table under key if they fit the budget, each charged the machine
+        words of a k-dimensional filling, n^(k+1) bits (at least 1), and the
+        entry one more. A run cut short, or past the budget, keeps nothing."""
+        weight = max(1, self.n ** (k + 1) // 64)
+        room = self.cap // weight - 1  # the most items a kept run holds
+        got = []
+        for item in islice(items, room + 1):
+            yield item
+            got.append(item)
+        if len(got) > room:
+            del got
+            yield from items
+        else:
+            self.keep(table, key, got, weight * (1 + len(got)))
 
     def lister(self, k: int, piece):
         """listing(R): the (f, piece(f)) pairs of the k-dimensional
         permutations f inside the packed support R, in the order of their
-        value tuples, kept per R unless the listing streams (streams)."""
+        value tuples: for one cell (k = 0, at most n pairs) a list, kept at
+        once, else run lazily, for a caller that stops early, and kept."""
         table = self.table()
         get = table.get
 
@@ -151,8 +139,8 @@ class _Walker:
                 return got
             self.listings += 1
             pairs = ((f, piece(f)) for f in self.fillings(k, R))
-            if self.streams(k, R):
-                return pairs
+            if k:
+                return self.kept(table, R, pairs, k)
             got = list(pairs)
             self.keep(table, R, got, 1 + len(got))
             return got

@@ -3,19 +3,19 @@
 write_perms walks the first n-2 slabs depth first, in the order of the
 value tuples, and at each slab tries only the fillings of its residual
 support (slabs, states and fillings as in hdperm.counting, whose walker
-lists them). Listings of small residual supports are kept per call and
-reused by every prefix that leaves the same residual; large ones run lazily
-and are not kept, so a short --limit never waits for a whole slab. The last
-slab is forced (every axis-0 line then misses one value), so the last two
-slabs depend only on the state after the first n-2: each call keeps a memo
-from that state to the texts of its completions, under the walker's rule
-(_Walker.streams): where the listing of slab n-2's residual would stream,
-the tails stream too and are not kept. The walk, _blocks, hands out one
-block per prefix that reaches slab n-2, the prefix's text, formatted once,
-and the memo's tails, or one block per tail where they stream. On a
-support of d >= 2 that is not full it prunes with the live tables of
-_live, read from the two passes per_d joins: a prefix whose state is not
-in them has no completion. Only the CLI's enumerate loads this module.
+lists them). The listing of a residual of more than one cell runs lazily,
+so a short --limit never waits for a whole slab, and is kept per call, for
+every prefix that leaves the same residual, once it ends within the
+walker's budget, counted in machine words. The last slab is forced (every
+axis-0 line then misses one value), so the last two slabs depend only on
+the state after the first n-2: each call keeps a memo from that state to
+the texts of its completions, listed and kept by the same rule. The walk,
+_blocks, hands out one block per tail while a memo entry is listed, and
+one block per prefix that finds its entry kept: the prefix's text,
+formatted once, and the entry's tails. On a support of d >= 2 that is not
+full it prunes with the live tables of _live, read from the two passes
+per_d joins: a prefix whose state is not in them has no completion. Only
+the CLI's enumerate loads this module.
 """
 
 from hdperm.core import SupportArray, rows_text
@@ -88,9 +88,10 @@ def _live(a: SupportArray) -> list | None:
 
 def _blocks(a: SupportArray, stats: dict | None = None, limit: int | None = None):
     """(head, tails) for every prefix of slabs 0..n-3 of a that has a
-    completion, or (head, [tail]) for each of its tails where they stream,
-    in the order of the value tuples; a tensor is head + tail for each
-    tail, and the blocks list every tensor of a once. With a
+    completion, in the order of the value tuples: one block of all its
+    tails where the memo holds them, else one block (head, [tail]) per tail
+    as the memo entry is listed (_Walker.kept). A tensor is head + tail for
+    each tail, and the blocks list every tensor of a once. With a
     limit, which must be positive, they list the first limit tensors: the
     last block is cut short and the walk ends there.
 
@@ -164,18 +165,13 @@ def _blocks(a: SupportArray, stats: dict | None = None, limit: int | None = None
             tails = get(S)
             if tails is None:
                 entries += 1
-                if walker.streams(d - 1, parts[mid] & ~S):
-                    # one block per tail, as it is listed, and none kept
-                    for t in completions(S):
-                        yield h, [t]
-                        if limit is not None:
-                            limit -= 1
-                            if not limit:
-                                return
-                    continue
-                tails = list(completions(S))
-                walker.keep(memo, S, tails, 1 + len(tails))
-            if tails:
+                for t in walker.kept(memo, S, completions(S), d - 1):
+                    yield h, [t]
+                    if limit is not None:
+                        limit -= 1
+                        if not limit:
+                            return
+            elif tails:
                 if limit is not None:
                     if len(tails) >= limit:
                         yield h, tails[:limit]

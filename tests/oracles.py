@@ -14,7 +14,9 @@ table in chunks; f_exact evaluates f in rationals from its definition. The
 line validator is the cell-by-cell one it used before it sliced lines
 by stride. The shade histogram is the walk over all (n!)^d orderings that
 the package ran before it counted them in closed form, and shade_count is
-the N of one ordering, set by set from the definition of the shade.
+the N of one ordering, set by set from the definition of the shade. The
+block lift is built block by block, as the package built it before it read
+every cell's value in one pass.
 Nothing here imports from hdperm.counting, whose slab walk is the
 package's own reference; hdperm.core supplies the support type and the
 validator's record and error, and the validator lists its lines itself.
@@ -292,6 +294,21 @@ def line_repeats_cells(values, shape: Shape) -> tuple:
                 if cnt > 1:
                     violations.append(Violation(direction, fixed, v))
     return tuple(violations)
+
+
+def block_lift_values(shape: Shape, bits) -> tuple:
+    """The values of constructions.block_lift(shape, bits), block by block:
+    the block at base cell b, its base value j = (b_1 + ... + b_d) mod n/2,
+    holds j + (n/2) * ((eps_1 + ... + eps_d + bits[b]) mod 2) at offset eps.
+    The order n is even and bits has one 0 or 1 per block."""
+    d, half = shape.d, shape.n // 2
+    values = [0] * shape.ncells
+    for bcoords, bit in zip(product(range(half), repeat=d), bits):
+        j = sum(bcoords) % half
+        for eps in product(range(2), repeat=d):
+            coords = tuple(2 * bc + e for bc, e in zip(bcoords, eps))
+            values[shape.rank(coords)] = j + half * ((sum(eps) + bit) % 2)
+    return tuple(values)
 
 
 def ordering_histogram(q) -> dict:

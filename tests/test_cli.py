@@ -114,6 +114,13 @@ CASES = [
          sha256="98fbe90b86579853cdd8fb448ab70db157eda3588648ca0b9bba5b4df6137826"),
     Case("enumerate --d 3 --n 4 --limit 17",
          sha256="0fabf9b491b1a5eeb9b54b8215b93fbe3c140138ae358d8bc04e006a84ca6ac9"),
+    # full d=3 n=4 replays the memo entries kept within the walker's
+    # budget; d=3 n=8 writes its first tensor before slab 6's tails are all
+    # listed
+    Case("enumerate --d 3 --n 4",
+         sha256="d4ee41953183e599c47d9d957c5585487ee6126ee4456adf49394de5c9778536"),
+    Case("enumerate --d 3 --n 8 --limit 1",
+         sha256="af35d9af462b13b03ad72009b89945b84f1effe4a2d02848be7452abd466caca", process=True),
     Case("enumerate --d 2 --n 5 --limit 1001",
          sha256="9d1e167f7a3ef4faf6870a136122359d72fd0db63fbb6d007a9602df25356cb2"),
     Case("enumerate --d 2 --n 5",

@@ -7,6 +7,8 @@ from hdperm.constructions import block_count, block_lift, modular_perm, random_b
 from hdperm.core import Shape, all_ones_support, line_repeats
 from hdperm.counting import per_d
 
+from oracles import block_lift_values
+
 
 def test_modular_is_valid():
     for d in range(1, 5):
@@ -87,6 +89,18 @@ def test_lifts_valid_d1_and_d3():
     for seed in range(100):
         p = block_lift(s, random_bits(s, seed=seed))
         assert not line_repeats(p.values, s)
+
+
+def test_block_lift_matches_the_block_by_block_oracle():
+    # every d <= 3 and even n <= 6, with all-zero, all-one and drawn bits
+    for d in (1, 2, 3):
+        for n in (2, 4, 6):
+            s = Shape(d, n)
+            blocks = (n // 2) ** d
+            arrangements = [(0,) * blocks, (1,) * blocks]
+            arrangements += [random_bits(s, seed=seed) for seed in range(5)]
+            for bits in arrangements:
+                assert block_lift(s, bits).values == block_lift_values(s, bits), (d, n, bits)
 
 
 def test_block_cell_values_come_from_its_pair():

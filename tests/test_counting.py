@@ -4,7 +4,7 @@ import math
 import random
 import time
 from contextlib import redirect_stdout
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -532,7 +532,7 @@ def test_live_sets_give_up_before_listing(monkeypatch):
     assert next(tensors(a)).values[:6] == (0, 1, 2, 3, 4, 5)
     assert len(listed) <= 2
     # nor does the walk list a whole slab before the first tensor: a slab
-    # residual too large to keep is listed lazily, filling by filling
+    # residual is listed lazily, filling by filling
     listed.clear()
     made = []
     fillings = counting._Walker.fillings
@@ -607,6 +607,12 @@ def test_enumerate_reports_work_counters():
     assert len(texts(all_ones_support(Shape(2, 5)), stats=stats)) == 161280
     assert stats == {"prefixes": 66240, "listings": 4299, "memo_entries": 2040,
                      "replays": 64200, "live_prunes": 0}
+    # full d=3 n=4: 19,008 prefixes reach slab 2, and 10,530 of them replay
+    # a memo entry kept within the budget
+    stats = {}
+    assert len(texts(all_ones_support(Shape(3, 4)), stats=stats)) == 55296
+    assert stats == {"prefixes": 19008, "listings": 12465, "memo_entries": 8478,
+                     "replays": 10530, "live_prunes": 0}
     # a planted d=2 n=6 support: the live sets cut 1,832 prefixes before
     # slab 4, and 101 of the 220 that reach it replay a memo entry
     a = SupportArray(Shape(2, 6), PLANTED_D2N6)
@@ -621,16 +627,16 @@ def test_enumerate_reports_work_counters():
     assert 0 < stats["prefixes"] < PLANTED_D2N6_STATS["prefixes"]
 
 
-def test_enumerate_streams_the_tails_the_walker_would_stream(monkeypatch):
-    # full d=3 n=8: slab 6's residual leaves 2 values a cell, 2^64 > _MEMO_MAX
-    # candidate fillings, so the first prefix's tails stream as they are
-    # listed, not after all 65,536 of them, and the walk stops at the first
+def test_enumerate_writes_a_memo_entry_as_it_is_listed(monkeypatch):
+    # full d=3 n=8: slab 6's residual leaves 2 values a cell, and the first
+    # prefix's tails come one by one as they are listed, not after all
+    # 65,536 of them, so the walk stops at the first
     stats = {}
     assert len(texts(all_ones_support(Shape(3, 8)), limit=1, stats=stats)) == 1
-    assert stats == {"prefixes": 1, "listings": 201, "memo_entries": 1, "replays": 0,
+    assert stats == {"prefixes": 1, "listings": 166, "memo_entries": 1, "replays": 0,
                      "live_prunes": 0}
-    # d=3 n=4 streams them too, at its limits as in full; with _MEMO_MAX = 1
-    # so does every memo entry of d=2
+    # d=3 n=4 writes them the same way, at its limits as in full; with
+    # _MEMO_MAX = 1 no memo entry of d=2 is kept
     a = all_ones_support(Shape(3, 4))
     stream = texts(a)
     assert len(stream) == per_d(a)
@@ -663,20 +669,52 @@ def test_walk_tables_stay_within_budget(monkeypatch):
         assert cap // 2 < max(worst) <= cap
 
 
-def test_walker_streams_exactly_the_listings_past_its_budget():
-    # a listing is kept when some cell is empty or the cell sizes multiply
-    # to under the budget, wherever an empty cell lies: also after the
-    # first cells alone pass it
+def test_walker_keeps_exactly_the_listings_that_end_within_its_budget(monkeypatch):
+    # a listing of k >= 1 comes back as a list on its next request exactly
+    # when its first run reached the end and its weight times (1 + entries)
+    # is within the budget; any other is listed again. A one-cell listing
+    # is a list at once.
     rng = random.Random(8)
-    listing = counting._Walker(3).lister(3, lambda f: f)  # 27 cells of 3 bits
-    rs = [sum(7 << 3 * i for i in range(11))]  # 3^11 > 2^16, then 16 empty cells
-    for _ in range(300):
-        cells = rng.choices([0, 1, 2, 3, 5, 7], weights=[1, 60, 15, 15, 15, 30], k=27)
-        rs.append(sum(mask << 3 * i for i, mask in enumerate(cells)))
-    for R in rs:
-        sizes = [(R >> 3 * i & 7).bit_count() for i in range(27)]
-        kept = 0 in sizes or math.prod(sizes) < counting._MEMO_MAX
-        assert isinstance(listing(R), list) == kept, sizes
+    seen = set()
+    for cap in (13, 25, counting._MEMO_MAX):
+        monkeypatch.setattr(counting, "_MEMO_MAX", cap)
+        for _ in range(60):
+            k = rng.randint(0, 4)
+            cells = rng.choices([7, 3, 5, 6, 1], weights=[40, 1, 1, 1, 1], k=3**k)
+            R = counting._pack(cells, 3)
+            walker = counting._Walker(3)
+            listing = walker.lister(k, lambda f: f)
+            first = listing(R)
+            if k == 0:
+                assert isinstance(first, list) and listing(R) is first
+                continue
+            assert not isinstance(first, list)
+            cut = rng.choice([1, 3, None])  # take so many pairs, then close
+            pairs = list(islice(first, cut))
+            ended = cut is None or len(pairs) < cut
+            first.close()
+            kept = ended and max(1, 3 ** (k + 1) // 64) * (1 + len(pairs)) <= cap
+            listings = walker.listings
+            again = listing(R)
+            assert isinstance(again, list) == kept
+            assert walker.listings == listings + (not kept)
+            if kept:
+                assert again == pairs
+            else:
+                assert list(again)[: len(pairs)] == pairs
+            seen.add((ended, kept))
+    assert seen == {(False, False), (True, False), (True, True)}
+    # n = 3 from n^(k+1) >= 128: a kept listing is charged its fillings'
+    # words, n^(k+1) // 64 each, and one more for its entry, once the
+    # inner listings it reads are kept
+    walker = counting._Walker(3)
+    for k, weight, entries in ((4, 3, 48), (5, 11, 96)):
+        R = (1 << 3 ** (k + 1)) - 1
+        for _ in range(2):  # the first run keeps the inner listings
+            stored = walker.stored
+            pairs = list(walker.lister(k, lambda f: f)(R))
+        assert len(pairs) == entries
+        assert walker.stored - stored == weight * (1 + entries)
 
 
 def serialized(a, limit=None):
