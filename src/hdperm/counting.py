@@ -35,8 +35,7 @@ from math import prod
 
 from hdperm.core import Shape, SupportArray
 
-# the machine words one walker keeps in its tables together (for the
-# enumerator: its listings, text cache and memo)
+# one walker's budget for all its tables, in estimated machine words
 _MEMO_MAX = 1 << 16
 
 
@@ -76,10 +75,9 @@ def _pack(masks, n: int) -> int:
 class _Walker:
     """The slab walk for supports of order n, and the tables one call keeps.
 
-    A listing of k >= 1 dimensions, and a memo entry of the enumerator, runs
-    lazily and is kept once it ends within the budget of _MEMO_MAX words
-    (kept) that all its tables share: once they would pass it, all are
-    emptied, so an endless stream runs in flat memory, however wide.
+    Every listing and memo entry is kept once it ends within _MEMO_MAX
+    estimated words (kept), a budget all the tables share: once they would
+    pass it, all are emptied. One that could pass it runs lazily.
     """
 
     def __init__(self, n: int):
@@ -97,8 +95,8 @@ class _Walker:
         return table
 
     def keep(self, table: dict, key, value, size: int) -> None:
-        """table[key] = value, value counting size words; a value larger
-        than the whole budget is not kept."""
+        """table[key] = value, value counting size estimated words; a value
+        larger than the whole budget is not kept."""
         if size > self.cap:
             return
         self.stored += size
@@ -109,12 +107,21 @@ class _Walker:
         table[key] = value
 
     def kept(self, table: dict, key, items, k: int):
-        """The iterator items, one by one; once it ends, its items are kept
-        in table under key if they fit the budget, each charged the machine
-        words of a k-dimensional filling, n^(k+1) bits (at least 1), and the
-        entry one more. A run cut short, or past the budget, keeps nothing."""
+        """items, kept in table under key once the run ends within the budget,
+        each item charged a k-dimensional filling's n^(k+1) bits in 64-bit words
+        (at least 1), the entry one more. Where n^(n^k), the most a run can hold
+        (n values a cell), fits the budget, the run is a list made at once; else
+        it runs lazily, holds up to cap // weight items uncharged until it ends,
+        and keeps nothing if cut short or past the budget."""
         weight = max(1, self.n ** (k + 1) // 64)
         room = self.cap // weight - 1  # the most items a kept run holds
+        if self.n ** min(self.n**k, room.bit_length()) > room:
+            return self._run(table, key, items, weight, room)
+        got = list(items)
+        self.keep(table, key, got, weight * (1 + len(got)))
+        return got
+
+    def _run(self, table: dict, key, items, weight: int, room: int):
         got = []
         for item in islice(items, room + 1):
             yield item
@@ -128,8 +135,7 @@ class _Walker:
     def lister(self, k: int, piece):
         """listing(R): the (f, piece(f)) pairs of the k-dimensional
         permutations f inside the packed support R, in the order of their
-        value tuples: for one cell (k = 0, at most n pairs) a list, kept at
-        once, else run lazily, for a caller that stops early, and kept."""
+        value tuples, listed and kept per R by kept."""
         table = self.table()
         get = table.get
 
@@ -138,12 +144,7 @@ class _Walker:
             if got is not None:
                 return got
             self.listings += 1
-            pairs = ((f, piece(f)) for f in self.fillings(k, R))
-            if k:
-                return self.kept(table, R, pairs, k)
-            got = list(pairs)
-            self.keep(table, R, got, 1 + len(got))
-            return got
+            return self.kept(table, R, ((f, piece(f)) for f in self.fillings(k, R)), k)
 
         return listing
 

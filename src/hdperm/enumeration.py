@@ -3,19 +3,18 @@
 write_perms walks the first n-2 slabs depth first, in the order of the
 value tuples, and at each slab tries only the fillings of its residual
 support (slabs, states and fillings as in hdperm.counting, whose walker
-lists them). The listing of a residual of more than one cell runs lazily,
-so a short --limit never waits for a whole slab, and is kept per call, for
-every prefix that leaves the same residual, once it ends within the
-walker's budget, counted in machine words. The last slab is forced (every
-axis-0 line then misses one value), so the last two slabs depend only on
-the state after the first n-2: each call keeps a memo from that state to
-the texts of its completions, listed and kept by the same rule. The walk,
-_blocks, hands out one block per tail while a memo entry is listed, and
-one block per prefix that finds its entry kept: the prefix's text,
-formatted once, and the entry's tails. On a support of d >= 2 that is not
-full it prunes with the live tables of _live, read from the two passes
-per_d joins: a prefix whose state is not in them has no completion. Only
-the CLI's enumerate loads this module.
+lists them). A residual's listing is kept per call, for every prefix that
+leaves the same residual, once it ends within the walker's budget; one that
+could pass the budget runs lazily, so a short --limit never waits for a
+whole slab. The last slab is forced (every axis-0 line then misses one
+value), so the last two slabs depend only on the state after the first n-2:
+each call keeps a memo from that state to the texts of its completions,
+listed and kept by the same rule. The walk, _blocks, hands out one block
+per prefix whose entry is a list, the prefix's text, formatted once, and
+the entry's tails, and one block per tail while a lazy entry runs. On a
+support of d >= 2 that is not full it prunes with the live tables of _live,
+read from the two passes per_d joins: a prefix whose state is not in them
+has no completion. Only the CLI's enumerate loads this module.
 """
 
 from hdperm.core import SupportArray, rows_text
@@ -89,8 +88,8 @@ def _live(a: SupportArray) -> list | None:
 def _blocks(a: SupportArray, stats: dict | None = None, limit: int | None = None):
     """(head, tails) for every prefix of slabs 0..n-3 of a that has a
     completion, in the order of the value tuples: one block of all its
-    tails where the memo holds them, else one block (head, [tail]) per tail
-    as the memo entry is listed (_Walker.kept). A tensor is head + tail for
+    tails where its memo entry is a list (_Walker.kept), else one block
+    (head, [tail]) per tail as the entry runs. A tensor is head + tail for
     each tail, and the blocks list every tensor of a once. With a
     limit, which must be positive, they list the first limit tensors: the
     last block is cut short and the walk ends there.
@@ -165,13 +164,16 @@ def _blocks(a: SupportArray, stats: dict | None = None, limit: int | None = None
             tails = get(S)
             if tails is None:
                 entries += 1
-                for t in walker.kept(memo, S, completions(S), d - 1):
-                    yield h, [t]
-                    if limit is not None:
-                        limit -= 1
-                        if not limit:
-                            return
-            elif tails:
+                tails = walker.kept(memo, S, completions(S), d - 1)
+                if not isinstance(tails, list):  # a lazy run: a block per tail
+                    for t in tails:
+                        yield h, [t]
+                        if limit is not None:
+                            limit -= 1
+                            if not limit:
+                                return
+                    continue
+            if tails:
                 if limit is not None:
                     if len(tails) >= limit:
                         yield h, tails[:limit]

@@ -532,7 +532,7 @@ def test_live_sets_give_up_before_listing(monkeypatch):
     assert next(tensors(a)).values[:6] == (0, 1, 2, 3, 4, 5)
     assert len(listed) <= 2
     # nor does the walk list a whole slab before the first tensor: a slab
-    # residual is listed lazily, filling by filling
+    # residual that could pass the budget is listed lazily, filling by filling
     listed.clear()
     made = []
     fillings = counting._Walker.fillings
@@ -649,7 +649,7 @@ def test_enumerate_writes_a_memo_entry_as_it_is_listed(monkeypatch):
 
 def test_walk_tables_stay_within_budget(monkeypatch):
     # listings, texts and the memo count towards one budget of _MEMO_MAX
-    # entries, and are emptied together once they would pass it
+    # estimated words, and are emptied together once they would pass it
     worst = []
     keep = counting._Walker.keep
 
@@ -670,10 +670,11 @@ def test_walk_tables_stay_within_budget(monkeypatch):
 
 
 def test_walker_keeps_exactly_the_listings_that_end_within_its_budget(monkeypatch):
-    # a listing of k >= 1 comes back as a list on its next request exactly
-    # when its first run reached the end and its weight times (1 + entries)
-    # is within the budget; any other is listed again. A one-cell listing
-    # is a list at once.
+    # a listing of at most n^(n^k) fillings (n values a cell) that fit the
+    # budget is a list at once, kept; any other runs lazily and comes back
+    # as a list on its next request exactly when its first run reached the
+    # end and its weight times (1 + entries) is within the budget; else it
+    # is listed again. One-cell listings are lists at once.
     rng = random.Random(8)
     seen = set()
     for cap in (13, 25, counting._MEMO_MAX):
@@ -684,16 +685,18 @@ def test_walker_keeps_exactly_the_listings_that_end_within_its_budget(monkeypatc
             R = counting._pack(cells, 3)
             walker = counting._Walker(3)
             listing = walker.lister(k, lambda f: f)
+            weight = max(1, 3 ** (k + 1) // 64)
             first = listing(R)
-            if k == 0:
+            if 3 ** 3**k <= cap // weight - 1:
                 assert isinstance(first, list) and listing(R) is first
+                seen.add(k)
                 continue
             assert not isinstance(first, list)
             cut = rng.choice([1, 3, None])  # take so many pairs, then close
             pairs = list(islice(first, cut))
             ended = cut is None or len(pairs) < cut
             first.close()
-            kept = ended and max(1, 3 ** (k + 1) // 64) * (1 + len(pairs)) <= cap
+            kept = ended and weight * (1 + len(pairs)) <= cap
             listings = walker.listings
             again = listing(R)
             assert isinstance(again, list) == kept
@@ -703,7 +706,7 @@ def test_walker_keeps_exactly_the_listings_that_end_within_its_budget(monkeypatc
             else:
                 assert list(again)[: len(pairs)] == pairs
             seen.add((ended, kept))
-    assert seen == {(False, False), (True, False), (True, True)}
+    assert seen == {0, 1, 2, (False, False), (True, False), (True, True)}
     # n = 3 from n^(k+1) >= 128: a kept listing is charged its fillings'
     # words, n^(k+1) // 64 each, and one more for its entry, once the
     # inner listings it reads are kept
