@@ -96,7 +96,11 @@ def _file_or_shape(args, flag: str, parse):
         if args.d is not None or args.n is not None:
             raise ValueError(f"give --{flag} FILE or --d and --n, not both")
         with open(path, encoding="utf-8") as fh:
-            return parse(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"not UTF-8 text: {exc.reason}") from None
+        return parse(text)
     if args.d is None or args.n is None:
         raise ValueError(f"need --{flag} FILE or both --d and --n")
     return None

@@ -11,10 +11,11 @@ value), so the last two slabs depend only on the state after the first n-2:
 each call keeps a memo from that state to the texts of its completions,
 listed and kept by the same rule. The walk, _blocks, hands out one block
 per prefix whose entry is a list, the prefix's text, formatted once, and
-the entry's tails, and one block per tail while a lazy entry runs. On a
-support of d >= 2 that is not full it prunes with the live tables of _live,
-read from the two passes per_d joins: a prefix whose state is not in them
-has no completion. Only the CLI's enumerate loads this module.
+the entry's tails, and one block per tail while a lazy entry runs, until
+every tensor is listed: write_perms alone cuts the stream at a limit. On a
+support of d >= 2 that is not full the walk prunes with the live tables of
+_live, read from the two passes per_d joins: a prefix whose state is not in
+them has no completion. Only the CLI's enumerate loads this module.
 """
 
 from hdperm.core import SupportArray, rows_text
@@ -85,14 +86,13 @@ def _live(a: SupportArray) -> list | None:
     return [None] + [{full ^ T: c for T, c in table.items()} for table in comp[1:]]
 
 
-def _blocks(a: SupportArray, stats: dict | None = None, limit: int | None = None):
+def _blocks(a: SupportArray, stats: dict | None = None):
     """(head, tails) for every prefix of slabs 0..n-3 of a that has a
     completion, in the order of the value tuples: one block of all its
     tails where its memo entry is a list (_Walker.kept), else one block
     (head, [tail]) per tail as the entry runs. A tensor is head + tail for
-    each tail, and the blocks list every tensor of a once. With a
-    limit, which must be positive, they list the first limit tensors: the
-    last block is cut short and the walk ends there.
+    each tail, and the blocks list every tensor of a once, unless their
+    consumer closes the walk, as write_perms does at its limit.
 
     head is the header line plus the prefix rows and a tail the rows of the
     last two slabs, so head + tail is the tensor's serialize_perm text.
@@ -113,8 +113,6 @@ def _blocks(a: SupportArray, stats: dict | None = None, limit: int | None = None
     prefix), "listings" of residual supports made rather than read back
     (the walker's and the memo entries') and "live_prunes".
     """
-    if limit is not None and limit <= 0:
-        raise ValueError("limit must be positive")
     shape = a.shape
     d, n = shape.d, shape.n
     m = n ** (d - 1)  # cells per slab, one per axis-0 line
@@ -128,19 +126,15 @@ def _blocks(a: SupportArray, stats: dict | None = None, limit: int | None = None
                 yield head, ["0\n"]
             return
         if d == 1:
-            # the one row: a prefix value is followed by a space, the tail
-            # ends the line
+            # the one row: a value is followed by a space, the last value
+            # by the line's end
             def piece(f):
                 return f"{f.bit_length() - 1} "
 
-            def tail(f, forced):
-                return f"{f.bit_length() - 1} {forced.bit_length() - 1}\n"
+            def last(f):
+                return f"{f.bit_length() - 1}\n"
         else:
-            piece = _cached(walker, lambda f: rows_text(_values(f, m, n), n))
-
-            def tail(f, forced):
-                return piece(f) + piece(forced)
-
+            piece = last = _cached(walker, lambda f: rows_text(_values(f, m, n), n))
         top = walker.lister(d - 1, piece)
         masks = a.masks
         parts = [_pack(masks[i : i + m], n) for i in range(0, n * m, m)]
@@ -157,7 +151,7 @@ def _blocks(a: SupportArray, stats: dict | None = None, limit: int | None = None
             for f in walker.fillings(d - 1, parts[mid] & ~S):
                 forced = full ^ S ^ f
                 if not forced & forbid:
-                    yield tail(f, forced)
+                    yield piece(f) + last(forced)
 
         for h, S in walker.walk(parts, [top] * mid, head, live):
             prefixes += 1
@@ -168,17 +162,8 @@ def _blocks(a: SupportArray, stats: dict | None = None, limit: int | None = None
                 if not isinstance(tails, list):  # a lazy run: a block per tail
                     for t in tails:
                         yield h, [t]
-                        if limit is not None:
-                            limit -= 1
-                            if not limit:
-                                return
                     continue
             if tails:
-                if limit is not None:
-                    if len(tails) >= limit:
-                        yield h, tails[:limit]
-                        return
-                    limit -= len(tails)
                 yield h, tails
     finally:
         if stats is not None:
@@ -190,14 +175,24 @@ def _blocks(a: SupportArray, stats: dict | None = None, limit: int | None = None
 def write_perms(a: SupportArray, out, limit: int | None = None) -> None:
     """Write the supported permutations of a to out in the serialize_perm
     form, a blank line between two, sorted by the row-major value tuple:
-    all per_d(a) of them, or the first limit.
+    all per_d(a) of them, or the first limit, which must be positive.
 
     Each block of the walk goes out as H + ("\\n" + H).join(tails), H being
     its header and prefix text, and _WRITE_BLOCKS blocks make one write.
+    Only here is the stream cut: the block that reaches the limit is cut
+    there and the walk closed.
     """
+    if limit is not None and limit <= 0:
+        raise ValueError("limit must be positive")
     chunk = []
     sep = ""
-    for head, tails in _blocks(a, limit=limit):
+    blocks = _blocks(a)
+    for head, tails in blocks:
+        if limit is not None:
+            if len(tails) >= limit:
+                tails = tails[:limit]
+                blocks.close()  # the loop ends after this block
+            limit -= len(tails)
         chunk.append(head + ("\n" + head).join(tails))
         if len(chunk) == _WRITE_BLOCKS:
             out.write(sep + "\n".join(chunk))

@@ -47,7 +47,7 @@ def _planted(n, masks):
 
 
 # The input files of CASES: a word of a case's argv that is a key here
-# stands for a file holding its text, written under tmp_path.
+# stands for a file holding its text, or its bytes, written under tmp_path.
 FILES = {
     "FULL": '{"d": 2, "n": 4, "all_ones": true}',
     "HUGE": '{"d": 40, "n": 2, "all_ones": true}',  # past the cell cap
@@ -58,6 +58,9 @@ FILES = {
     "PERM": "2 3\n0 1 2\n1 2 0\n2 0 1\n",
     "REPEATS": "2 2\n0 1\n0 1\n",  # its columns repeat a value
     "BIG": "10000000 3\n0 1 2\n",  # its header is past the cell cap: 3^(10^7) cells
+    # not UTF-8: a support saved as Latin-1, a tensor as UTF-16 (bytes ff fe first)
+    "LATIN1": '{"d": 2, "n": 2, "all_ones": true, "note": "\u00e9"}'.encode("latin-1"),
+    "UTF16": "2 2\n0 1\n1 0\n".encode("utf-16"),
 }
 
 
@@ -131,6 +134,14 @@ CASES = [
          sha256="224f38ba18210413bfab87460d5a55bd1da04e51332e199a833ad25034f15d93"),
     Case("enumerate --d 2 --n 3 --limit 2",
          sha256="4d3f2cfc9d2c0498ac0ef934536548fdbd10c96f3c681219f213425bb8b02ff6"),
+    # the first Latin square of orders 13, 16 and 17: the first memo entry
+    # runs lazily and the limit cuts its first tail
+    Case("enumerate --d 2 --n 13 --limit 1",
+         sha256="2fbc05a667aced82e81f5d304310d1dcfcdca30e7e167a9d71caf3e1153677ab"),
+    Case("enumerate --d 2 --n 16 --limit 1",
+         sha256="2fbd99144266e901b567944ba639771088af5918ab4840a246c0cd83e30a4b6d"),
+    Case("enumerate --d 2 --n 17 --limit 1",
+         sha256="e5564e18e08d38b44bb4edcb99256b408cc5a48a75129880f9735028c2dbf58e"),
     # shade, pinned while it walked all (n!)^d orderings, before the closed
     # form replaced the walk
     Case("shade exact --d 2 --n 3 --r 3 --seed 7",
@@ -210,6 +221,9 @@ CASES = [
     Case("construct block --d 2 --n 3", 1, error=("domain", "...block construction needs even n")),
     Case("count --support /no/such/file.json", 1, error=("io", "...No such file or directory")),
     Case("count --support HALF", 1, error=("format", "...missing field")),
+    Case("count --support LATIN1", 1, error=("format", "not UTF-8 text: invalid continuation byte")),
+    Case("shade exact --perm UTF16", 1, error=("format", "not UTF-8 text: invalid start byte"),
+         process=True),
     Case("shade exact --perm /dev/null", 1, error=("format", "...header must carry two integers"),
          process=True),
     Case("shade exact --perm REPEATS", 1, error=("format", "...line constraints violated"),
@@ -351,7 +365,11 @@ def _argv(case, tmp_path):
     files = {}
     for name in FILES.keys() & set(words):
         path = tmp_path / name
-        path.write_text(FILES[name])
+        data = FILES[name]
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+        else:
+            path.write_text(data)
         files[name] = str(path)
     return [files.get(word, word) for word in words], files
 

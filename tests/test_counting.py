@@ -3,7 +3,7 @@ import json
 import math
 import random
 import time
-from contextlib import redirect_stdout
+from contextlib import closing, redirect_stdout
 from itertools import islice, product
 
 import pytest
@@ -58,22 +58,25 @@ PLANTED_D2N6_STATS = {"prefixes": 220, "listings": 561, "memo_entries": 119,
                       "replays": 101, "live_prunes": 1832}
 
 
+def streamed(a, limit=None, stats=None):
+    """The texts of the enumerator's stream, read lazily from its blocks
+    (enumeration._blocks): all of them, or the first limit, after which the
+    walk is closed, so that stats counts the work write_perms would do."""
+    blocks = enumeration._blocks(a, stats)
+    with closing(blocks):
+        yield from islice((head + tail for head, tails in blocks for tail in tails), limit)
+
+
 def tensors(a, limit=None, stats=None):
-    """The enumerator's stream as PermTensors, read lazily from its text
-    blocks (enumeration._blocks)."""
-    blocks = enumeration._blocks(a, stats, limit)
-    try:
-        for head, tails in blocks:
-            for tail in tails:
-                yield PermTensor(a.shape, tuple(map(int, (head + tail).split()[2:])))
-    finally:
-        blocks.close()
+    """The enumerator's stream as PermTensors, read lazily (streamed)."""
+    for text in streamed(a, limit, stats):
+        yield PermTensor(a.shape, tuple(map(int, text.split()[2:])))
 
 
 def texts(a, limit=None, stats=None):
     """The enumerator's stream as a list of tensor texts: comparing them is
     as strict as comparing value tuples, and skips parsing each tensor."""
-    return [head + tail for head, tails in enumeration._blocks(a, stats, limit) for tail in tails]
+    return list(streamed(a, limit, stats))
 
 
 def walked(a):
@@ -372,8 +375,12 @@ def test_enumerate_matches_count_and_validates():
 def test_enumerate_limit():
     a = all_ones_support(Shape(2, 4))
     assert len(list(tensors(a, limit=10))) == 10
-    with pytest.raises(ValueError):
-        list(tensors(a, limit=0))
+    # write_perms, which cuts the stream, refuses a limit below 1
+    out = io.StringIO()
+    for limit in (0, -1):
+        with pytest.raises(ValueError):
+            write_perms(a, out, limit)
+    assert out.getvalue() == ""
 
 
 @settings(max_examples=100, deadline=None)
@@ -747,8 +754,23 @@ def test_write_perms_matches_serialize_perm(monkeypatch):
     for limit in (1, 2, 3, 5, 575, 576, 577):
         assert written(a, limit) == serialized(a, limit)
     assert written(SupportArray(Shape(2, 3), (0,) * 9)) == ""
-    with pytest.raises(ValueError):
-        written(a, 0)
+
+
+def test_write_perms_closes_the_walk_at_its_limit(monkeypatch):
+    # write_perms cuts the block that reaches its limit and closes the walk
+    # there, so the walk's counters are those of the stream's first limit
+    # tensors: a cut inside a lazy entry's run (d=3 n=8), inside kept
+    # blocks, after the live tables prune, and on d = 1
+    blocks = enumeration._blocks
+    cases = [(all_ones_support(Shape(3, 8)), 1), (all_ones_support(Shape(2, 5)), 1001),
+             (SupportArray(Shape(2, 6), PLANTED_D2N6), 1), (all_ones_support(Shape(1, 6)), 7)]
+    for a, limit in cases:
+        want, got = {}, {}
+        first = texts(a, limit, want)
+        monkeypatch.setattr(enumeration, "_blocks", lambda a: blocks(a, got))
+        assert written(a, limit) == "\n".join(first)
+        monkeypatch.setattr(enumeration, "_blocks", blocks)
+        assert got == want, (a.shape, limit)
 
 
 @settings(max_examples=100, deadline=None)
