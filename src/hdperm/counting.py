@@ -322,15 +322,9 @@ def per_d(
 
     stats, when given, receives its work record: "algorithm" ("meet"),
     "states", the distinct states after each forward slab 0..h-1, and
-    "states_back", the same after each backward slab n-1..h. backend
-    names a kernels backend: "python", the one there is, counts the same
-    way, and any other raises RuntimeError. threads is accepted and
-    ignored; it never changed the result.
+    "states_back", the same after each backward slab n-1..h. threads and
+    backend are accepted and unused: only the benchmark's probes pass them.
     """
-    if backend is not None:
-        from hdperm import kernels
-
-        kernels.get(backend)
     _, back, fwd = _meet(_fill_lister(a), a)
     full = (1 << a.shape.n ** a.shape.d) - 1
     get = back[-1].get

@@ -645,21 +645,22 @@ def test_counting_subcommands_do_not_import_numpy(tmp_path):
 
 def test_counting_never_loads_the_enumerator():
     # the counter has one path, the slab DP: neither importing it, nor a
-    # count through any backend name it takes, nor the count subcommand
-    # loads the enumerator
+    # count that passes the benchmark's backend name, nor the count
+    # subcommand loads the enumerator or the benchmark's hdperm.kernels
     script = textwrap.dedent(
         """
         import sys
         from hdperm.core import Shape, all_ones_support
         from hdperm.counting import per_d
 
-        assert "hdperm.enumeration" not in sys.modules
+        unloaded = ("hdperm.enumeration", "hdperm.kernels")
+        assert not any(name in sys.modules for name in unloaded)
         a = all_ones_support(Shape(2, 4))
         assert per_d(a) == per_d(a, backend="python") == 576
         import hdperm.cli
 
         assert hdperm.cli.run(["count", "--d", "3", "--n", "3", "--threads", "2"]) == 0
-        assert "hdperm.enumeration" not in sys.modules
+        assert not any(name in sys.modules for name in unloaded)
         """
     )
     proc = _fresh_python(script)

@@ -301,10 +301,33 @@ def drawn_supports(draw, max_n=MAX_N):
 def test_slab_dp_matches_dfs_property(a, data):
     c = per_d(a)
     assert c == walked(a)
+    # any conjugate keeps the count: transpositions of the d+1 directions
+    # generate all (d+1)! of them, each a product of at most d
     axes = range(a.shape.d + 1)
     pairs = [(i, j) for i in axes for j in axes if i < j]
-    axis_a, axis_b = data.draw(st.sampled_from(pairs), label="axes")
-    assert per_d(transpose_support(a, axis_a, axis_b)) == c
+    drawn = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=a.shape.d),
+                      label="transpositions")
+    for axis_a, axis_b in drawn:
+        a = transpose_support(a, axis_a, axis_b)
+    assert per_d(a) == c
+
+
+@pytest.mark.parametrize("d, n_max, stream", [
+    (1, 7, True), (2, 5, True), (3, 4, True), (4, 3, False), (5, 3, False),
+])
+def test_full_support_less_one_entry_holds_n_minus_1_in_n(d, n_max, stream):
+    # relabelling values maps a full support to itself, so each value of a
+    # cell is in N/n of its N permutations: one entry fewer leaves N(n-1)/n
+    rng = random.Random(d)
+    for n in range(1, n_max + 1):
+        full = all_ones_support(Shape(d, n))
+        want, rest = divmod(per_d(full) * (n - 1), n)
+        assert rest == 0
+        for rank in rng.sample(range(n**d), min(3, n**d)):
+            a = with_cell(full, rank, full.masks[rank] ^ 1 << rng.randrange(n))
+            assert per_d(a) == want
+            if stream:
+                assert walked(a) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -797,10 +820,12 @@ def test_backend_name_is_exposed():
 
 
 def test_backend_is_checked_but_selects_nothing():
-    # the one backend counts as the default does; any other name is refused
+    # per_d takes backend and threads for the benchmark's probes and reads
+    # neither: the count and its work record are those of the default call;
+    # kernels.get alone refuses an unknown name (test_backend_name_is_exposed)
     for a in (all_ones_support(Shape(2, 5)), planted_d2_support(random.Random(1), 5, 3.0)):
-        stats, python_stats = {}, {}
-        assert per_d(a, backend="python", stats=python_stats) == per_d(a, stats=stats)
-        assert python_stats == stats
-    with pytest.raises(RuntimeError):
-        per_d(all_ones_support(Shape(2, 3)), backend="cython")
+        stats, python_stats, split_stats = {}, {}, {}
+        want = per_d(a, stats=stats)
+        assert per_d(a, backend="python", stats=python_stats) == want
+        assert per_d(a, threads=2, stats=split_stats) == want
+        assert python_stats == split_stats == stats
