@@ -17,11 +17,12 @@ it. Every line takes each value once, so a state S after slabs 0..t-1 has
 a completion exactly when full ^ S is a state the pass over slabs n-1..t
 reaches. _meet runs the two passes per_d joins, one pass where the
 support reads the same slab by slab from either end, and the count is the
-sum of F[S] * B[full ^ S]. One walker per call (_fill_lister) lists slab
-fillings once per distinct tuple of slab cell masks, and refuses, under a
-cap, a slab too large to list; the work grows with the number of distinct
-states, not with the count. Counts are exact Python ints, and the result
-and the per-slab state counts are deterministic.
+sum of F[S] * B[full ^ S]. Every pass steps through one _stepper, whose
+walker lists slab fillings once per distinct tuple of slab cell masks, and
+which, under the one cap it is given, refuses a slab too large to list or
+step; the work grows with the number of distinct states, not with the
+count. Counts are exact Python ints, and the result and the per-slab state
+counts are deterministic.
 
 The enumerator, write_perms, walks the same slabs with the same walker
 (_Walker) and prunes with tables read from the same two passes; this module
@@ -82,7 +83,6 @@ class _Walker:
 
     def __init__(self, n: int):
         self.n = n
-        self.cap = _MEMO_MAX
         self.tables = []
         self.stored = 0
         self.listings = 0  # residual listings made rather than read back
@@ -95,12 +95,10 @@ class _Walker:
         return table
 
     def keep(self, table: dict, key, value, size: int) -> None:
-        """table[key] = value, value counting size estimated words; a value
-        larger than the whole budget is not kept."""
-        if size > self.cap:
-            return
+        """table[key] = value, value counting size estimated words, at most
+        _MEMO_MAX (kept and _cached charge no more)."""
         self.stored += size
-        if self.stored > self.cap:
+        if self.stored > _MEMO_MAX:
             for t in self.tables:
                 t.clear()
             self.stored = size
@@ -111,10 +109,10 @@ class _Walker:
         each item charged a k-dimensional filling's n^(k+1) bits in 64-bit words
         (at least 1), the entry one more. Where n^(n^k), the most a run can hold
         (n values a cell), fits the budget, the run is a list made at once; else
-        it runs lazily, holds up to cap // weight items uncharged until it ends,
-        and keeps nothing if cut short or past the budget."""
+        it runs lazily, holds up to _MEMO_MAX // weight items uncharged until it
+        ends, and keeps nothing if cut short or past the budget."""
         weight = max(1, self.n ** (k + 1) // 64)
-        room = self.cap // weight - 1  # the most items a kept run holds
+        room = _MEMO_MAX // weight - 1  # the most items a kept run holds
         if self.n ** min(self.n**k, room.bit_length()) > room:
             return self._run(table, key, items, weight, room)
         got = list(items)
@@ -149,13 +147,14 @@ class _Walker:
         return listing
 
     def sublisters(self, k: int) -> list:
-        """One lister per slab position t of a (k+1)-dimensional walk, its
-        pieces the fillings shifted into place."""
+        """One lister per slab position t = 0..n-2 of a (k+1)-dimensional
+        walk, its pieces the fillings shifted into place; slab n-1 is
+        forced, so it needs none."""
         found = self._sublisters.get(k)
         if found is None:
             w = self.n ** (k + 1)
             found = self._sublisters[k] = [
-                self.lister(k, lambda f, shift=t * w: f << shift) for t in range(self.n)
+                self.lister(k, lambda f, shift=t * w: f << shift) for t in range(self.n - 1)
             ]
         return found
 
@@ -224,36 +223,36 @@ class _Walker:
                 s -= 1
 
 
-def _fill_lister(a: SupportArray):
-    """fills(s, cap=None): the fillings slab s of a admits, as states (slab
-    cell p's value v sets bit p*n + v), listed by one walker once per
-    distinct tuple of cell masks: slabs with equal masks share one list, and
-    all slabs share the walker's inner listings (a row's cells, a square's
-    rows). With a cap, fills returns None, before listing, for a new slab
-    whose cell sizes multiply to more than cap."""
+def _stepper(a: SupportArray, cap: int | None = None):
+    """step(dp, s): dp stepped by slab s of a (_step). The slab's fillings,
+    as states (slab cell p's value v sets bit p*n + v), are listed by one
+    walker once per distinct tuple of cell masks: slabs with equal masks
+    share one list, and all slabs share the walker's inner listings (a
+    row's cells, a square's rows). With a cap, step returns None, before
+    listing a new slab whose cell sizes multiply to more than cap, or
+    before a step that would pair more than cap states and fillings."""
     d, n = a.shape.d, a.shape.n
     m = n ** (d - 1)
     walker = _Walker(n)
     listed = {}
 
-    def fills(s: int, cap: int | None = None) -> list | None:
+    def step(dp: dict, s: int) -> dict | None:
         cells = a.masks[s * m : (s + 1) * m]
-        found = listed.get(cells)
-        if found is None:
+        fills = listed.get(cells)
+        if fills is None:
             if cap is not None and prod(map(int.bit_count, cells)) > cap:
                 return None
-            found = listed[cells] = list(walker.fillings(d - 1, _pack(cells, n)))
-        return found
+            fills = listed[cells] = list(walker.fillings(d - 1, _pack(cells, n)))
+        if cap is not None and len(dp) * len(fills) > cap:
+            return None
+        return _step(dp, fills)
 
-    return fills
+    return step
 
 
-def _step(dp: dict, fills: list, cap: int | None = None) -> dict | None:
+def _step(dp: dict, fills: list) -> dict:
     """One slab of the DP: every state extended by every filling it shares no
-    bit with, the ways to reach each new state summed; None, before any
-    work, when that is more than cap state-filling pairs."""
-    if cap is not None and len(dp) * len(fills) > cap:
-        return None
+    bit with, the ways to reach each new state summed."""
     nxt = {}
     get = nxt.get
     for state, c in dp.items():
@@ -264,32 +263,30 @@ def _step(dp: dict, fills: list, cap: int | None = None) -> dict | None:
     return nxt
 
 
-def _pass(fills, order, cap: int | None = None) -> list:
-    """The slab DP over the slabs order lists, fills(s, cap) listing slab
-    s: tables[j] maps each state the first j of them reach to its ways.
+def _pass(step, order) -> list:
+    """The slab DP over the slabs order lists, step a _stepper: tables[j]
+    maps each state the first j of them reach to its ways.
 
     A state packs the values used on every axis-0 line into one int, n bits
     per line, lines in the row-major order of the slab's cells.
 
-    With a cap, the pass stops, and returns the tables it has, where fills
-    refuses a slab or a step would pair more than cap states and fillings,
-    so the tables stay small.
+    The pass stops, and returns the tables it has, where step refuses a
+    slab (past its cap), so the tables stay small.
     """
     tables = [{0: 1}]
     for s in order:
-        slab = fills(s, cap)
-        nxt = None if slab is None else _step(tables[-1], slab, cap)
+        nxt = step(tables[-1], s)
         if nxt is None:
             break  # refused before listing or stepping
         tables.append(nxt)
     return tables
 
 
-def _meet(fills, a: SupportArray, cap: int | None = None):
+def _meet(step, a: SupportArray):
     """(h, back, fwd), the two passes per_d joins for the support a, h =
     n // 2: back over slabs n-1..h and fwd over slabs 0..h-1. back, n - h
-    >= h slabs long, runs first, so with a cap it meets the cap sooner; None
-    where the cap cuts either pass short.
+    >= h slabs long, runs first, so under a cap it meets the cap sooner;
+    None where step's cap cuts either pass short.
 
     A table after a set of slabs depends only on the slabs' mask tuples.
     Where slab j has the masks of slab n-1-j for every j (every full
@@ -302,10 +299,10 @@ def _meet(fills, a: SupportArray, cap: int | None = None):
     m = len(a.masks) // n
     slabs = [a.masks[i : i + m] for i in range(0, n * m, m)]
     mirrored = slabs == slabs[::-1]
-    back = _pass(fills, range(n - h) if mirrored else range(n - 1, h - 1, -1), cap)
+    back = _pass(step, range(n - h) if mirrored else range(n - 1, h - 1, -1))
     if len(back) <= n - h:
         return None
-    fwd = back[: h + 1] if mirrored else _pass(fills, range(h), cap)
+    fwd = back[: h + 1] if mirrored else _pass(step, range(h))
     if len(fwd) <= h:
         return None
     return h, back, fwd
@@ -325,7 +322,7 @@ def per_d(
     "states_back", the same after each backward slab n-1..h. threads and
     backend are accepted and unused: only the benchmark's probes pass them.
     """
-    _, back, fwd = _meet(_fill_lister(a), a)
+    _, back, fwd = _meet(_stepper(a), a)
     full = (1 << a.shape.n ** a.shape.d) - 1
     get = back[-1].get
     count = sum(c * get(full ^ state, 0) for state, c in fwd[-1].items())

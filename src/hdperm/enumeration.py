@@ -13,13 +13,14 @@ listed and kept by the same rule. The walk, _blocks, hands out one block
 per prefix whose entry is a list, the prefix's text, formatted once, and
 the entry's tails, and one block per tail while a lazy entry runs, until
 every tensor is listed: write_perms alone cuts the stream at a limit. On a
-support of d >= 2 that is not full the walk prunes with the live tables of
-_live, read from the two passes per_d joins: a prefix whose state is not in
-them has no completion. Only the CLI's enumerate loads this module.
+support where _live builds them, the walk prunes with its live tables,
+read from the two passes per_d joins, stepped under _LIVE_MAX: a prefix
+whose state is not in them has no completion. Only the CLI's enumerate
+loads this module.
 """
 
 from hdperm.core import SupportArray, rows_text
-from hdperm.counting import _fill_lister, _meet, _pack, _step, _Walker
+from hdperm.counting import _meet, _pack, _stepper, _Walker
 
 # the most value tuples or state-filling pairs the passes behind the
 # enumerator's live tables may list or step
@@ -62,24 +63,29 @@ def _live(a: SupportArray) -> list | None:
     kept if full ^ T is in fwd[t], since full ^ (S ^ f) = (full ^ S) | f.
 
     Returns None, so that nothing is checked, for n < 3, which has no slab
-    boundary to check, and where a pass meets a slab whose cell sizes
-    multiply to more than _LIVE_MAX, or a step of a pass or of the walk back
-    would pair more than _LIVE_MAX states and fillings: a search that stops
-    after a few tensors never waits for them.
+    boundary to check; for d = 1, where a slab is one cell and the tables
+    cost more than the walk they would prune; and for a full support, where
+    every state is live for d = 2 (every Latin rectangle completes to a
+    Latin square, M. Hall, 1945) and for order 3 (a first slab L completes
+    by L + 1 and L + 2 mod 3), and for d >= 3 and n >= 4 a slab's cell sizes
+    multiply to n^(n^(d-1)) >= 4^16 > _LIVE_MAX. Also None where the one
+    stepper, capped at _LIVE_MAX, refuses a slab of a pass or of the walk
+    back: a search that stops after a few tensors never waits for them.
     """
-    n = a.shape.n
-    if n < 3:
-        return None  # no slab boundary to check
-    fills = _fill_lister(a)
-    plan = _meet(fills, a, _LIVE_MAX)
+    shape = a.shape
+    n = shape.n
+    if n < 3 or shape.d == 1 or a.masks.count(shape.full_mask) == len(a.masks):
+        return None
+    step = _stepper(a, _LIVE_MAX)
+    plan = _meet(step, a)
     if plan is None:
         return None
     h, back, fwd = plan
-    full = (1 << n**a.shape.d) - 1
+    full = (1 << n**shape.d) - 1
     comp = [None] * h + back[n - h : 1 : -1]
     comp[h] = {T: c for T, c in back[n - h].items() if full ^ T in fwd[h]}
     for t in range(h - 1, 0, -1):
-        nxt = _step(comp[t + 1], fills(t), _LIVE_MAX)
+        nxt = step(comp[t + 1], t)
         if nxt is None:
             return None
         comp[t] = {T: c for T, c in nxt.items() if full ^ T in fwd[t]}
@@ -99,13 +105,7 @@ def _blocks(a: SupportArray, stats: dict | None = None):
     Pieces of the prefix are formatted once per filling and tails once per
     memo entry.
 
-    The walk checks live tables (_live) on the supports of d >= 2 that are
-    not full. On a full support every state is live for d = 2 (every Latin
-    rectangle completes to a Latin square, M. Hall, 1945) and for order 3
-    (a first slab L completes by L + 1 and L + 2 mod 3), and for d >= 3 and
-    n >= 4 _live returns None: a slab's cell sizes multiply to n^(n^(d-1))
-    >= 4^16 > _LIVE_MAX. d = 1 builds none either: a slab is one cell, and
-    the tables cost more than the walk they would prune.
+    The walk checks the live tables of _live, where it builds them.
 
     stats, when given, receives the work counters when the walk ends or is
     closed: "prefixes" that reached slab n-2, "memo_entries" made, each of
@@ -141,9 +141,7 @@ def _blocks(a: SupportArray, stats: dict | None = None):
         full = (1 << w) - 1
         mid = n - 2
         forbid = full ^ parts[-1]
-        live = None
-        if d >= 2 and masks.count(shape.full_mask) < len(masks):
-            live = _live(a)
+        live = _live(a)
         memo = walker.table()
         get = memo.get
 

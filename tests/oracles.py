@@ -16,7 +16,8 @@ by stride. The shade histogram is the walk over all (n!)^d orderings that
 the package ran before it counted them in closed form, and shade_count is
 the N of one ordering, set by set from the definition of the shade. The
 block lift is built block by block, as the package built it before it read
-every cell's value in one pass.
+every cell's value in one pass. normalised_support is the restriction of a
+full support that a count of it times its relabellings checks per_d by.
 Nothing here imports from hdperm.counting, whose slab walk is the
 package's own reference; hdperm.core supplies the support type and the
 validator's record and error, and the validator lists its lines itself.
@@ -379,3 +380,17 @@ def transpose_support(a: SupportArray, axis_a: int, axis_b: int) -> SupportArray
         e[axis_a], e[axis_b] = e[axis_b], e[axis_a]
         swapped.append(e)
     return SupportArray.from_ones(a.shape, swapped)
+
+
+def normalised_support(shape: Shape) -> SupportArray:
+    """The full support of shape in which the line through cell 0 along each
+    axis k reads 0, 1, ..., n-1: a cell with coordinate t on one axis and 0
+    on the others allows only t, and every other cell every value. Each
+    tensor of the full support maps into it under exactly one of the
+    n!·((n-1)!)^(d-1) value relabellings times coordinate permutations that
+    fix 0 on axes 0..d-2, so the full count is that many times its count."""
+    masks = []
+    for coords in shape.cells():
+        on_a_line = sum(1 for c in coords if c) <= 1
+        masks.append(1 << sum(coords) if on_a_line else shape.full_mask)
+    return SupportArray(shape, tuple(masks))

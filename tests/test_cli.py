@@ -570,9 +570,9 @@ def _fresh_python(script, timeout=60, flags=()):
 def test_counting_subcommands_do_not_import_numpy(tmp_path):
     # count and enumerate start with core and counting alone: their argv is
     # read from the table, so argparse loads only for the help and usage
-    # errors, and count never loads the enumerator; only enumerate's search
-    # of a d >= 2 support that is not full builds live sets, so none of
-    # these full supports does; construct and cd load their own modules,
+    # errors, and count never loads the enumerator; _live builds live sets
+    # only on a d >= 2 support that is not full, so it returns None on each
+    # of these, d = 1 and full; construct and cd load their own modules,
     # and no subcommand loads numpy
     full = tmp_path / "full.json"
     full.write_text('{"d": 2, "n": 4, "all_ones": true}')
@@ -599,8 +599,8 @@ def test_counting_subcommands_do_not_import_numpy(tmp_path):
         live = enumeration._live
 
         def counted(a):
-            built.append(a.shape)
-            return live(a)
+            built.append(live(a))
+            return built[-1]
 
         enumeration._live = counted
         for argv in (
@@ -611,7 +611,7 @@ def test_counting_subcommands_do_not_import_numpy(tmp_path):
             ["enumerate", "--d", "2", "--n", "3", "--limit", "2"],
         ):
             assert hdperm.cli.run(argv) == 0, argv
-        assert built == [], built
+        assert built == [None] * 5, built
         unused = ["argparse", "dataclasses", "inspect", "fractions", "decimal",
                   "csv", "hdperm.bounds", "hdperm.shade", "hdperm.constructions",
                   "hdperm.suites", "hdperm.kernels"]

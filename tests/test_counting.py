@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdperm import cli, counting, enumeration
+from hdperm.bounds import bregman_log_bound
 from hdperm.core import (
     PermTensor,
     Shape,
@@ -29,6 +30,7 @@ from oracles import (
     count_rows_d2,
     count_sets,
     enumerate_sets,
+    normalised_support,
     ones_of,
     permanent_minors,
     support_from_matrix,
@@ -193,6 +195,30 @@ def test_full_order_3_holds_3_times_2_to_the_d(d):
     assert per_d(all_ones_support(Shape(d, 3))) == 3 * 2**d
 
 
+def test_normalised_support_counts_the_full_support():
+    # per_d of the normalised support N(d, n) times its n!·((n-1)!)^(d-1)
+    # relabellings is the count of the full support
+    def normalised(d, n):
+        return per_d(normalised_support(Shape(d, n))) * (
+            math.factorial(n) * math.factorial(n - 1) ** (d - 1))
+
+    for n in range(1, 8):
+        assert normalised(1, n) == math.factorial(n)
+    for (d, n), want in KNOWN_COUNTS.items():
+        assert normalised(d, n) == want, (d, n)
+    for d in range(1, 9):
+        assert normalised(d, 3) == 3 * 2**d, d
+    # the reduced Latin squares (OEIS A000315), and L(6) = 812,851,200
+    # (OEIS A002860), which the full support takes seconds to count
+    assert [per_d(normalised_support(Shape(2, n))) for n in range(1, 7)] == [
+        1, 1, 1, 4, 56, 9408]
+    assert normalised(2, 6) == 812851200
+    # the walk lists the same tensors the DP counts
+    for d, n in [(2, n) for n in range(1, 7)] + [(3, 4)]:
+        a = normalised_support(Shape(d, n))
+        assert walked(a) == per_d(a), (d, n)
+
+
 def test_one_pass_serves_both_halves_of_a_mirrored_support():
     # where slab j has the masks of slab n-1-j, _meet runs one pass, and
     # its tables are those of the two passes it stands for; a support whose
@@ -200,8 +226,8 @@ def test_one_pass_serves_both_halves_of_a_mirrored_support():
     def two_passes(a):
         n = a.shape.n
         h = n // 2
-        fills = counting._fill_lister(a)
-        return h, counting._pass(fills, range(n - 1, h - 1, -1)), counting._pass(fills, range(h))
+        step = counting._stepper(a)
+        return h, counting._pass(step, range(n - 1, h - 1, -1)), counting._pass(step, range(h))
 
     rng = random.Random(21)
     for _ in range(40):
@@ -212,11 +238,11 @@ def test_one_pass_serves_both_halves_of_a_mirrored_support():
         for s in range(n // 2):
             masks[(n - 1 - s) * m : (n - s) * m] = masks[s * m : (s + 1) * m]
         a = SupportArray(Shape(d, n), tuple(masks))
-        assert counting._meet(counting._fill_lister(a), a) == two_passes(a), a
+        assert counting._meet(counting._stepper(a), a) == two_passes(a), a
         if n >= 4:  # slabs 0 and n-1 still agree, slabs 1 and n-2 no longer
             i = m + rng.randrange(m)
             b = with_cell(a, i, masks[i] ^ 1 << rng.randrange(n))
-            assert counting._meet(counting._fill_lister(b), b) == two_passes(b), b
+            assert counting._meet(counting._stepper(b), b) == two_passes(b), b
 
 
 def test_slab_dp_reports_states():
@@ -353,6 +379,24 @@ def test_text_and_json_round_trips(a):
         assert parse_perm(serialize_perm(p)) == p
 
 
+@settings(max_examples=100, deadline=None)
+@given(a=drawn_supports(max_n={1: 5, 2: 4, 3: 3}))
+def test_exact_core_keeps_count_stream_and_bound(a):
+    # the exact core allows at each cell just the values some tensor of the
+    # stream puts there (nothing anywhere when there is none): the most any
+    # count-preserving reduction of a support can remove. It keeps per_d
+    # and the stream, and the paper's bound does not rise (-inf at count 0)
+    stream = texts(a)
+    masks = [0] * len(a.masks)
+    for text in stream:
+        for i, v in enumerate(text.split()[2:]):
+            masks[i] |= 1 << int(v)
+    core = SupportArray(a.shape, tuple(masks))
+    assert per_d(core) == per_d(a) == len(stream)
+    assert texts(core) == stream
+    assert bregman_log_bound(core) <= bregman_log_bound(a)
+
+
 def with_cell(a, rank, mask):
     masks = list(a.masks)
     masks[rank] = mask
@@ -457,12 +501,11 @@ def test_live_tables_outgrow_the_memo_budget(monkeypatch):
     pairs = []
     step = counting._step
 
-    def recorded(dp, fills, cap=None):
+    def recorded(dp, fills):
         pairs.append(len(dp) * len(fills))
-        return step(dp, fills, cap)
+        return step(dp, fills)
 
-    monkeypatch.setattr(counting, "_step", recorded)  # the passes
-    monkeypatch.setattr(enumeration, "_step", recorded)  # the walk back
+    monkeypatch.setattr(counting, "_step", recorded)  # the passes and the walk back
     assert live_sets(a) is not None
     assert counting._MEMO_MAX < max(pairs) <= enumeration._LIVE_MAX
     stats = {}
@@ -495,7 +538,7 @@ def checked_live_sets(a):
     checked = [(t, table) for t, table in enumerate(live_sets(a) or ()) if table is not None]
     if checked:
         n = a.shape.n
-        fwd = counting._pass(counting._fill_lister(a), range(n - 2))
+        fwd = counting._pass(counting._stepper(a), range(n - 2))
         tensors = list(enumerate_sets(a))
         for t, table in checked:
             through = {}
@@ -533,46 +576,52 @@ def test_live_sets_are_exact_property(a):
 def test_live_sets_give_up_before_listing(monkeypatch):
     # listing a slab (or stepping a table) past _LIVE_MAX is refused before
     # it starts, so a short --limit never waits for the tables; a full
-    # support of d = 2 builds none at all
-    listed = []  # every slab list a fill lister made, once
-    fill_lister = counting._fill_lister
+    # support builds no stepper at all
+    built = []  # the shape of every stepper _live built
+    steps = []  # (slab, refused) for every step those steppers took
+    stepper = counting._stepper
 
-    def counted(a):
-        fills = fill_lister(a)
+    def counted(a, cap=None):
+        built.append(a.shape)
+        step = stepper(a, cap)
 
-        def counted_fills(s, cap=None):
-            found = fills(s, cap)
-            if found is not None and not any(found is f for f in listed):
-                listed.append(found)
-            return found
+        def counted_step(dp, s):
+            got = step(dp, s)
+            steps.append((s, got is None))
+            return got
 
-        return counted_fills
+        return counted_step
 
-    monkeypatch.setattr(enumeration, "_fill_lister", counted)
-    for d, n in ((2, 12), (3, 5), (3, 4), (2, 6)):
-        assert next(tensors(all_ones_support(Shape(d, n)))).shape == Shape(d, n)
-        assert listed == [], (d, n)
-    # one value short in the last slab: the backward pass lists the last
-    # slab, steps it, lists the full slab before it and stops, since 600
-    # states times 720 fillings pass the cap
-    a = with_cell(all_ones_support(Shape(2, 6)), 35, 0b011111)
-    assert live_sets(a) is None
-    assert len(listed) == 2
-    listed.clear()
-    assert next(tensors(a)).values[:6] == (0, 1, 2, 3, 4, 5)
-    assert len(listed) <= 2
-    # nor does the walk list a whole slab before the first tensor: a slab
-    # residual that could pass the budget is listed lazily, filling by filling
-    listed.clear()
-    made = []
+    listed = []  # the k of every listing _Walker.fillings made
+    made = []  # the k of every filling they listed
     fillings = counting._Walker.fillings
 
     def counted_fillings(self, k, R):
+        listed.append(k)
         for f in fillings(self, k, R):
             made.append(k)
             yield f
 
+    monkeypatch.setattr(enumeration, "_stepper", counted)
     monkeypatch.setattr(counting._Walker, "fillings", counted_fillings)
+    for d, n in ((2, 12), (3, 5), (3, 4), (2, 6)):
+        assert next(tensors(all_ones_support(Shape(d, n)))).shape == Shape(d, n)
+        assert built == [], (d, n)
+    # one value short in the last slab: the backward pass lists the last
+    # slab, steps it, lists the full slab before it and refuses to step it,
+    # since 600 states times 720 fillings pass the cap
+    a = with_cell(all_ones_support(Shape(2, 6)), 35, 0b011111)
+    listed.clear()
+    assert live_sets(a) is None
+    assert steps == [(5, False), (4, True)]
+    assert listed.count(1) == 2  # the two slab listings; k = 0 lists a cell
+    steps.clear()
+    assert next(tensors(a)).values[:6] == (0, 1, 2, 3, 4, 5)
+    assert steps == [(5, False), (4, True)]
+    assert built == [a.shape] * 2
+    built.clear()
+    # nor does the walk list a whole slab before the first tensor: a slab
+    # residual that could pass the budget is listed lazily, filling by filling;
     # a slab of these admits 12!, about 8e8 and 161,280 fillings
     for d, n in ((2, 12), (3, 6)):
         made.clear()
@@ -584,7 +633,7 @@ def test_live_sets_give_up_before_listing(monkeypatch):
         assert cli.run(["enumerate", "--d", "3", "--n", "5", "--limit", "1"]) == 0
     assert out.getvalue().startswith("3 5\n0 1 2 3 4\n")
     assert 0 < made.count(2) < 1000, made.count(2)
-    assert listed == []
+    assert built == []
 
 
 def test_live_sets_give_up_past_the_cap(monkeypatch):
@@ -597,36 +646,27 @@ def test_live_sets_give_up_past_the_cap(monkeypatch):
     stats = {}
     stream = texts(a, stats=stats)
     assert stats["live_prunes"] > 0
-    fills = counting._fill_lister(a)
     for cap, forward_fits in ((400, False), (1000, True)):
         monkeypatch.setattr(enumeration, "_LIVE_MAX", cap)
-        assert len(counting._pass(fills, (3, 2), cap)) == 3
-        assert (len(counting._pass(fills, (0, 1), cap)) == 3) == forward_fits
+        step = counting._stepper(a, cap)
+        assert len(counting._pass(step, (3, 2))) == 3
+        assert (len(counting._pass(step, (0, 1))) == 3) == forward_fits
         assert live_sets(a) is None
         assert texts(a, stats=stats) == stream
         assert stats["live_prunes"] == 0
 
 
-def test_full_order_3_supports_have_no_live_checks(monkeypatch):
+def test_full_order_3_supports_have_no_live_checks():
     # a first slab L completes by L + 1 and L + 2 mod 3, so every state is
-    # live: each table holds every state the forward DP reaches there, and
-    # would prune nothing (d = 4 already fails the cap on listing a slab);
-    # enumerate does not build them
+    # live: the complement of each state the forward DP reaches at the one
+    # boundary is in the backward table there, and live tables would prune
+    # nothing; _live builds none
     for d in (2, 3, 4):
         a = all_ones_support(Shape(d, 3))
-        live = live_sets(a)
-        assert (live is None) == (d == 4), d
-        if live is not None:
-            fwd = counting._pass(counting._fill_lister(a), range(1))
-            # order 3: one boundary
-            assert [table.keys() for table in live[1:]] == [fwd[1].keys()], d
-
-    def refused(a):
-        raise AssertionError("live sets built")
-
-    monkeypatch.setattr(enumeration, "_live", refused)
-    for d in (2, 3, 4):
-        a = all_ones_support(Shape(d, 3))
+        assert live_sets(a) is None, d
+        h, back, fwd = counting._meet(counting._stepper(a), a)
+        full = (1 << 3**d) - 1
+        assert h == 1 and all(full ^ S in back[2] for S in fwd[1]), d
         assert len(texts(a)) == per_d(a)
 
 
@@ -679,24 +719,30 @@ def test_enumerate_writes_a_memo_entry_as_it_is_listed(monkeypatch):
 
 def test_walk_tables_stay_within_budget(monkeypatch):
     # listings, texts and the memo count towards one budget of _MEMO_MAX
-    # estimated words, and are emptied together once they would pass it
+    # estimated words, and are emptied together once they would pass it; no
+    # one keep charges more than the whole budget, not even at _MEMO_MAX = 1
     worst = []
     keep = counting._Walker.keep
 
     def checked_keep(self, table, key, value, size):
+        assert size <= counting._MEMO_MAX
         keep(self, table, key, value, size)
-        assert sum(map(len, self.tables)) <= self.stored <= self.cap
+        assert sum(map(len, self.tables)) <= self.stored <= counting._MEMO_MAX
         worst.append(self.stored)
 
     monkeypatch.setattr(counting._Walker, "keep", checked_keep)
     a = all_ones_support(Shape(2, 5))
     want = texts(a)
     assert max(worst) <= counting._MEMO_MAX
-    for cap in (500, 5000):
+    for cap in (1, 500, 5000):
         monkeypatch.setattr(counting, "_MEMO_MAX", cap)
         worst.clear()
         assert texts(a) == want
         assert cap // 2 < max(worst) <= cap
+    b = all_ones_support(Shape(3, 4))
+    want = texts(b)
+    monkeypatch.setattr(counting, "_MEMO_MAX", 1)
+    assert texts(b) == want
 
 
 def test_walker_keeps_exactly_the_listings_that_end_within_its_budget(monkeypatch):
